@@ -4,6 +4,8 @@ The perturbation A_N is always diagonal: spike eigenvalues (with multiplicity)
 plus deterministic quantiles of the bulk limit nu, sorted descending.  That
 makes each spike's eigenspace a coordinate subspace, so spike projectors are
 exact index sets and the eigenvector observables reduce to coordinate sums.
+A replica computes every eigenvalue of M but only the r eigenvectors at the
+spike ranks, by shifted inverse iteration, and checks exactly what it returns.
 """
 
 from __future__ import annotations
@@ -108,13 +110,19 @@ class EnsembleSample:
 
     spike_ranks are 1-based positions of each spike among the descending
     eigenvalues of A_N; spike_projectors are the 0-based coordinate indices
-    spanning Ker(theta_j I - A_N).
+    spanning Ker(theta_j I - A_N).  eigenvectors is N x r: the vectors at the
+    flattened spike_ranks, in that order (see ``vector``).
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     spike_ranks: tuple[tuple[int, ...], ...]
     spike_projectors: tuple[tuple[int, ...], ...]
+
+    def vector(self, rank: int) -> np.ndarray:
+        """The eigenvector at 1-based descending ``rank``, one of the spike ranks."""
+        flat = [r for block in self.spike_ranks for r in block]
+        return self.eigenvectors[:, flat.index(rank)]
 
 
 def build_perturbation(spec: SpikedModelSpec):
@@ -211,28 +219,46 @@ def assemble(spec: SpikedModelSpec, A: np.ndarray, noise: np.ndarray) -> np.ndar
     return root[:, None] * inner * root[None, :]
 
 
-def diagonalize(M: np.ndarray):
-    """Descending eigenvalues and orthonormal eigenvectors of a Hermitian matrix.
+def diagonalize(M: np.ndarray, ranks):
+    """Descending eigenvalues of a Hermitian M and its eigenvectors at ``ranks``.
 
-    Delegates to LAPACK and then verifies the output: per-pair residual
-    ||Mv - lambda v|| <= 1e-7 (1 + ||M||) and Gram deviation <= 1e-8,
-    raising NumericalError otherwise (also catches non-Hermitian input,
-    since only one triangle is read).
+    Returns all N eigenvalues, from one LAPACK ``eigvalsh`` call, and an
+    N x len(ranks) array of eigenvectors at the 1-based descending ranks, in
+    the order given.  Each vector is one inverse iteration step from a fixed
+    pseudo-random start: an LU solve with M shifted by its eigenvalue plus 4
+    ulps of (1 + ||M||), so no pivot is exactly zero; one QR then spans any
+    repeated eigenvalue's eigenspace.  Raises NumericalError unless
+    |M - M*| <= 1e-7 (1 + ||M||) entrywise, every returned pair has residual
+    ||Mv - lambda v|| <= 1e-7 (1 + ||M||) and the Gram deviation is <= 1e-8.
     """
     M = np.asarray(M)
-    lam, V = np.linalg.eigh(M)
-    lam = lam[::-1].copy()
-    V = V[:, ::-1].copy()
+    N = M.shape[0]
+    index = np.asarray(ranks, dtype=int).reshape(-1) - 1
+    if np.unique(index).size != index.size or not np.all((index >= 0) & (index < N)):
+        raise SpecError(f"ranks must be distinct integers in [1, {N}], got {ranks!r}")
+    lam = np.linalg.eigvalsh(M)[::-1].copy()
     norm = float(max(abs(lam[0]), abs(lam[-1])))
-    residual = np.linalg.norm(M @ V - V * lam[None, :], axis=0)
-    if np.max(residual) > EIGEN_RESIDUAL_TOL * (1.0 + norm):
-        raise NumericalError(
-            f"eigenpair residual {float(np.max(residual)):.3e} exceeds "
-            f"{EIGEN_RESIDUAL_TOL * (1.0 + norm):.3e}"
-        )
-    gram_dev = np.max(np.abs(V.conj().T @ V - np.eye(M.shape[0])))
-    if gram_dev > GRAM_TOL:
-        raise NumericalError(f"eigenvector Gram deviation {float(gram_dev):.3e} exceeds {GRAM_TOL}")
+    tol = EIGEN_RESIDUAL_TOL * (1.0 + norm)
+    asymmetry = float(np.max(np.abs(M - M.conj().T)))
+    if not asymmetry <= tol:
+        raise NumericalError(f"input is not Hermitian: |M - M*| reaches {asymmetry:.3e}")
+
+    shifted = M.astype(np.result_type(M, float))
+    V = np.random.default_rng(0).standard_normal((N, index.size)).astype(shifted.dtype)
+    for col, i in enumerate(index):
+        shifted.flat[:: N + 1] = M.diagonal() - (lam[i] + 4.0 * np.spacing(1.0 + norm))
+        try:
+            V[:, col] = np.linalg.solve(shifted, V[:, col])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"inverse iteration at rank {i + 1} failed: {exc}") from None
+    V = np.linalg.qr(V)[0]
+
+    residual = np.linalg.norm(M @ V - V * lam[index], axis=0)
+    if not np.all(residual <= tol):
+        raise NumericalError(f"eigenpair residual {np.max(residual):.3e} exceeds {tol:.3e}")
+    gram = np.abs(V.conj().T @ V - np.eye(index.size))
+    if not np.all(gram <= GRAM_TOL):
+        raise NumericalError(f"eigenvector Gram deviation {np.max(gram):.3e} exceeds {GRAM_TOL}")
     return lam, V
 
 
@@ -242,12 +268,11 @@ def overlaps(sample: EnsembleSample, spike_j: int, spike_l: int):
     Returns (per_vector, summed) where per_vector[n] = ||P_l xi_n(j)||^2 for
     the eigenvector at descending rank spike_ranks[j][n].
     """
-    ranks = sample.spike_ranks[spike_j]
     coords = np.asarray(sample.spike_projectors[spike_l], dtype=int)
-    per = []
-    for rank in ranks:
-        vec = sample.eigenvectors[:, rank - 1]
-        per.append(float(np.sum(np.abs(vec[coords]) ** 2)))
+    per = [
+        float(np.sum(np.abs(sample.vector(rank)[coords]) ** 2))
+        for rank in sample.spike_ranks[spike_j]
+    ]
     return per, float(sum(per))
 
 
@@ -267,7 +292,7 @@ def draw_sample(spec: SpikedModelSpec, rng: np.random.Generator | None = None) -
         p = wishart_p(spec.N, spec.c)
         noise = sample_wishart_factor(spec.N, p, spec.field, spec.entry_law, rng)
     M = assemble(spec, A, noise)
-    lam, V = diagonalize(M)
+    lam, V = diagonalize(M, [r for block in ranks for r in block])
     return EnsembleSample(
         eigenvalues=lam, eigenvectors=V, spike_ranks=ranks, spike_projectors=projectors
     )

@@ -76,10 +76,6 @@ def H_prime(ctx: AdditiveContext, u: float) -> float:
     return 1.0 - ctx.sigma2 * float(np.sum(ctx._wts / (u - ctx._locs) ** 2))
 
 
-def _H_second(ctx: AdditiveContext, u: float) -> float:
-    return 2.0 * ctx.sigma2 * float(np.sum(ctx._wts / (u - ctx._locs) ** 3))
-
-
 def classify_spike(ctx: AdditiveContext, theta: float, multiplicity: int = 1) -> SpikeVerdict:
     """Decide whether the spike separates from the bulk.
 

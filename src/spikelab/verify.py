@@ -5,16 +5,14 @@ and eigenvector overlaps at the spike ranks, and aggregates them next to
 the limiting values from the analytic layer.  Spikes that do not generate
 an outlier must be flagged explicitly; for those the ranked eigenvalues
 are checked against the limiting support edges instead of an outlier
-location.  Replicas run on independent child streams spawned from a single
-seed and are aggregated in replica order, so the result is byte-identical
-whatever the worker count.
+location.  Replicas run in order on independent child streams of one seed,
+so the result is byte-identical from run to run; a failing replica is named
+by its index and spawn key so that it can be redrawn alone.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,18 +114,6 @@ def _theory(spec: SpikedModelSpec):
     return aspect, free_multiplicative.support(ctx), verdicts
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        raw = os.environ.get("SPIKELAB_THREADS", "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise SpecError(f"SPIKELAB_THREADS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise SpecError(f"worker count must be >= 1, got {workers!r}")
-    return workers
-
-
 def _mean_stderr(values) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
@@ -182,21 +168,15 @@ def _rep_record(spec, seed_child, verdicts, sup):
     return records
 
 
-def run(
-    spec: SpikedModelSpec,
-    reps: int,
-    *,
-    expect_sticking=(),
-    workers: int | None = None,
-) -> VerificationResult:
+def run(spec: SpikedModelSpec, reps: int, *, expect_sticking=()) -> VerificationResult:
     """Draw ``reps`` replicas of ``spec`` and aggregate spike statistics.
 
     Every spike must either generate an outlier or be flagged in
     ``expect_sticking`` (0-based positions into ``spec.spikes``); a
     mismatch in either direction raises TheoryError before any sampling.
-    ``workers`` defaults to the SPIKELAB_THREADS environment variable (1
-    when unset); replicas are independent, so threads only change wall
-    time, never the result.
+    A NumericalError inside replica i is re-raised naming i and the spawn
+    key of its child stream: ``SeedSequence(seed, spawn_key=key)`` redraws
+    that replica alone.
     """
     if not isinstance(spec, SpikedModelSpec):
         raise SpecError("spec must be a SpikedModelSpec")
@@ -206,7 +186,6 @@ def run(
     for i in sorted(flagged):
         if not 0 <= i < len(spec.spikes):
             raise SpecError(f"expect_sticking index {i} is out of range")
-    workers = _resolve_workers(workers)
 
     aspect, sup, verdicts = _theory(spec)
     for j, verdict in enumerate(verdicts):
@@ -221,14 +200,14 @@ def run(
                 " flag its index in expect_sticking to verify sticking instead"
             )
 
-    children = np.random.SeedSequence(spec.seed).spawn(reps)
-    if workers == 1:
-        records = [_rep_record(spec, child, verdicts, sup) for child in children]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(
-                pool.map(lambda child: _rep_record(spec, child, verdicts, sup), children)
-            )
+    records = []
+    for i, child in enumerate(np.random.SeedSequence(spec.seed).spawn(reps)):
+        try:
+            records.append(_rep_record(spec, child, verdicts, sup))
+        except NumericalError as exc:
+            raise NumericalError(
+                f"replica {i} (seed {spec.seed}, spawn_key={child.spawn_key}): {exc}"
+            ) from exc
 
     outcomes = []
     for j, verdict in enumerate(verdicts):

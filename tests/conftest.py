@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spikelab import verify
-from spikelab.ensemble import EnsembleSample, SpikedModelSpec, draw_sample
+from spikelab.ensemble import SpikedModelSpec, draw_sample
 from spikelab.measure import AtomicMeasure
 
 TWO_POINT = AtomicMeasure(((1.0, 0.5), (-1.0, 0.5)))
@@ -55,28 +55,19 @@ def phase_sim():
     return verify.run(PHASE_SPEC, 20)
 
 
-def _slim_samples(spec, reps):
-    """Replica spectra with the eigenvector matrices dropped, keeping
-    20 x N^2 complex entries out of resident memory."""
-    out = []
-    for child in np.random.SeedSequence(spec.seed).spawn(reps):
-        full = draw_sample(spec, np.random.default_rng(child))
-        out.append(
-            EnsembleSample(
-                eigenvalues=full.eigenvalues,
-                eigenvectors=np.empty((0, 0)),
-                spike_ranks=full.spike_ranks,
-                spike_projectors=full.spike_projectors,
-            )
-        )
-    return out
+def _replica_samples(spec, reps):
+    """The replicas verify.run draws for ``spec``: same seeds, same order."""
+    return [
+        draw_sample(spec, np.random.default_rng(child))
+        for child in np.random.SeedSequence(spec.seed).spawn(reps)
+    ]
 
 
 @pytest.fixture(scope="session")
 def paper_samples():
-    return _slim_samples(PAPER_SPEC, 20)
+    return _replica_samples(PAPER_SPEC, 20)
 
 
 @pytest.fixture(scope="session")
 def bbp_samples():
-    return _slim_samples(BBP_SPEC, 20)
+    return _replica_samples(BBP_SPEC, 20)

@@ -268,34 +268,123 @@ class TestAssemble:
 
 class TestDiagonalize:
     def test_diagonal_matrix(self):
-        lam, V = diagonalize(np.diag([3.0, -1.0, 2.0]))
+        lam, V = diagonalize(np.diag([3.0, -1.0, 2.0]), [1, 2, 3])
         assert np.allclose(lam, [3.0, 2.0, -1.0])
         assert np.allclose(np.abs(V), np.eye(3)[:, [0, 2, 1]])
 
     def test_two_by_two_swap(self):
-        lam, V = diagonalize(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        lam, V = diagonalize(np.array([[0.0, 1.0], [1.0, 0.0]]), [1, 2])
         assert np.allclose(lam, [1.0, -1.0])
         assert np.allclose(np.abs(V), np.full((2, 2), 1.0 / math.sqrt(2.0)))
+
+    def test_two_by_two_swap_each_rank_alone(self):
+        # The all-ones vector is an exact eigenvector here, so a start
+        # vector of ones would never reach the rank-2 eigenvector.
+        M = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for rank, sign in ((1, 1.0), (2, -1.0)):
+            _, V = diagonalize(M, [rank])
+            assert V.shape == (2, 1)
+            assert np.allclose(V[:, 0] * np.sign(V[0, 0]), np.array([1.0, sign]) / math.sqrt(2.0))
 
     def test_reconstruction(self):
         rng = np.random.default_rng(8)
         H = rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50))
         H = (H + H.conj().T) / 2.0
-        lam, V = diagonalize(H)
+        lam, V = diagonalize(H, range(1, 51))
         assert np.all(np.diff(lam) <= 0.0)
         assert np.linalg.norm(V @ np.diag(lam) @ V.conj().T - H) < 1e-8
         assert np.max(np.abs(V.conj().T @ V - np.eye(50))) < 1e-8
 
+    def test_exactly_singular_shift_on_diagonal_input(self):
+        # M - lambda I is exactly singular at every eigenvalue of a diagonal M.
+        lam, V = diagonalize(np.diag([2.0, 0.0, -1.0, 0.5]), [4, 2])
+        assert lam.tolist() == [2.0, 0.5, 0.0, -1.0]
+        assert np.allclose(np.abs(V), np.eye(4)[:, [2, 3]], atol=1e-12)
+
+    def test_equal_eigenvalues_span_their_eigenspace(self):
+        spec = SpikedModelSpec(
+            kind="additive_wigner", nu=DELTA1, spikes=((5.0, 2),), N=6, seed=0, sigma2=1.0
+        )
+        A, ranks, projs = build_perturbation(spec)
+        lam, V = diagonalize(np.diag(A), ranks[0])
+        assert lam[:2].tolist() == [5.0, 5.0]
+        assert np.max(np.abs(V.T @ V - np.eye(2))) < 1e-12
+        sample = EnsembleSample(
+            eigenvalues=lam, eigenvectors=V, spike_ranks=ranks, spike_projectors=projs
+        )
+        per, summed = overlaps(sample, 0, 0)
+        assert per == pytest.approx([1.0, 1.0], abs=1e-12)
+        assert summed == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SpikedModelSpec(
+                kind="multiplicative_wishart",
+                nu=AtomicMeasure(((1.0, 0.5), (4.0, 0.5))),
+                spikes=((6.0, 1), (2.5, 2)),
+                N=200,
+                seed=4,
+                c=0.1,
+                field="real_symmetric",
+            ),
+            paper_spec(N=200, seed=9),
+        ],
+        ids=["wishart_real_gap_pair", "additive_complex"],
+    )
+    def test_selected_vectors_match_full_eigh(self, spec):
+        sample = draw_sample(spec)
+        rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+        A, ranks, projs = build_perturbation(spec)
+        if spec.kind == "additive_wigner":
+            noise = math.sqrt(spec.sigma2) * sample_wigner(spec.N, spec.field, spec.entry_law, rng)
+        else:
+            p = wishart_p(spec.N, spec.c)
+            noise = sample_wishart_factor(spec.N, p, spec.field, spec.entry_law, rng)
+        lam, V = np.linalg.eigh(assemble(spec, A, noise))
+        flat = [r for block in ranks for r in block]
+        reference = EnsembleSample(
+            eigenvalues=lam[::-1],
+            eigenvectors=V[:, ::-1][:, [r - 1 for r in flat]],
+            spike_ranks=ranks,
+            spike_projectors=projs,
+        )
+        assert sample.eigenvectors.shape == (spec.N, spec.rank)
+        assert np.max(np.abs(sample.eigenvalues - reference.eigenvalues)) < 1e-12
+        for j in range(len(spec.spikes)):
+            for l in range(len(spec.spikes)):
+                per, summed = overlaps(sample, j, l)
+                ref_per, ref_summed = overlaps(reference, j, l)
+                assert per == pytest.approx(ref_per, abs=1e-10)
+                assert summed == pytest.approx(ref_summed, abs=1e-10)
+
+    def test_inaccurate_eigenvalue_fails_residual_check(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: eigvalsh(M) + 1e-3)
+        with pytest.raises(NumericalError, match="residual"):
+            diagonalize(np.diag([3.0, -1.0, 2.0]), [2])
+
     def test_non_hermitian_input_detected(self):
         with pytest.raises(NumericalError):
-            diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]]), [1])
+
+    def test_non_hermitian_block_away_from_returned_vectors_detected(self):
+        # The rank-1 pair alone passes its residual and Gram checks.
+        M = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(NumericalError, match="not Hermitian"):
+            diagonalize(M, [1])
+
+    @pytest.mark.parametrize("ranks", [[0], [3], [1, 1]])
+    def test_bad_ranks_rejected(self, ranks):
+        with pytest.raises(SpecError):
+            diagonalize(np.eye(2), ranks)
 
 
 class TestOverlapsAndDraw:
     def test_noiseless_overlaps_are_kronecker(self):
         spec = paper_spec()
         A, ranks, projs = build_perturbation(spec)
-        lam, V = diagonalize(np.diag(A).astype(complex))
+        lam, V = diagonalize(np.diag(A).astype(complex), [r for block in ranks for r in block])
         sample = EnsembleSample(
             eigenvalues=lam, eigenvectors=V, spike_ranks=ranks, spike_projectors=projs
         )
@@ -316,7 +405,7 @@ class TestOverlapsAndDraw:
             total += summed
         spike_coords = [i for p in sample.spike_projectors for i in p]
         bulk = np.setdiff1d(np.arange(60), spike_coords)
-        vec = sample.eigenvectors[:, sample.spike_ranks[j][0] - 1]
+        vec = sample.vector(sample.spike_ranks[j][0])
         total += float(np.sum(np.abs(vec[bulk]) ** 2))
         assert total == pytest.approx(1.0, abs=1e-10)
 

@@ -16,7 +16,7 @@ import pytest
 
 from spikelab import verify
 from spikelab.ensemble import SpikedModelSpec, draw_sample
-from spikelab.errors import SpecError, TheoryError
+from spikelab.errors import NumericalError, SpecError, TheoryError
 from spikelab.free_multiplicative import MultiplicativeContext, classify_spike, mp_density
 from spikelab.measure import AtomicMeasure
 
@@ -39,8 +39,8 @@ def paper_spec(N, seed=7):
     )
 
 
-def run_paper(N, reps, seed=7, **kwargs):
-    return verify.run(paper_spec(N, seed), reps, expect_sticking={1}, **kwargs)
+def run_paper(N, reps, seed=7):
+    return verify.run(paper_spec(N, seed), reps, expect_sticking={1})
 
 
 # ---------------------------------------------------------------- run()
@@ -125,21 +125,27 @@ def test_margin_conventions_top_and_interior():
     assert zero.margin_below is not None and zero.margin_below > 0.0
 
 
-def test_run_is_deterministic_and_thread_invariant(monkeypatch):
+def test_run_is_deterministic():
     base = run_paper(100, 4)
     assert run_paper(100, 4) == base
-    assert run_paper(100, 4, workers=2) == base
-    monkeypatch.setenv("SPIKELAB_THREADS", "3")
-    assert run_paper(100, 4) == base
 
 
-def test_run_rejects_bad_worker_settings(monkeypatch):
-    monkeypatch.setenv("SPIKELAB_THREADS", "zero")
-    with pytest.raises(SpecError):
-        run_paper(60, 1)
-    monkeypatch.delenv("SPIKELAB_THREADS")
-    with pytest.raises(SpecError):
-        run_paper(60, 1, workers=0)
+def test_failing_replica_is_named_with_its_spawn_key(monkeypatch):
+    calls = []
+
+    def failing_third(spec, rng):
+        calls.append(rng)
+        if len(calls) == 3:
+            raise NumericalError("eigenpair residual 1.000e+00 exceeds 1.000e-07")
+        return draw_sample(spec, rng)
+
+    monkeypatch.setattr(verify, "draw_sample", failing_third)
+    with pytest.raises(NumericalError, match=r"replica 2 \(seed 5, spawn_key=\(2,\)\): eigenpair"):
+        run_paper(60, 4, seed=5)
+    assert len(calls) == 3
+    # The named spawn key redraws the failing replica's stream alone.
+    redrawn = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(2,)))
+    assert redrawn.standard_normal(4).tolist() == calls[2].standard_normal(4).tolist()
 
 
 def test_paper_example_accuracy_small_N():
