@@ -5,6 +5,10 @@ Model files are JSON objects with the keys kind ("additive" or
 spikes = [[theta, multiplicity], ...], and optional N, seed, entry_law
 ("gaussian" or "rademacher") and field ("complex" or "real").
 
+Every command validates the whole model file by one rule, that of
+SpikedModelSpec: spike thetas strictly decreasing, and N, seed, entry_law
+and field checked even by the commands that do not use them.
+
 Exit codes: 0 success, 2 invalid spec or domain, 3 fixed-point
 non-convergence, 4 numerical accuracy failure.  Output is a pure function
 of the model file bytes, the flags and the seed.
@@ -13,14 +17,14 @@ of the model file bytes, the flags and the seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import free_additive, free_multiplicative, verify
+from . import free_additive, verify
 from .ensemble import SpikedModelSpec
 from .errors import (
     ConvergenceError,
@@ -39,32 +43,6 @@ FIELD_MAP = {"complex": "complex_hermitian", "real": "real_symmetric"}
 DEFAULT_REPS = 5
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: one command plus its fully validated knobs."""
-
-    command: str
-    spec_path: str
-    output_path: str | None
-    fmt: str
-    grid: tuple[float, float, int] | None
-    reps: int
-    N: int | None
-    seed: int | None
-    eps: float
-    tol: float
-
-    def __post_init__(self):
-        if self.fmt not in ("json", "csv"):
-            raise SpecError(f"format must be json or csv, got {self.fmt!r}")
-        if self.grid is not None and self.grid[2] < 2:
-            raise SpecError(f"grid needs at least 2 points, got {self.grid[2]}")
-        if self.reps < 1:
-            raise SpecError(f"reps must be >= 1, got {self.reps}")
-        if self.N is not None and self.N < 1:
-            raise SpecError(f"N must be >= 1, got {self.N}")
-
-
 def _parse_grid(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -75,11 +53,13 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         raise SpecError(f"grid must look like LO:HI:N, got {text!r}") from None
     if not lo < hi:
         raise SpecError(f"grid needs LO < HI, got {text!r}")
+    if n < 2:
+        raise SpecError(f"grid needs at least 2 points, got {n}")
     return lo, hi, n
 
 
-def load_model(path: str) -> dict:
-    """Read and normalize a JSON model file into canonical field names."""
+def load_model(path: str) -> SpikedModelSpec:
+    """Read a JSON model file into a validated SpikedModelSpec (N may be None)."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -97,76 +77,32 @@ def load_model(path: str) -> dict:
     field = raw.get("field", "complex")
     if field not in FIELD_MAP:
         raise SpecError(f"field must be 'complex' or 'real', got {field!r}")
-
-    nu_raw = raw.get("nu")
-    if not isinstance(nu_raw, dict) or "atoms" not in nu_raw:
-        raise SpecError("nu must be an object with an 'atoms' list")
-    try:
-        atoms = tuple((float(t), float(w)) for t, w in nu_raw["atoms"])
-    except (TypeError, ValueError):
-        raise SpecError("nu atoms must be [location, weight] pairs") from None
-    nu = AtomicMeasure(atoms)
-
-    spikes = []
-    for entry in raw.get("spikes", []):
-        try:
-            theta, mult = entry
-        except (TypeError, ValueError):
-            raise SpecError(f"each spike must be a [theta, multiplicity] pair, got {entry!r}")
-        if isinstance(mult, bool) or (
-            not isinstance(mult, int) and not (isinstance(mult, float) and mult.is_integer())
-        ):
-            raise SpecError(f"spike multiplicity must be an integer, got {mult!r}")
-        spikes.append((float(theta), int(mult)))
-
-    for name in ("N", "seed"):
-        value = raw.get(name)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-            raise SpecError(f"{name} must be an integer, got {value!r}")
-
-    return {
-        "kind": KIND_MAP[kind],
-        "nu": nu,
-        "spikes": tuple(spikes),
-        "sigma2": raw.get("sigma2"),
-        "c": raw.get("c"),
-        "N": raw.get("N"),
-        "seed": raw.get("seed", 0),
-        "entry_law": raw.get("entry_law", "gaussian"),
-        "field": FIELD_MAP[field],
-    }
-
-
-def _build_context(model: dict):
-    """Limiting-law context plus the module implementing it."""
-    if model["kind"] == "additive_wigner":
-        if model["sigma2"] is None:
-            raise SpecError("additive model requires sigma2")
-        if model["c"] is not None:
-            raise SpecError("additive model does not take an aspect ratio c")
-        return free_additive.AdditiveContext(model["nu"], model["sigma2"]), free_additive
-    if model["c"] is None:
-        raise SpecError("multiplicative model requires an aspect ratio c")
-    if model["sigma2"] is not None:
-        raise SpecError("multiplicative model does not take sigma2")
-    return free_multiplicative.MultiplicativeContext(model["nu"], model["c"]), free_multiplicative
+    return SpikedModelSpec(
+        kind=KIND_MAP[kind],
+        nu=AtomicMeasure.from_dict(raw.get("nu")),
+        spikes=raw.get("spikes", ()),
+        N=raw.get("N"),
+        seed=raw.get("seed", 0),
+        sigma2=raw.get("sigma2"),
+        c=raw.get("c"),
+        entry_law=raw.get("entry_law", "gaussian"),
+        field=FIELD_MAP[field],
+    )
 
 
 def _fmt_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def cmd_analyze(cfg: RunConfig) -> str:
-    model = load_model(cfg.spec_path)
-    ctx, mod = _build_context(model)
-    verdicts = [mod.classify_spike(ctx, theta, mult) for theta, mult in model["spikes"]]
+def cmd_analyze(spec: SpikedModelSpec, args: argparse.Namespace) -> str:
+    ctx, mod = verify.limit(spec, spec.c)
+    verdicts = [mod.classify_spike(ctx, theta, mult) for theta, mult in spec.spikes]
     sup = mod.support(ctx)
-    if cfg.fmt == "json":
+    if args.format == "json":
+        additive = spec.kind == "additive_wigner"
         doc = {
-            "kind": model["kind"],
-            "sigma2" if model["kind"] == "additive_wigner" else "c": (
-                model["sigma2"] if model["kind"] == "additive_wigner" else model["c"]
-            ),
+            "kind": spec.kind,
+            "sigma2" if additive else "c": spec.sigma2 if additive else spec.c,
             "support": [[lo, hi] for lo, hi in sup.intervals],
             "spikes": [
                 {
@@ -195,15 +131,12 @@ def cmd_analyze(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_density(cfg: RunConfig) -> str:
-    if cfg.grid is None:
-        raise SpecError("density requires --grid LO:HI:N")
-    model = load_model(cfg.spec_path)
-    ctx, mod = _build_context(model)
-    lo, hi, n = cfg.grid
+def cmd_density(spec: SpikedModelSpec, args: argparse.Namespace) -> str:
+    lo, hi, n = _parse_grid(args.grid)
+    ctx, mod = verify.limit(spec, spec.c)
     xs = np.linspace(lo, hi, n)
     try:
-        points = mod.density(ctx, xs, eps=cfg.eps, tol=cfg.tol)
+        points = mod.density(ctx, xs, eps=args.eps, tol=args.tol)
     except ConvergenceError as exc:
         if exc.grid_index is not None:
             raise ConvergenceError(
@@ -214,7 +147,7 @@ def cmd_density(cfg: RunConfig) -> str:
                 grid_index=exc.grid_index,
             ) from exc
         raise
-    if cfg.fmt == "json":
+    if args.format == "json":
         doc = {"x": [x for x, _ in points], "density": [f for _, f in points]}
         return json.dumps(doc, allow_nan=False) + "\n"
     lines = ["x,density"]
@@ -222,25 +155,16 @@ def cmd_density(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_simulate(cfg: RunConfig) -> str:
-    model = load_model(cfg.spec_path)
-    N = cfg.N if cfg.N is not None else model["N"]
-    if N is None:
-        raise SpecError("simulate requires N (in the model file or via --N)")
-    seed = cfg.seed if cfg.seed is not None else model["seed"]
-    spec = SpikedModelSpec(
-        kind=model["kind"],
-        nu=model["nu"],
-        spikes=model["spikes"],
-        N=N,
-        seed=seed,
-        sigma2=model["sigma2"],
-        c=model["c"],
-        entry_law=model["entry_law"],
-        field=model["field"],
+def cmd_simulate(spec: SpikedModelSpec, args: argparse.Namespace) -> str:
+    spec = dataclasses.replace(
+        spec,
+        N=spec.N if args.N is None else args.N,
+        seed=spec.seed if args.seed is None else args.seed,
     )
-    result = verify.run(spec, cfg.reps, expect_sticking=verify.expected_sticking(spec))
-    if cfg.fmt == "json":
+    if spec.N is None:
+        raise SpecError("simulate requires N (in the model file or via --N)")
+    result = verify.run(spec, args.reps, expect_sticking=verify.expected_sticking(spec))
+    if args.format == "json":
         return json.dumps(verify.to_json_dict(result), indent=2, allow_nan=False) + "\n"
     return verify.to_csv_text(result)
 
@@ -270,29 +194,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        spec_path=args.spec,
-        output_path=args.out,
-        fmt=args.format,
-        grid=_parse_grid(args.grid) if getattr(args, "grid", None) else None,
-        reps=getattr(args, "reps", DEFAULT_REPS),
-        N=getattr(args, "N", None),
-        seed=getattr(args, "seed", None),
-        eps=getattr(args, "eps", free_additive.DEFAULT_EPS),
-        tol=getattr(args, "tol", free_additive.DEFAULT_TOL),
-    )
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        cfg = _config_from_args(args)
-        text = _COMMANDS[cfg.command](cfg)
+        text = _COMMANDS[args.command](load_model(args.spec), args)
     except (SpecError, DomainError, TheoryError, DegenerateOutlierError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -302,10 +210,10 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    if cfg.output_path is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     return 0
 

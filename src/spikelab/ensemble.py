@@ -26,14 +26,23 @@ EIGEN_RESIDUAL_TOL = 1e-7
 GRAM_TOL = 1e-8
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SpikedModelSpec:
-    """Complete description of one finite-N spiked random matrix model."""
+    """Complete description of one spiked random matrix model.
+
+    ``N`` may be None for a model used only through its limiting law; it
+    must be set before a sample is drawn.  A spike multiplicity may be given
+    as an integral float (as JSON writes 1.0) and is stored as an int.
+    """
 
     kind: str
     nu: AtomicMeasure
     spikes: tuple[tuple[float, int], ...]
-    N: int
+    N: int | None
     seed: int
     sigma2: float | None = None
     c: float | None = None
@@ -49,21 +58,24 @@ class SpikedModelSpec:
             raise SpecError(f"entry_law must be one of {ENTRY_LAWS}, got {self.entry_law!r}")
         if self.field not in FIELDS:
             raise SpecError(f"field must be one of {FIELDS}, got {self.field!r}")
-        if not isinstance(self.N, int) or self.N < 1:
+        if self.N is not None and (not _is_int(self.N) or self.N < 1):
             raise SpecError(f"N must be a positive integer, got {self.N!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise SpecError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
+        try:
+            pairs = [(float(theta), mult) for theta, mult in self.spikes]
+        except (TypeError, ValueError):
+            raise SpecError(
+                f"spikes must be (theta, multiplicity) pairs, got {self.spikes!r}"
+            ) from None
         spikes = []
-        for entry in self.spikes:
-            try:
-                theta, mult = entry
-            except (TypeError, ValueError):
-                raise SpecError(f"each spike must be a (theta, multiplicity) pair, got {entry!r}")
-            theta = float(theta)
+        for theta, mult in pairs:
             if not math.isfinite(theta):
                 raise SpecError(f"spike theta must be finite, got {theta!r}")
-            if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
+            if isinstance(mult, float) and mult.is_integer():
+                mult = int(mult)
+            if not _is_int(mult) or mult < 1:
                 raise SpecError(f"spike multiplicity must be a positive integer, got {mult!r}")
             if self.nu.distance_to_support(theta) <= MERGE_TOL:
                 raise SpecError(f"spike theta={theta!r} lies in the support of nu")
@@ -72,7 +84,7 @@ class SpikedModelSpec:
         if any(nxt >= prev for nxt, prev in zip(thetas[1:], thetas)):
             raise SpecError("spike thetas must be strictly decreasing")
         r = sum(k for _, k in spikes)
-        if r > self.N:
+        if self.N is not None and r > self.N:
             raise SpecError(f"total spike multiplicity {r} exceeds N={self.N}")
         object.__setattr__(self, "spikes", tuple(spikes))
 
@@ -127,6 +139,8 @@ class EnsembleSample:
 
 def build_perturbation(spec: SpikedModelSpec):
     """Diagonal of A_N (descending) plus spike ranks and coordinate projectors."""
+    if spec.N is None:
+        raise SpecError("drawing a finite-N sample requires N")
     r = spec.rank
     bulk = quantile_discretize(spec.nu, spec.N - r) if spec.N > r else np.empty(0)
     spike_vals = np.concatenate(

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, SpecError
 from .measure import MERGE_TOL, AtomicMeasure
 from .rootfind import bisect, creep_to_sign, march_to_sign
-from .verdicts import SpikeVerdict, SupportIntervals
+from .verdicts import SpikeVerdict, SupportIntervals, uncovered
 
 # H'(theta) within this of zero counts as sticking, not an outlier.
 BOUNDARY_TOL = 1e-12
@@ -31,9 +31,6 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_DAMPING = 0.5
 DEFAULT_EPS = 1e-6
-
-# Endpoints of adjacent support components closer than this are fused.
-_TOUCH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -161,21 +158,7 @@ def support(ctx: AdditiveContext) -> SupportIntervals:
         lo = -math.inf if a == -math.inf else H(ctx, a)
         hi = math.inf if b == math.inf else H(ctx, b)
         images.append((lo, hi))
-    images.sort()
-
-    merged: list[list[float]] = []
-    for lo, hi in images:
-        if merged and lo <= merged[-1][1] + _TOUCH_TOL:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-
-    comps = [
-        (merged[i][1], merged[i + 1][0])
-        for i in range(len(merged) - 1)
-        if merged[i + 1][0] - merged[i][1] > _TOUCH_TOL
-    ]
-    return SupportIntervals(tuple(comps))
+    return SupportIntervals(tuple(uncovered(images)))
 
 
 def subordinated_g(

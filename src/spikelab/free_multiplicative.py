@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateOutlierError, DomainError, SpecError
 from .measure import MERGE_TOL, AtomicMeasure
 from .rootfind import bisect, creep_to_sign, march_to_sign
-from .verdicts import SpikeVerdict, SupportIntervals
+from .verdicts import SpikeVerdict, SupportIntervals, uncovered
 
 # W(theta) within this of 1 counts as sticking, not an outlier.
 BOUNDARY_TOL = 1e-12
@@ -33,8 +33,6 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_DAMPING = 0.5
 DEFAULT_EPS = 1e-6
-
-_TOUCH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -255,23 +253,7 @@ def support(ctx: MultiplicativeContext) -> SupportIntervals:
         else:
             hi = _Z_of_inv(ctx, b)
         images.append((lo, hi))
-    images.sort()
-
-    merged: list[list[float]] = []
-    for lo, hi in images:
-        if merged and lo <= merged[-1][1] + _TOUCH_TOL:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-
-    comps = []
-    for i in range(len(merged) - 1):
-        lo = merged[i][1]
-        hi = merged[i + 1][0]
-        if hi <= 0.0 or hi - lo <= _TOUCH_TOL:
-            continue
-        comps.append((max(lo, 0.0), hi))
-    return SupportIntervals(tuple(comps))
+    return SupportIntervals(tuple((max(lo, 0.0), hi) for lo, hi in uncovered(images) if hi > 0.0))
 
 
 def mass_at_zero(ctx: MultiplicativeContext) -> float:

@@ -38,7 +38,10 @@ class AtomicMeasure:
     atoms: tuple[tuple[float, float], ...]
 
     def __init__(self, atoms: Iterable[Sequence[float]]):
-        pairs = [(float(t), float(w)) for t, w in atoms]
+        try:
+            pairs = [(float(t), float(w)) for t, w in atoms]
+        except (TypeError, ValueError):
+            raise SpecError(f"atoms must be (location, weight) pairs, got {atoms!r}") from None
         if not pairs:
             raise SpecError("a measure needs at least one atom")
         for t, w in pairs:

@@ -5,15 +5,16 @@ and eigenvector overlaps at the spike ranks, and aggregates them next to
 the limiting values from the analytic layer.  Spikes that do not generate
 an outlier must be flagged explicitly; for those the ranked eigenvalues
 are checked against the limiting support edges instead of an outlier
-location.  Replicas run in order on independent child streams of one seed,
-so the result is byte-identical from run to run; a failing replica is named
-by its index and spawn key so that it can be redrawn alone.
+location.  ``replicas`` holds the seeding rule: replica i is drawn from
+child i of one ``SeedSequence(seed)``, so the result is byte-identical from
+run to run, and a failing replica is named by its index and spawn key so
+that it can be redrawn alone.  ``run`` is ``aggregate`` over ``replicas``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -97,6 +98,17 @@ class VerificationResult:
         object.__setattr__(self, "spikes", tuple(self.spikes))
 
 
+def limit(spec: SpikedModelSpec, c: float | None):
+    """Limiting-law context of ``spec`` plus the module implementing it.
+
+    ``c`` is the aspect ratio the multiplicative law is evaluated at; the
+    additive law ignores it.
+    """
+    if spec.kind == "additive_wigner":
+        return free_additive.AdditiveContext(spec.nu, spec.sigma2), free_additive
+    return free_multiplicative.MultiplicativeContext(spec.nu, c), free_multiplicative
+
+
 def _theory(spec: SpikedModelSpec):
     """Limiting verdicts and support for a finite model.
 
@@ -104,14 +116,12 @@ def _theory(spec: SpikedModelSpec):
     N/p rather than the requested c, matching what the samples actually
     see after p is rounded to an integer.
     """
-    if spec.kind == "additive_wigner":
-        ctx = free_additive.AdditiveContext(spec.nu, spec.sigma2)
-        verdicts = tuple(free_additive.classify_spike(ctx, t, k) for t, k in spec.spikes)
-        return None, free_additive.support(ctx), verdicts
-    aspect = spec.N / wishart_p(spec.N, spec.c)
-    ctx = free_multiplicative.MultiplicativeContext(spec.nu, aspect)
-    verdicts = tuple(free_multiplicative.classify_spike(ctx, t, k) for t, k in spec.spikes)
-    return aspect, free_multiplicative.support(ctx), verdicts
+    if spec.N is None:
+        raise SpecError("simulating a finite model requires N")
+    aspect = None if spec.kind == "additive_wigner" else spec.N / wishart_p(spec.N, spec.c)
+    ctx, mod = limit(spec, aspect)
+    verdicts = tuple(mod.classify_spike(ctx, t, k) for t, k in spec.spikes)
+    return aspect, mod.support(ctx), verdicts
 
 
 def _mean_stderr(values) -> tuple[float, float]:
@@ -122,11 +132,42 @@ def _mean_stderr(values) -> tuple[float, float]:
     return mean, float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-def _rep_record(spec, seed_child, verdicts, sup):
+def _replica(spec, i, child) -> EnsembleSample:
+    try:
+        sample = draw_sample(spec, np.random.default_rng(child))
+        # Each returned vector is a unit vector, so its overlaps summed over
+        # every spike block, its mass on the spike coordinates, are at most 1.
+        coords = [c for block in sample.spike_projectors for c in block]
+        mass = np.sum(np.abs(sample.eigenvectors[coords]) ** 2, axis=0)
+        if np.any(mass > 1.0 + UNIT_SLACK):
+            raise NumericalError(f"overlaps of an outlier vector sum to {mass.max()}")
+    except NumericalError as exc:
+        raise NumericalError(
+            f"replica {i} (seed {spec.seed}, spawn_key={child.spawn_key}): {exc}"
+        ) from exc
+    return sample
+
+
+def replicas(spec: SpikedModelSpec, reps: int):
+    """Iterator over the ``reps`` replicas of ``spec``, drawn in order on demand.
+
+    Replica i is drawn from child i of ``SeedSequence(spec.seed)``.  A
+    NumericalError inside replica i is re-raised naming i and the spawn key
+    of its child stream: ``SeedSequence(seed, spawn_key=key)`` redraws that
+    replica alone.  The arguments are checked before any replica is drawn.
+    """
+    if not isinstance(spec, SpikedModelSpec):
+        raise SpecError("spec must be a SpikedModelSpec")
+    if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
+        raise SpecError(f"reps must be a positive integer, got {reps!r}")
+    children = np.random.SeedSequence(spec.seed).spawn(reps)
+    return (_replica(spec, i, child) for i, child in enumerate(children))
+
+
+def _rep_record(sample, verdicts, sup):
     """Per-spike statistics of one replica, as plain floats."""
-    sample = draw_sample(spec, np.random.default_rng(seed_child))
     lam = sample.eigenvalues
-    n_spikes = len(spec.spikes)
+    n_spikes = len(verdicts)
     per_vec_all = [
         [overlaps(sample, j, l) for l in range(n_spikes)] for j in range(n_spikes)
     ]
@@ -136,12 +177,6 @@ def _rep_record(spec, seed_child, verdicts, sup):
         k = len(ranks)
         block = lam[[r - 1 for r in ranks]]
         per_vec, summed = per_vec_all[j][j]
-        for n in range(k):
-            total = sum(per_vec_all[j][l][0][n] for l in range(n_spikes))
-            if total > 1.0 + UNIT_SLACK:
-                raise NumericalError(
-                    f"overlaps of outlier vector at rank {ranks[n]} sum to {total}"
-                )
         leak = 0.0
         if n_spikes > 1:
             leak = max(per_vec_all[j][l][1] / k for l in range(n_spikes) if l != j)
@@ -168,20 +203,14 @@ def _rep_record(spec, seed_child, verdicts, sup):
     return records
 
 
-def run(spec: SpikedModelSpec, reps: int, *, expect_sticking=()) -> VerificationResult:
-    """Draw ``reps`` replicas of ``spec`` and aggregate spike statistics.
+def aggregate(spec: SpikedModelSpec, samples, expect_sticking) -> VerificationResult:
+    """Spike statistics of ``samples``, replicas of ``spec``, next to the theory.
 
     Every spike must either generate an outlier or be flagged in
     ``expect_sticking`` (0-based positions into ``spec.spikes``); a
-    mismatch in either direction raises TheoryError before any sampling.
-    A NumericalError inside replica i is re-raised naming i and the spawn
-    key of its child stream: ``SeedSequence(seed, spawn_key=key)`` redraws
-    that replica alone.
+    mismatch in either direction raises TheoryError before ``samples`` is
+    iterated, so no replica of a lazy ``replicas`` iterator is drawn.
     """
-    if not isinstance(spec, SpikedModelSpec):
-        raise SpecError("spec must be a SpikedModelSpec")
-    if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
-        raise SpecError(f"reps must be a positive integer, got {reps!r}")
     flagged = frozenset(int(i) for i in expect_sticking)
     for i in sorted(flagged):
         if not 0 <= i < len(spec.spikes):
@@ -200,14 +229,11 @@ def run(spec: SpikedModelSpec, reps: int, *, expect_sticking=()) -> Verification
                 " flag its index in expect_sticking to verify sticking instead"
             )
 
-    records = []
-    for i, child in enumerate(np.random.SeedSequence(spec.seed).spawn(reps)):
-        try:
-            records.append(_rep_record(spec, child, verdicts, sup))
-        except NumericalError as exc:
-            raise NumericalError(
-                f"replica {i} (seed {spec.seed}, spawn_key={child.spawn_key}): {exc}"
-            ) from exc
+    # map releases each sample before drawing the next; a comprehension's loop
+    # variable would keep it alive and raise the peak memory of a run.
+    records = list(map(lambda sample: _rep_record(sample, verdicts, sup), samples))
+    if not records:
+        raise SpecError("aggregate needs at least one replica")
 
     outcomes = []
     for j, verdict in enumerate(verdicts):
@@ -247,12 +273,21 @@ def run(spec: SpikedModelSpec, reps: int, *, expect_sticking=()) -> Verification
     return VerificationResult(
         kind=spec.kind,
         N=spec.N,
-        reps=reps,
+        reps=len(records),
         seed=spec.seed,
         aspect_ratio=aspect,
         support=sup,
         spikes=tuple(outcomes),
     )
+
+
+def run(spec: SpikedModelSpec, reps: int, *, expect_sticking=()) -> VerificationResult:
+    """Draw ``reps`` replicas of ``spec`` and aggregate spike statistics.
+
+    The same as ``aggregate(spec, replicas(spec, reps), expect_sticking)``:
+    arguments and theory are checked before the first replica is drawn.
+    """
+    return aggregate(spec, replicas(spec, reps), expect_sticking)
 
 
 def expected_sticking(spec: SpikedModelSpec) -> frozenset[int]:
@@ -311,68 +346,34 @@ def outcome_passes(outcome: SpikeOutcome) -> bool:
     return outcome.edge_excess <= EDGE_TOL
 
 
+# Report columns: the scalar fields of VerificationResult, then per spike the
+# fields of SpikeOutcome in declaration order, is_outlier rendered as verdict,
+# and the report-level pass flag.
+_RESULT_KEYS = tuple(
+    f.name for f in fields(VerificationResult) if f.name not in ("support", "spikes")
+)
+_SPIKE_KEYS = tuple(
+    "verdict" if f.name == "is_outlier" else f.name for f in fields(SpikeOutcome)
+) + ("pass",)
+CSV_HEADER = _RESULT_KEYS + ("spike",) + _SPIKE_KEYS
+
+
+def _spike_row(outcome: SpikeOutcome) -> dict:
+    row = dict(zip(_SPIKE_KEYS, (getattr(outcome, f.name) for f in fields(SpikeOutcome))))
+    row["verdict"] = "outlier" if outcome.is_outlier else "sticking"
+    row["pass"] = outcome_passes(outcome)
+    return row
+
+
 def to_json_dict(result: VerificationResult) -> dict:
     """JSON-ready dict mirroring the result, with per-spike pass flags."""
-    spikes = []
-    for outcome in result.spikes:
-        spikes.append(
-            {
-                "theta": outcome.theta,
-                "multiplicity": outcome.multiplicity,
-                "verdict": "outlier" if outcome.is_outlier else "sticking",
-                "rho": outcome.rho,
-                "tau": outcome.tau,
-                "eigenvalue_mean": outcome.eigenvalue_mean,
-                "eigenvalue_stderr": outcome.eigenvalue_stderr,
-                "overlap_mean": outcome.overlap_mean,
-                "overlap_stderr": outcome.overlap_stderr,
-                "overlap_sum_mean": outcome.overlap_sum_mean,
-                "overlap_sum_stderr": outcome.overlap_sum_stderr,
-                "margin_above": outcome.margin_above,
-                "margin_below": outcome.margin_below,
-                "leakage": outcome.leakage,
-                "edge_distance": outcome.edge_distance,
-                "edge_excess": outcome.edge_excess,
-                "pass": outcome_passes(outcome),
-            }
-        )
+    spikes = [_spike_row(outcome) for outcome in result.spikes]
     return {
-        "kind": result.kind,
-        "N": result.N,
-        "reps": result.reps,
-        "seed": result.seed,
-        "aspect_ratio": result.aspect_ratio,
+        **{name: getattr(result, name) for name in _RESULT_KEYS},
         "support": [[lo, hi] for lo, hi in result.support.intervals],
         "spikes": spikes,
-        "pass": all(entry["pass"] for entry in spikes),
+        "pass": all(row["pass"] for row in spikes),
     }
-
-
-CSV_HEADER = (
-    "kind",
-    "N",
-    "reps",
-    "seed",
-    "aspect_ratio",
-    "spike",
-    "theta",
-    "multiplicity",
-    "verdict",
-    "rho",
-    "tau",
-    "eigenvalue_mean",
-    "eigenvalue_stderr",
-    "overlap_mean",
-    "overlap_stderr",
-    "overlap_sum_mean",
-    "overlap_sum_stderr",
-    "margin_above",
-    "margin_below",
-    "leakage",
-    "edge_distance",
-    "edge_excess",
-    "pass",
-)
 
 
 def _csv_cell(value) -> str:
@@ -389,33 +390,9 @@ def _csv_cell(value) -> str:
 
 def to_csv_text(result: VerificationResult) -> str:
     """Flat table, one row per spike: '.' decimals, ',' separators, LF."""
+    head = [getattr(result, name) for name in _RESULT_KEYS]
     lines = [",".join(CSV_HEADER)]
     for j, outcome in enumerate(result.spikes):
-        verdict = "outlier" if outcome.is_outlier else "sticking"
-        cells = (
-            result.kind,
-            result.N,
-            result.reps,
-            result.seed,
-            result.aspect_ratio,
-            j,
-            outcome.theta,
-            outcome.multiplicity,
-            verdict,
-            outcome.rho,
-            outcome.tau,
-            outcome.eigenvalue_mean,
-            outcome.eigenvalue_stderr,
-            outcome.overlap_mean,
-            outcome.overlap_stderr,
-            outcome.overlap_sum_mean,
-            outcome.overlap_sum_stderr,
-            outcome.margin_above,
-            outcome.margin_below,
-            outcome.leakage,
-            outcome.edge_distance,
-            outcome.edge_excess,
-            outcome_passes(outcome),
-        )
+        cells = [*head, j, *_spike_row(outcome).values()]
         lines.append(",".join(_csv_cell(cell) for cell in cells))
     return "\n".join(lines) + "\n"

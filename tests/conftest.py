@@ -1,11 +1,11 @@
 """Session-wide fixtures: the heavy N=1000, 20-replica simulations shared
-by the acceptance criteria, each computed once."""
+by the acceptance criteria, each computed once.  The paper and BBP replicas
+are drawn once and serve both the aggregate and the separation checks."""
 
-import numpy as np
 import pytest
 
 from spikelab import verify
-from spikelab.ensemble import SpikedModelSpec, draw_sample
+from spikelab.ensemble import SpikedModelSpec
 from spikelab.measure import AtomicMeasure
 
 TWO_POINT = AtomicMeasure(((1.0, 0.5), (-1.0, 0.5)))
@@ -41,33 +41,25 @@ PHASE_SPEC = SpikedModelSpec(
 
 
 @pytest.fixture(scope="session")
-def paper_sim():
-    return verify.run(PAPER_SPEC, 20, expect_sticking={1})
+def paper_samples():
+    return list(verify.replicas(PAPER_SPEC, 20))
 
 
 @pytest.fixture(scope="session")
-def bbp_sim():
-    return verify.run(BBP_SPEC, 20)
+def bbp_samples():
+    return list(verify.replicas(BBP_SPEC, 20))
+
+
+@pytest.fixture(scope="session")
+def paper_sim(paper_samples):
+    return verify.aggregate(PAPER_SPEC, paper_samples, {1})
+
+
+@pytest.fixture(scope="session")
+def bbp_sim(bbp_samples):
+    return verify.aggregate(BBP_SPEC, bbp_samples, ())
 
 
 @pytest.fixture(scope="session")
 def phase_sim():
     return verify.run(PHASE_SPEC, 20)
-
-
-def _replica_samples(spec, reps):
-    """The replicas verify.run draws for ``spec``: same seeds, same order."""
-    return [
-        draw_sample(spec, np.random.default_rng(child))
-        for child in np.random.SeedSequence(spec.seed).spawn(reps)
-    ]
-
-
-@pytest.fixture(scope="session")
-def paper_samples():
-    return _replica_samples(PAPER_SPEC, 20)
-
-
-@pytest.fixture(scope="session")
-def bbp_samples():
-    return _replica_samples(BBP_SPEC, 20)

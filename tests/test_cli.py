@@ -11,7 +11,8 @@ import pytest
 
 from spikelab import cli
 from spikelab.errors import NumericalError
-from spikelab.free_multiplicative import mp_density
+from spikelab.free_multiplicative import MultiplicativeContext, classify_spike, mp_density, support
+from spikelab.measure import AtomicMeasure
 
 PAPER_MODEL = {
     "kind": "additive",
@@ -121,6 +122,72 @@ def test_rejects_unknown_keys_and_kind(tmp_path):
 
 def test_missing_spec_file_exits_2(tmp_path):
     assert cli.main(["analyze", "--spec", str(tmp_path / "nope.json")]) == 2
+
+
+# Each file breaks one rule of the model file.  The first five were accepted
+# by analyze and density when only simulate built a SpikedModelSpec; a
+# non-list spikes value or a non-numeric theta used to escape as a traceback.
+MALFORMED = {
+    "unsorted_spikes": dict(PAPER_MODEL, spikes=[[1.5, 1], [2.0, 1]]),
+    "duplicate_thetas": dict(PAPER_MODEL, spikes=[[2.0, 1], [2.0, 1]]),
+    "N_zero": dict(PAPER_MODEL, N=0),
+    "seed_negative": dict(PAPER_MODEL, seed=-1),
+    "entry_law_cauchy": dict(PAPER_MODEL, entry_law="cauchy"),
+    "N_below_rank": dict(PAPER_MODEL, N=2),
+    "N_bool": dict(PAPER_MODEL, N=True),
+    "field_quaternion": dict(PAPER_MODEL, field="quaternion"),
+    "spike_on_atom": dict(PAPER_MODEL, spikes=[[1.0, 1]]),
+    "multiplicity_zero": dict(PAPER_MODEL, spikes=[[2.0, 0]]),
+    "weights_unnormalized": dict(PAPER_MODEL, nu={"atoms": [[1.0, 0.5], [-1.0, 0.6]]}),
+    "atoms_not_pairs": dict(PAPER_MODEL, nu={"atoms": [1.0, 0.5]}),
+    "spikes_not_a_list": dict(PAPER_MODEL, spikes=5),
+    "theta_not_a_number": dict(PAPER_MODEL, spikes=[["two", 1]]),
+    "sigma2_and_c": dict(PAPER_MODEL, c=0.5),
+    "unknown_key": dict(PAPER_MODEL, bogus=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_every_command_rejects_a_malformed_model_alike(tmp_path, capsys, name):
+    path = write_model(tmp_path, MALFORMED[name])
+    errors = set()
+    for argv in (["analyze"], ["density", "--grid", "0:1:5"], ["simulate", "--reps", "1"]):
+        assert cli.main(argv + ["--spec", path]) == 2
+        errors.add(capsys.readouterr().err)
+    (err,) = errors
+    assert err.startswith("error: ")
+
+
+def test_analyze_uses_c_and_simulate_the_realized_aspect_ratio(tmp_path, capsys):
+    # N/c = 333.3..., so simulate draws p = 333 and sees N/p = 0.3003...
+    model = {
+        "kind": "multiplicative",
+        "c": 0.3,
+        "nu": {"atoms": [[1.0, 1.0]]},
+        "spikes": [[3.0, 1]],
+        "N": 100,
+        "field": "real",
+    }
+    nu = AtomicMeasure(((1.0, 1.0),))
+    path = write_model(tmp_path, model)
+    assert cli.main(["analyze", "--spec", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    at_c = MultiplicativeContext(nu, 0.3)
+    want = classify_spike(at_c, 3.0)
+    spike = doc["spikes"][0]
+    assert doc["c"] == 0.3
+    assert (spike["criterion"], spike["rho"], spike["tau"]) == (
+        want.criterion_value, want.rho, want.tau
+    )
+    assert doc["support"] == [list(iv) for iv in support(at_c).intervals]
+
+    assert cli.main(["simulate", "--spec", path, "--reps", "1"]) == 0
+    sim = json.loads(capsys.readouterr().out)
+    realized = 100 / round(100 / 0.3)
+    assert sim["aspect_ratio"] == realized != 0.3
+    at_p = classify_spike(MultiplicativeContext(nu, realized), 3.0)
+    assert sim["spikes"][0]["rho"] == at_p.rho != want.rho
+    assert sim["spikes"][0]["tau"] == at_p.tau != want.tau
 
 
 # ------------------------------------------------------------- density

@@ -119,6 +119,22 @@ class TestSpecValidation:
             SpikedModelSpec(
                 kind="additive_wigner", nu=DELTA0, spikes=((1.0, 0),), N=4, seed=0, sigma2=1.0
             )
+        with pytest.raises(SpecError):
+            SpikedModelSpec(
+                kind="additive_wigner", nu=DELTA0, spikes=((1.0, 1),), N=True, seed=0, sigma2=1.0
+            )
+        with pytest.raises(SpecError):
+            SpikedModelSpec(
+                kind="additive_wigner", nu=DELTA0, spikes=((1.0, 1),), N=4, seed=True, sigma2=1.0
+            )
+
+    def test_N_may_be_absent_until_a_sample_is_drawn(self):
+        spec = SpikedModelSpec(
+            kind="additive_wigner", nu=DELTA0, spikes=((1.0, 2.0),), N=None, seed=0, sigma2=1.0
+        )
+        assert spec.spikes == ((1.0, 2),) and isinstance(spec.spikes[0][1], int)
+        with pytest.raises(SpecError, match="requires N"):
+            draw_sample(spec)
 
 
 class TestBuildPerturbation:

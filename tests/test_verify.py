@@ -130,6 +130,13 @@ def test_run_is_deterministic():
     assert run_paper(100, 4) == base
 
 
+def test_run_equals_aggregating_its_replicas():
+    spec = paper_spec(60, seed=13)
+    samples = list(verify.replicas(spec, 3))
+    assert len(samples) == 3
+    assert verify.run(spec, 3, expect_sticking={1}) == verify.aggregate(spec, samples, {1})
+
+
 def test_failing_replica_is_named_with_its_spawn_key(monkeypatch):
     calls = []
 
@@ -320,7 +327,17 @@ def test_json_dict_round_trips():
     assert back["aspect_ratio"] is None
     assert len(back["support"]) == 2 and len(back["support"][0]) == 2
     assert isinstance(back["pass"], bool)
+    assert list(back) == [
+        "kind", "N", "reps", "seed", "aspect_ratio", "support", "spikes", "pass"
+    ]
     top, mid, _ = back["spikes"]
+    assert list(top) == [
+        "theta", "multiplicity", "verdict", "rho", "tau",
+        "eigenvalue_mean", "eigenvalue_stderr", "overlap_mean", "overlap_stderr",
+        "overlap_sum_mean", "overlap_sum_stderr", "margin_above", "margin_below",
+        "leakage", "edge_distance", "edge_excess", "pass",
+    ]
+    assert list(mid) == list(top)
     assert top["verdict"] == "outlier" and isinstance(top["pass"], bool)
     assert top["rho"] == pytest.approx(RHO_TOP, abs=1e-12)
     assert mid["verdict"] == "sticking"
@@ -334,6 +351,12 @@ def test_csv_shape_and_byte_determinism():
     assert "\r" not in text and text.endswith("\n")
     lines = text.strip("\n").split("\n")
     assert len(lines) == 4  # header plus one row per spike
+    assert lines[0] == (
+        "kind,N,reps,seed,aspect_ratio,spike,theta,multiplicity,verdict,rho,tau,"
+        "eigenvalue_mean,eigenvalue_stderr,overlap_mean,overlap_stderr,"
+        "overlap_sum_mean,overlap_sum_stderr,margin_above,margin_below,leakage,"
+        "edge_distance,edge_excess,pass"
+    )
     header = lines[0].split(",")
     row = lines[1].split(",")
     assert len(row) == len(header)
