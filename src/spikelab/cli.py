@@ -98,12 +98,15 @@ def cmd_analyze(spec: SpikedModelSpec, args: argparse.Namespace) -> str:
     ctx, mod = verify.limit(spec, spec.c)
     verdicts = [mod.classify_spike(ctx, theta, mult) for theta, mult in spec.spikes]
     sup = mod.support(ctx)
+    additive = spec.kind == "additive_wigner"
+    # Only the multiplicative limit can hold an atom, at 0, outside its support.
+    at_zero = {} if additive else {"mass_at_zero": mod.mass_at_zero(ctx)}
     if args.format == "json":
-        additive = spec.kind == "additive_wigner"
         doc = {
             "kind": spec.kind,
             "sigma2" if additive else "c": spec.sigma2 if additive else spec.c,
             "support": [[lo, hi] for lo, hi in sup.intervals],
+            **at_zero,
             "spikes": [
                 {
                     "theta": v.theta,
@@ -128,6 +131,9 @@ def cmd_analyze(spec: SpikedModelSpec, args: argparse.Namespace) -> str:
         )
     for lo, hi in sup.intervals:
         lines.append(f"support,,,,,,,{_fmt_float(lo)},{_fmt_float(hi)}")
+    if not additive:
+        # The atom at 0 as the interval [0, 0], with its mass in the multiplicity column.
+        lines.append(f"mass_at_zero,,{_fmt_float(at_zero['mass_at_zero'])},,,,,0,0")
     return "\n".join(lines) + "\n"
 
 

@@ -175,7 +175,7 @@ def sample_wigner(N: int, field: str, entry_law: str, rng: np.random.Generator) 
 
     Convention: diagonal entries of W have variance 1 (complex case) or 2
     (real case); off-diagonal entries have total variance 1.  Callers scale by
-    sigma to reach variance sigma^2.
+    sigma to reach variance sigma^2.  W is summed and scaled in place.
     """
     if field not in FIELDS:
         raise SpecError(f"field must be one of {FIELDS}, got {field!r}")
@@ -188,16 +188,16 @@ def sample_wigner(N: int, field: str, entry_law: str, rng: np.random.Generator) 
         off = (_draw(entry_law, rng, n_off) + 1j * _draw(entry_law, rng, n_off)) / math.sqrt(2.0)
         W = np.zeros((N, N), dtype=complex)
         W[iu] = off
-        W = W + W.conj().T
+        W += W.conj().T
         W[np.diag_indices(N)] = diag
     else:
         diag = math.sqrt(2.0) * _draw(entry_law, rng, N)
         off = _draw(entry_law, rng, n_off)
         W = np.zeros((N, N), dtype=float)
         W[iu] = off
-        W = W + W.T
+        W += W.T
         W[np.diag_indices(N)] = diag
-    return W / math.sqrt(N)
+    return np.divide(W, math.sqrt(N), out=W)
 
 
 def sample_wishart_factor(
@@ -301,7 +301,8 @@ def draw_sample(spec: SpikedModelSpec, rng: np.random.Generator | None = None) -
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     A, ranks, projectors = build_perturbation(spec)
     if spec.kind == "additive_wigner":
-        noise = math.sqrt(spec.sigma2) * sample_wigner(spec.N, spec.field, spec.entry_law, rng)
+        noise = sample_wigner(spec.N, spec.field, spec.entry_law, rng)
+        noise *= math.sqrt(spec.sigma2)
     else:
         p = wishart_p(spec.N, spec.c)
         noise = sample_wishart_factor(spec.N, p, spec.field, spec.entry_law, rng)

@@ -10,6 +10,11 @@ whose restriction to each component of the outlier set is the inverse of the
 subordination function.  A spike ``theta`` produces an outlier exactly when
 ``H'(theta) > 0``, in which case the outlier sits at ``rho = H(theta)`` and
 the squared eigenvector overlap converges to ``tau = H'(theta)``.
+
+The sample-covariance model reuses all of this: its criterion ``W(theta) < 1``
+is ``H'(theta) > 0`` for the size-biased measure ``nu~`` (see
+free_multiplicative), so one outlier-set routine, one support routine and one
+density solver serve both families.
 """
 
 from __future__ import annotations
@@ -245,6 +250,20 @@ def _subordinated_g_grid(
     )
 
 
+def _upper_line(grid, eps: float, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid as a flat array and its points ``x + i*eps``, once the settings are checked.
+
+    Both families' densities start here, so they reject the same settings.
+    """
+    for name, value in (("eps", eps), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise SpecError(f"{name} must be a finite positive number, got {value!r}")
+    if max_iter < 1:
+        raise SpecError("max_iter must be at least 1")
+    xs = np.asarray(grid, dtype=float).ravel()
+    return xs, xs + 1j * eps
+
+
 def density(
     ctx: AdditiveContext,
     grid,
@@ -253,9 +272,7 @@ def density(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[tuple[float, float]]:
     """Approximate density ``-Im g(x + i*eps) / pi`` on the given real grid."""
-    if eps <= 0.0:
-        raise SpecError("eps must be positive")
-    xs = np.asarray(grid, dtype=float).ravel()
-    g = _subordinated_g_grid(ctx, xs + 1j * eps, tol=tol, max_iter=max_iter)
+    xs, zs = _upper_line(grid, eps, tol, max_iter)
+    g = _subordinated_g_grid(ctx, zs, tol=tol, max_iter=max_iter)
     f = -g.imag / math.pi
     return [(float(x), float(v)) for x, v in zip(xs, f)]

@@ -109,19 +109,19 @@ def limit(spec: SpikedModelSpec, c: float | None):
     return free_multiplicative.MultiplicativeContext(spec.nu, c), free_multiplicative
 
 
-def _theory(spec: SpikedModelSpec):
-    """Limiting verdicts and support for a finite model.
+def _verdicts(spec: SpikedModelSpec):
+    """Aspect ratio, limiting law and spike verdicts of a finite model.
 
     The multiplicative theory is evaluated at the realized aspect ratio
     N/p rather than the requested c, matching what the samples actually
-    see after p is rounded to an integer.
+    see after p is rounded to an integer.  The support, the one costly
+    part of the theory, is left to the caller that needs it.
     """
     if spec.N is None:
         raise SpecError("simulating a finite model requires N")
     aspect = None if spec.kind == "additive_wigner" else spec.N / wishart_p(spec.N, spec.c)
     ctx, mod = limit(spec, aspect)
-    verdicts = tuple(mod.classify_spike(ctx, t, k) for t, k in spec.spikes)
-    return aspect, mod.support(ctx), verdicts
+    return aspect, ctx, mod, tuple(mod.classify_spike(ctx, t, k) for t, k in spec.spikes)
 
 
 def _mean_stderr(values) -> tuple[float, float]:
@@ -216,7 +216,8 @@ def aggregate(spec: SpikedModelSpec, samples, expect_sticking) -> VerificationRe
         if not 0 <= i < len(spec.spikes):
             raise SpecError(f"expect_sticking index {i} is out of range")
 
-    aspect, sup, verdicts = _theory(spec)
+    aspect, ctx, mod, verdicts = _verdicts(spec)
+    sup = mod.support(ctx)
     for j, verdict in enumerate(verdicts):
         if verdict.is_outlier and j in flagged:
             raise TheoryError(
@@ -292,7 +293,7 @@ def run(spec: SpikedModelSpec, reps: int, *, expect_sticking=()) -> Verification
 
 def expected_sticking(spec: SpikedModelSpec) -> frozenset[int]:
     """Indices of the spikes the theory predicts will not detach."""
-    _, _, verdicts = _theory(spec)
+    *_, verdicts = _verdicts(spec)
     return frozenset(j for j, verdict in enumerate(verdicts) if not verdict.is_outlier)
 
 

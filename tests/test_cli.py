@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from spikelab import cli
+from spikelab import cli, free_additive
 from spikelab.errors import NumericalError
 from spikelab.free_multiplicative import MultiplicativeContext, classify_spike, mp_density, support
 from spikelab.measure import AtomicMeasure
@@ -190,6 +190,31 @@ def test_analyze_uses_c_and_simulate_the_realized_aspect_ratio(tmp_path, capsys)
     assert sim["spikes"][0]["tau"] == at_p.tau != want.tau
 
 
+@pytest.mark.parametrize(
+    "atoms, c, mass",
+    [([[1.0, 1.0]], 2.0, 0.5), ([[1.0, 1.0]], 0.5, 0.0), ([[0.0, 0.5], [1.0, 0.5]], 4.0, 0.75)],
+)
+def test_analyze_reports_mass_at_zero(tmp_path, capsys, atoms, c, mass):
+    path = write_model(tmp_path, dict(MP_FREE_MODEL, c=c, nu={"atoms": atoms}))
+    assert cli.main(["analyze", "--spec", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["kind", "c", "support", "mass_at_zero", "spikes"]
+    assert doc["mass_at_zero"] == pytest.approx(mass, abs=1e-15)
+    assert cli.main(["analyze", "--spec", path, "--format", "csv"]) == 0
+    rows = [ln.split(",") for ln in capsys.readouterr().out.split()]
+    (row,) = [r for r in rows if r[0] == "mass_at_zero"]
+    assert row[:2] + row[3:] == ["mass_at_zero", "", "", "", "", "", "0", "0"]
+    assert float(row[2]) == doc["mass_at_zero"]
+
+
+def test_analyze_additive_has_no_mass_at_zero(tmp_path, capsys):
+    path = write_model(tmp_path, PAPER_MODEL)
+    assert cli.main(["analyze", "--spec", path]) == 0
+    assert "mass_at_zero" not in json.loads(capsys.readouterr().out)
+    assert cli.main(["analyze", "--spec", path, "--format", "csv"]) == 0
+    assert "mass_at_zero" not in capsys.readouterr().out
+
+
 # ------------------------------------------------------------- density
 
 
@@ -243,9 +268,29 @@ def test_density_exit_3_at_support_edge(tmp_path, capsys):
     assert "x=2" in err
 
 
-def test_density_rejects_bad_eps(tmp_path):
-    path = write_model(tmp_path, SEMICIRCLE_MODEL)
-    assert cli.main(["density", "--spec", path, "--grid", "0:1:3", "--eps", "-1"]) == 2
+def test_density_rejects_bad_eps(tmp_path, capsys):
+    # Both families check the settings before solving: no iteration budget is spent.
+    for model in (SEMICIRCLE_MODEL, MP_FREE_MODEL):
+        path = write_model(tmp_path, model)
+        for flag in ("--eps", "--tol"):
+            for value in ("nan", "inf", "0", "-1"):
+                argv = ["density", "--spec", path, "--grid", "0:1:3", flag, value]
+                assert cli.main(argv) == 2
+                assert f"{flag[2:]} must be a finite positive number" in capsys.readouterr().err
+
+
+def test_density_multiplicative_converges_through_zero(tmp_path, capsys):
+    path = write_model(tmp_path, dict(MP_FREE_MODEL, c=0.5))
+    assert cli.main(["density", "--spec", path, "--grid=-1:4:601"]) == 0
+    rows = [tuple(map(float, ln.split(","))) for ln in capsys.readouterr().out.split()[1:]]
+    assert len(rows) == 601
+    edges = (0.0, (1.0 - math.sqrt(0.5)) ** 2, (1.0 + math.sqrt(0.5)) ** 2)
+    checked = 0
+    for x, f in rows:
+        if min(abs(x - e) for e in edges) > 0.05:
+            assert abs(f - (mp_density(0.5, x) if x > 0.0 else 0.0)) < 1e-5
+            checked += 1
+    assert checked > 500
 
 
 # ------------------------------------------------------------ simulate
@@ -305,6 +350,22 @@ def test_simulate_real_field(tmp_path, capsys):
     assert cli.main(["simulate", "--spec", path, "--reps", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["N"] == 60
+
+
+@pytest.mark.parametrize("model", [PAPER_MODEL, dict(MP_FREE_MODEL, spikes=[[3.0, 1]], N=80)])
+def test_simulate_computes_the_support_once(tmp_path, monkeypatch, model):
+    # The multiplicative support is the additive one of its size-biased measure.
+    calls = []
+    support = free_additive.support
+
+    def counting(ctx):
+        calls.append(ctx)
+        return support(ctx)
+
+    monkeypatch.setattr(free_additive, "support", counting)
+    path = write_model(tmp_path, model)
+    assert cli.main(["simulate", "--spec", path, "--reps", "1"]) == 0
+    assert len(calls) == 1
 
 
 def test_simulate_exit_4_on_numerical_failure(tmp_path, monkeypatch):

@@ -3,14 +3,16 @@
 Each property runs 100 derandomized examples: monotonicity of the outlier
 location maps, the derivative identity tying Z' to W, the two composition
 identities between the fixed-point transforms and their real inverses,
-the Weyl perturbation bound on sampled additive models, and the
-Pythagoras bound on per-vector eigenvector overlaps.
+the scaled Marchenko-Pastur law of a two-atom nu with an atom at 0, the
+spike values against plain sums, the Weyl perturbation bound on sampled
+additive models, and the Pythagoras bound on per-vector eigenvector
+overlaps.
 """
 
 import math
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from spikelab.ensemble import (
     SpikedModelSpec,
@@ -31,8 +33,11 @@ from spikelab.free_multiplicative import (
     MultiplicativeContext,
     W,
     Z,
+    classify_spike as classify_mult,
     companion_g,
+    mass_at_zero,
     outlier_set_intervals as mult_intervals,
+    support as mult_support,
 )
 from spikelab.measure import AtomicMeasure
 
@@ -162,6 +167,43 @@ def test_companion_transform_inverts_Z(data):
     # The tiny upper-half-plane shift leaks into Im g with an O(1/Z')
     # amplification; the identity itself lives on the real axis.
     assert abs(g.real - x) < 1e-6
+
+
+@COMMON
+@given(
+    p=st.floats(0.05, 0.95),
+    t=st.floats(0.1, 10.0),
+    c=st.floats(0.1, 8.0),
+)
+@example(p=0.5, t=3.0, c=2.0)  # c*p = 1: the support reaches 0
+def test_atom_at_zero_gives_scaled_marchenko_pastur(p, t, c):
+    # nu = p delta_t + (1 - p) delta_0 is t times the law of ratio c*p, with
+    # the atom at 0 kept (c*p <= 1) or grown to 1 - 1/c (c*p > 1).
+    ctx = MultiplicativeContext(AtomicMeasure(((0.0, 1.0 - p), (t, p))), c)
+    ratio = c * p
+    (lo, hi), = mult_support(ctx).intervals
+    assert abs(lo - t * (1.0 - math.sqrt(ratio)) ** 2) <= 1e-9
+    assert abs(hi - t * (1.0 + math.sqrt(ratio)) ** 2) <= 1e-9
+    assert abs(mass_at_zero(ctx) - ((1.0 - p) if ratio <= 1.0 else 1.0 - 1.0 / c)) <= 1e-12
+
+
+@COMMON
+@given(data=st.data())
+def test_spike_values_equal_plain_sums(data):
+    nu = data.draw(measures(positive=True))
+    c = data.draw(st.floats(0.05, 4.0))
+    theta = data.draw(st.floats(0.01, 12.0))
+    assume(nu.distance_to_support(theta) > 1e-6)
+    t, w = nu.locations, nu.weights
+    crit = c * np.sum(w * t**2 / (theta - t) ** 2)
+    verdict = classify_mult(MultiplicativeContext(nu, c), theta)
+    assert abs(verdict.criterion_value - crit) <= 1e-12 * crit
+    assert verdict.is_outlier == (crit < 1.0 - 1e-12)
+    if verdict.is_outlier:
+        rho = theta * (1.0 + c * np.sum(w * t / (theta - t)))
+        tau = (1.0 - crit) / (rho / theta)
+        assert abs(verdict.rho - rho) <= 1e-12 * abs(rho)
+        assert abs(verdict.tau - tau) <= 1e-12 * tau
 
 
 @st.composite
