@@ -11,7 +11,6 @@ against seeded finite-N simulations.
 from . import cli, ensemble, free_additive, free_multiplicative, measure, verify
 from .ensemble import EnsembleSample, SpikedModelSpec
 from .errors import (
-    ConvergenceError,
     DegenerateOutlierError,
     DomainError,
     NumericalError,
@@ -30,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdditiveContext",
     "AtomicMeasure",
-    "ConvergenceError",
     "DegenerateOutlierError",
     "DomainError",
     "EnsembleSample",

@@ -9,9 +9,9 @@ Every command validates the whole model file by one rule, that of
 SpikedModelSpec: spike thetas strictly decreasing, and N, seed, entry_law
 and field checked even by the commands that do not use them.
 
-Exit codes: 0 success, 2 invalid spec or domain, 3 fixed-point
-non-convergence, 4 numerical accuracy failure.  Output is a pure function
-of the model file bytes, the flags and the seed.
+Exit codes: 0 success, 2 invalid spec or domain, 4 numerical accuracy
+failure (3, once fixed-point non-convergence, is retired).  Output is a
+pure function of the model file bytes, the flags and the seed.
 """
 
 from __future__ import annotations
@@ -24,16 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import free_additive, verify
+from . import verify
 from .ensemble import SpikedModelSpec
-from .errors import (
-    ConvergenceError,
-    DegenerateOutlierError,
-    DomainError,
-    NumericalError,
-    SpecError,
-    TheoryError,
-)
+from .errors import DegenerateOutlierError, DomainError, NumericalError, SpecError, TheoryError
 from .measure import AtomicMeasure
 
 MODEL_KEYS = {"kind", "sigma2", "c", "nu", "spikes", "N", "entry_law", "field", "seed"}
@@ -140,19 +133,7 @@ def cmd_analyze(spec: SpikedModelSpec, args: argparse.Namespace) -> str:
 def cmd_density(spec: SpikedModelSpec, args: argparse.Namespace) -> str:
     lo, hi, n = _parse_grid(args.grid)
     ctx, mod = verify.limit(spec, spec.c)
-    xs = np.linspace(lo, hi, n)
-    try:
-        points = mod.density(ctx, xs, eps=args.eps, tol=args.tol)
-    except ConvergenceError as exc:
-        if exc.grid_index is not None:
-            raise ConvergenceError(
-                f"density did not converge at x={_fmt_float(xs[exc.grid_index])}"
-                f" (residual {exc.residual:.3e} after {exc.iterations} iterations)",
-                residual=exc.residual,
-                iterations=exc.iterations,
-                grid_index=exc.grid_index,
-            ) from exc
-        raise
+    points = mod.density(ctx, np.linspace(lo, hi, n), eps=args.eps)
     if args.format == "json":
         doc = {"x": [x for x, _ in points], "density": [f for _, f in points]}
         return json.dumps(doc, allow_nan=False) + "\n"
@@ -191,8 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--format", choices=("json", "csv"), default=default_fmt)
         if name == "density":
             cmd.add_argument("--grid", required=True, help="evaluation grid LO:HI:N")
-            cmd.add_argument("--eps", type=float, default=free_additive.DEFAULT_EPS)
-            cmd.add_argument("--tol", type=float, default=free_additive.DEFAULT_TOL)
+            cmd.add_argument("--eps", type=float, default=0.0)
         if name == "simulate":
             cmd.add_argument("--reps", type=int, default=DEFAULT_REPS)
             cmd.add_argument("--N", type=int, default=None)
@@ -210,9 +190,6 @@ def main(argv=None) -> int:
     except (SpecError, DomainError, TheoryError, DegenerateOutlierError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -13,20 +13,6 @@ class DomainError(SpikelabError):
     """An evaluation point sits outside a function's domain (atom, pole, wrong half-plane)."""
 
 
-class ConvergenceError(SpikelabError):
-    """A fixed-point solve exhausted its iteration budget.
-
-    Carries the final residual, the iteration count, and (for grid
-    evaluations) the index of the failing grid point.
-    """
-
-    def __init__(self, message, residual=None, iterations=None, grid_index=None):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
-        self.grid_index = grid_index
-
-
 class NumericalError(SpikelabError):
     """A numeric routine produced output that fails its accuracy contract."""
 

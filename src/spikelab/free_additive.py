@@ -11,10 +11,16 @@ subordination function.  A spike ``theta`` produces an outlier exactly when
 ``H'(theta) > 0``, in which case the outlier sits at ``rho = H(theta)`` and
 the squared eigenvector overlap converges to ``tau = H'(theta)``.
 
+The density is ``-Im g_nu(omega) / pi`` with ``omega(z)`` the subordination
+function, the root of ``H(omega) = z`` above z.  On the real axis it is exact
+(Biane 1997): ``omega(x) = u + i v(u)`` with u the root of an increasing map
+``psi(u) = x`` within sigma of x, and on the support the density is
+``v / (pi sigma2)``.  Above the axis, Newton starts from ``omega(Re z) + i Im z``.
+
 The sample-covariance model reuses all of this: its criterion ``W(theta) < 1``
 is ``H'(theta) > 0`` for the size-biased measure ``nu~`` (see
-free_multiplicative), so one outlier-set routine, one support routine and one
-density solver serve both families.
+free_multiplicative), so one outlier-set routine and one subordination solver
+serve both families.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SpecError
+from .errors import DomainError, NumericalError, SpecError
 from .measure import MERGE_TOL, AtomicMeasure
 from .rootfind import bisect, creep_to_sign, march_to_sign
 from .verdicts import SpikeVerdict, SupportIntervals, uncovered
@@ -32,10 +38,12 @@ from .verdicts import SpikeVerdict, SupportIntervals, uncovered
 # H'(theta) within this of zero counts as sticking, not an outlier.
 BOUNDARY_TOL = 1e-12
 
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 10_000
-DEFAULT_DAMPING = 0.5
-DEFAULT_EPS = 1e-6
+# Off the real axis, |omega + sigma2 g_nu(omega) - z| must not exceed this times 1 + |z|.
+RESIDUAL_TOL = 1e-12
+# Newton stops once its step falls below this fraction of the scale of its unknown.
+_STEP_RTOL = 1e-15
+# Each Newton loop is cut after this many steps; only a defect in the solver reaches it.
+_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -166,113 +174,126 @@ def support(ctx: AdditiveContext) -> SupportIntervals:
     return SupportIntervals(tuple(uncovered(images)))
 
 
-def subordinated_g(
-    ctx: AdditiveContext,
-    z: complex,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    damping: float = DEFAULT_DAMPING,
-) -> complex:
-    """Stieltjes transform of the deformed limit at ``z`` in the upper half-plane.
+def _v_squared(w: np.ndarray, s2: float, d2: np.ndarray) -> np.ndarray:
+    """``v(u)^2`` for each row of squared distances ``d2 = (u - t_j)^2`` (Biane 1997).
 
-    Damped Picard iteration on the subordination fixed point
-    ``g = g_nu(z - sigma2 * g)`` starting from ``1/z``.  Each iterate keeps a
-    nonpositive imaginary part, so the argument of ``g_nu`` stays in the upper
-    half-plane and the iteration is well defined throughout.
+    ``v = 0`` where ``sum w/d2 <= 1/sigma2``; elsewhere ``v^2`` is the root s of
+    ``sum w/(d2 + s) = 1/sigma2``.  Newton on the concave increasing ``1/sum w/(d2 + s)``
+    from the left start ``max_j (w_j sigma2 - d2_j)`` rises monotonically to it.
     """
+    s = np.maximum(np.max(w * s2 - d2, axis=1), 0.0)
+    with np.errstate(divide="ignore"):
+        active = np.flatnonzero((w / d2).sum(axis=1) > 1.0 / s2)
+    for _ in range(_MAX_STEPS):
+        if not active.size:
+            return s
+        q = 1.0 / (d2[active] + s[active, None])
+        F = q @ w
+        step = F * (s2 * F - 1.0) / ((q * q) @ w)
+        s[active] += np.maximum(step, 0.0)
+        active = active[step > _STEP_RTOL * s[active]]
+    raise NumericalError("the Newton solve for v^2 did not settle")
+
+
+def _psi(ctx: AdditiveContext, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``psi(u) = Re H(u + i v(u))`` and its derivative, an increasing bijection of the line."""
+    d = u[:, None] - ctx._locs
+    d2 = d * d
+    s = _v_squared(ctx._wts, ctx.sigma2, d2)
+    q = 1.0 / (d2 + s[:, None])
+    F = q @ ctx._wts
+    psi = u + ctx.sigma2 * ((q * d) @ ctx._wts)
+    # Off the support v = 0 and psi = H; on it v^2 moves with u by -2A/G.
+    q2 = q * q
+    A, B, G = (q2 * d) @ ctx._wts, (q2 * d2) @ ctx._wts, q2 @ ctx._wts
+    slope = np.where(s > 0.0, 1.0 + ctx.sigma2 * (F - 2.0 * B + 2.0 * A * A / G), 1.0 - ctx.sigma2 * F)
+    return psi, slope
+
+
+def _on_axis(ctx: AdditiveContext, xs: np.ndarray) -> np.ndarray:
+    """``omega(x) = u + i v`` on the real axis: the root u of ``psi(u) = x``, then ``v(u)``.
+
+    By Cauchy-Schwarz ``|psi(u) - u| <= sigma``, so ``[x - sigma, x + sigma]`` brackets u;
+    Newton runs inside the bracket and bisects where a step would leave it or not halve.
+    """
+    sigma = math.sqrt(ctx.sigma2)
+    lo, hi, u = xs - sigma, xs + sigma, xs.copy()
+    last = np.full(xs.shape, 2.0 * sigma)
+    settled = _STEP_RTOL * (np.abs(xs) + sigma)
+    active = np.arange(xs.size)
+    for _ in range(_MAX_STEPS):
+        ua = u[active]
+        psi, slope = _psi(ctx, ua)
+        r = psi - xs[active]
+        la = lo[active] = np.where(r < 0.0, ua, lo[active])
+        ha = hi[active] = np.where(r > 0.0, ua, hi[active])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = ua - r / slope
+        slow = ~((la <= newton) & (newton <= ha)) | (2.0 * np.abs(r) > np.abs(last[active] * slope))
+        new = np.where(r == 0.0, ua, np.where(slow, 0.5 * (la + ha), newton))
+        last[active] = np.abs(new - ua)
+        u[active] = new
+        active = active[last[active] > settled[active]]
+        if not active.size:
+            return u + 1j * np.sqrt(_v_squared(ctx._wts, ctx.sigma2, (u[:, None] - ctx._locs) ** 2))
+    raise NumericalError("the bracketed Newton solve of psi(u) = x did not settle")
+
+
+def subordination(ctx: AdditiveContext, zs) -> np.ndarray:
+    """Subordination function ``omega(z)``, the root of ``omega + sigma2 g_nu(omega) = z``.
+
+    ``zs`` is flat with ``Im z >= 0``.  On the real axis omega is exact (_on_axis).  Above
+    it, Newton starts at ``omega(Re z) + i Im z`` and halves any step that would leave
+    ``Im omega >= Im z``; a residual above ``RESIDUAL_TOL (1 + |z|)`` is a NumericalError.
+    """
+    zs = np.asarray(zs, dtype=complex).ravel()
+    sigma = math.sqrt(ctx.sigma2)
+    omega = _on_axis(ctx, zs.real.copy())
+    off = np.flatnonzero(zs.imag > 0.0)
+    if not off.size:
+        return omega
+    z = zs[off]
+    om = omega[off] + 1j * z.imag
+    active = np.arange(off.size)
+    for _ in range(_MAX_STEPS):
+        if not active.size:
+            break
+        oa, za = om[active], z[active]
+        r = 1.0 / (oa[:, None] - ctx._locs)
+        step = (oa + ctx.sigma2 * (r @ ctx._wts) - za) / (1.0 - ctx.sigma2 * ((r * r) @ ctx._wts))
+        while np.any(low := (oa - step).imag < za.imag):  # ends once step underflows, at worst
+            step[low] *= 0.5
+        om[active] = oa - step
+        active = active[np.abs(step) > _STEP_RTOL * (np.abs(oa) + sigma)]
+    residual = np.abs(om + ctx.sigma2 * (1.0 / (om[:, None] - ctx._locs) @ ctx._wts) - z)
+    i = np.argmax(residual / (1.0 + np.abs(z)))
+    if residual[i] > RESIDUAL_TOL * (1.0 + abs(z[i])):
+        raise NumericalError(f"subordination residual {residual[i]:.3e} at z={complex(z[i])!r}")
+    omega[off] = om
+    return omega
+
+
+def subordinated_g(ctx: AdditiveContext, z: complex) -> complex:
+    """Stieltjes transform ``g_nu(omega(z))`` of the deformed limit at ``z`` in the upper half-plane."""
     z = complex(z)
     if not z.imag > 0.0:
         raise DomainError(f"z must lie in the open upper half-plane, got {z!r}")
-    if tol <= 0.0:
-        raise SpecError("tol must be positive")
-    if max_iter < 1:
-        raise SpecError("max_iter must be at least 1")
-    if not 0.0 < damping <= 1.0:
-        raise SpecError("damping must lie in (0, 1]")
-
-    atoms = ctx.nu.atoms
-    s2 = ctx.sigma2
-    g = 1.0 / z
-    residual = math.inf
-    for iteration in range(1, max_iter + 1):
-        w = z - s2 * g
-        t = sum(wt / (w - loc) for loc, wt in atoms)
-        residual = abs(g - t)
-        if residual < tol:
-            return g
-        g = (1.0 - damping) * g + damping * t
-    raise ConvergenceError(
-        f"subordination fixed point did not reach tol={tol} in {max_iter} iterations",
-        residual=residual,
-        iterations=max_iter,
-    )
+    return complex(np.sum(ctx._wts / (subordination(ctx, [z])[0] - ctx._locs)))
 
 
-def _subordinated_g_grid(
-    ctx: AdditiveContext,
-    zs: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    damping: float = DEFAULT_DAMPING,
-) -> np.ndarray:
-    """Vectorized counterpart of subordinated_g over a flat array of points.
+def _grid(grid, eps: float) -> np.ndarray:
+    """The grid as a flat float array, once eps is checked; both families' densities start here."""
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise SpecError(f"eps must be a finite non-negative number, got {eps!r}")
+    return np.asarray(grid, dtype=float).ravel()
 
-    Converged entries are frozen and dropped from the active set, so a few
-    slow points near the support edges do not force full-grid work.
+
+def density(ctx: AdditiveContext, grid, eps: float = 0.0) -> list[tuple[float, float]]:
+    """Density ``-Im g(x + i*eps) / pi = (Im omega / pi) sum w / |omega - t|^2`` on a real grid.
+
+    At the default eps = 0 this is the exact density of the limit, ``v / (pi sigma2)``.
     """
-    zs = np.asarray(zs, dtype=complex).ravel()
-    locs = ctx._locs
-    wts = ctx._wts
-    s2 = ctx.sigma2
-
-    g = 1.0 / zs
-    residual = np.full(zs.shape, np.inf)
-    active = np.arange(zs.size)
-    for _ in range(max_iter):
-        za = zs[active]
-        ga = g[active]
-        w = za - s2 * ga
-        t = np.sum(wts[None, :] / (w[:, None] - locs[None, :]), axis=1)
-        r = np.abs(ga - t)
-        residual[active] = r
-        conv = r < tol
-        g[active] = np.where(conv, ga, (1.0 - damping) * ga + damping * t)
-        active = active[~conv]
-        if active.size == 0:
-            return g
-    idx = int(active[0])
-    raise ConvergenceError(
-        f"subordination fixed point did not reach tol={tol} in {max_iter} "
-        f"iterations at grid point {idx} (z={zs[idx]!r})",
-        residual=float(residual[idx]),
-        iterations=max_iter,
-        grid_index=idx,
-    )
-
-
-def _upper_line(grid, eps: float, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
-    """The grid as a flat array and its points ``x + i*eps``, once the settings are checked.
-
-    Both families' densities start here, so they reject the same settings.
-    """
-    for name, value in (("eps", eps), ("tol", tol)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise SpecError(f"{name} must be a finite positive number, got {value!r}")
-    if max_iter < 1:
-        raise SpecError("max_iter must be at least 1")
-    xs = np.asarray(grid, dtype=float).ravel()
-    return xs, xs + 1j * eps
-
-
-def density(
-    ctx: AdditiveContext,
-    grid,
-    eps: float = DEFAULT_EPS,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> list[tuple[float, float]]:
-    """Approximate density ``-Im g(x + i*eps) / pi`` on the given real grid."""
-    xs, zs = _upper_line(grid, eps, tol, max_iter)
-    g = _subordinated_g_grid(ctx, zs, tol=tol, max_iter=max_iter)
-    f = -g.imag / math.pi
+    xs = _grid(grid, eps)
+    omega = subordination(ctx, xs + 1j * eps)
+    f = omega.imag / math.pi * (ctx._wts / np.abs(omega[:, None] - ctx._locs) ** 2).sum(axis=1)
     return [(float(x), float(v)) for x, v in zip(xs, f)]

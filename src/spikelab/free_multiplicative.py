@@ -9,8 +9,11 @@ map H of free_additive for ``(nu~, sigma2~)``, the outlier map and the criterion
 are ``Z(1/u) = s + H~(u)`` and ``W(u) = c sum w_j t_j^2 / (u - t_j)^2 = 1 - H~'(u)``
 (Silverstein & Choi 1995).  So the Wishart criterion ``W(theta) < 1`` is
 ``H~'(theta) > 0``; a detached spike sits at ``rho = s + H~(theta)`` with squared
-overlap ``tau = H~'(theta) theta / rho``.  Outlier set, support and density are
-those of ``(nu~, sigma2~)`` shifted by s: one solver serves both families.
+overlap ``tau = H~'(theta) theta / rho``.  The support is what the images of the
+outlier set of ``(nu~, sigma2~)`` under ``Z(1/u)`` leave uncovered.  The density uses
+the additive subordination function ``omega`` of ``(nu~, sigma2~)`` at x - s:
+``g(x) = (omega/x) g_nu(omega)``, so at eps = 0 the density is ``(Im omega / (pi x))
+sum w t / |omega - t|^2``, never negative; one solver serves both families.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .free_additive import BOUNDARY_TOL, AdditiveContext
 from .measure import MERGE_TOL, AtomicMeasure
 # Not called here: a traced run patches these names on every theory module.
 from .rootfind import bisect, creep_to_sign, march_to_sign  # noqa: F401
-from .verdicts import SpikeVerdict, SupportIntervals
+from .verdicts import SpikeVerdict, SupportIntervals, uncovered
 
 
 @dataclass(frozen=True)
@@ -50,10 +53,15 @@ class MultiplicativeContext:
             raise SpecError(f"c must be a finite positive number, got {self.c!r}")
         locs, wts = self.nu.locations, self.nu.weights
         t, w = locs[locs > MERGE_TOL], wts[locs > MERGE_TOL]
-        beta = c * w * t * t
+        with np.errstate(over="ignore"):
+            beta = c * w * t * t
+            sigma2 = float(beta.sum())
+        if not math.isfinite(sigma2):
+            big = float(t[np.argmax(beta)])
+            raise SpecError(f"c*w*t^2 overflows at the atom t={big!r} of nu (c={c!r})")
         biased = None
         if t.size:
-            biased = AdditiveContext(AtomicMeasure(zip(t, beta / beta.sum())), beta.sum())
+            biased = AdditiveContext(AtomicMeasure(zip(t, beta / sigma2)), sigma2)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "_locs", locs)
         object.__setattr__(self, "_wts", wts)
@@ -103,6 +111,12 @@ def W(ctx: MultiplicativeContext, u: float) -> float:
     return ctx._biased.sigma2 * float(np.sum(ctx._biased._wts / (u - ctx._biased._locs) ** 2))
 
 
+def _rho(ctx: MultiplicativeContext, u: float) -> float:
+    """Outlier map ``Z(1/u) = s + H~(u)``, summed as ``u (1 + c sum w t / (u - t))``: the
+    plain sum cancels where its value is far below s, as at a lower edge close to 0."""
+    return u * (1.0 + ctx.c * float(np.sum(ctx._wts * ctx._locs / (u - ctx._locs))))
+
+
 def classify_spike(ctx: MultiplicativeContext, theta: float, multiplicity: int = 1) -> SpikeVerdict:
     """Decide whether a positive population spike detaches from the bulk."""
     theta = float(theta)
@@ -113,7 +127,7 @@ def classify_spike(ctx: MultiplicativeContext, theta: float, multiplicity: int =
     w_val = W(ctx, theta)
     rho = tau = None
     if w_val < 1.0 - BOUNDARY_TOL:
-        rho = theta * (1.0 + ctx.c * float(np.sum(ctx._wts * ctx._locs / (theta - ctx._locs))))
+        rho = _rho(ctx, theta)
         if rho == 0.0:
             raise DegenerateOutlierError(
                 f"outlier location Z(1/theta) vanishes for theta={theta!r}"
@@ -134,12 +148,15 @@ def outlier_set_intervals(ctx: MultiplicativeContext) -> list[tuple[float, float
 
 
 def support(ctx: MultiplicativeContext) -> SupportIntervals:
-    """Support of the continuous part: that of ``(nu~, sigma2~)`` shifted by s, cut at 0."""
+    """Support of the continuous part: what the images under Z(1/u) of the outlier set of
+    ``(nu~, sigma2~)`` leave uncovered, cut at 0."""
     if ctx._biased is None:
         return SupportIntervals(())
-    s = ctx._shift
-    ivs = free_additive.support(ctx._biased).intervals
-    return SupportIntervals(tuple((max(lo + s, 0.0), hi + s) for lo, hi in ivs if hi + s > 0.0))
+    images = [
+        (-math.inf if a == -math.inf else _rho(ctx, a), math.inf if b == math.inf else _rho(ctx, b))
+        for a, b in free_additive.outlier_set_intervals(ctx._biased)
+    ]
+    return SupportIntervals(tuple((max(lo, 0.0), hi) for lo, hi in uncovered(images) if hi > 0.0))
 
 
 def mass_at_zero(ctx: MultiplicativeContext) -> float:
@@ -150,51 +167,48 @@ def mass_at_zero(ctx: MultiplicativeContext) -> float:
     return 1.0 - 1.0 / ctx.c
 
 
-def _g(ctx: MultiplicativeContext, z, solve, *settings):
-    """``g(z) = (omega/z) g_nu(omega)`` at z, a point or an array of points.
+def _g(ctx: MultiplicativeContext, z: np.ndarray) -> np.ndarray:
+    """``g(z) = (omega/z) g_nu(omega)`` at a flat array of points z above the real axis.
 
-    ``omega = 1/G(z)`` is the subordination function of ``(nu~, sigma2~)`` at z - s, from the
-    additive ``solve``; unlike G = (1-c)/z + c g, this form does not divide by c.
+    ``omega`` is the subordination function of ``(nu~, sigma2~)`` at z - s; unlike
+    G = (1-c)/z + c g, this form does not divide by c.
     """
     omega = z - ctx._shift
     if ctx._biased is not None:
-        omega = omega - ctx._biased.sigma2 * solve(ctx._biased, omega, *settings)
-    return omega / z * np.sum(ctx._wts / (np.expand_dims(omega, -1) - ctx._locs), axis=-1)
+        omega = free_additive.subordination(ctx._biased, omega)
+    return omega / z * np.sum(ctx._wts / (omega[:, None] - ctx._locs), axis=1)
 
 
-def fixed_point_g(
-    ctx: MultiplicativeContext,
-    z: complex,
-    tol: float = free_additive.DEFAULT_TOL,
-    max_iter: int = free_additive.DEFAULT_MAX_ITER,
-    damping: float = free_additive.DEFAULT_DAMPING,
-) -> complex:
-    """Stieltjes transform at ``z`` in the upper half-plane; settings as in subordinated_g."""
+def fixed_point_g(ctx: MultiplicativeContext, z: complex) -> complex:
+    """Stieltjes transform at ``z`` in the upper half-plane."""
     z = complex(z)
     if not z.imag > 0.0:
         raise DomainError(f"z must lie in the open upper half-plane, got {z!r}")
-    return complex(_g(ctx, z, free_additive.subordinated_g, tol, max_iter, damping))
+    return complex(_g(ctx, np.array([z]))[0])
 
 
-def companion_g(
-    ctx: MultiplicativeContext,
-    z: complex,
-    tol: float = free_additive.DEFAULT_TOL,
-    max_iter: int = free_additive.DEFAULT_MAX_ITER,
-    damping: float = free_additive.DEFAULT_DAMPING,
-) -> complex:
+def companion_g(ctx: MultiplicativeContext, z: complex) -> complex:
     """Stieltjes transform (1-c)/z + c*g(z) of the companion p-side spectrum."""
-    return (1.0 - ctx.c) / complex(z) + ctx.c * fixed_point_g(ctx, z, tol, max_iter, damping)
+    return (1.0 - ctx.c) / complex(z) + ctx.c * fixed_point_g(ctx, z)
 
 
-def density(
-    ctx: MultiplicativeContext,
-    grid,
-    eps: float = free_additive.DEFAULT_EPS,
-    tol: float = free_additive.DEFAULT_TOL,
-    max_iter: int = free_additive.DEFAULT_MAX_ITER,
-) -> list[tuple[float, float]]:
-    """Continuous-part density ``-Im g(x + i*eps) / pi`` on the given real grid."""
-    xs, zs = free_additive._upper_line(grid, eps, tol, max_iter)
-    f = -_g(ctx, zs, free_additive._subordinated_g_grid, tol, max_iter).imag / math.pi
+def density(ctx: MultiplicativeContext, grid, eps: float = 0.0) -> list[tuple[float, float]]:
+    """Continuous-part density ``-Im g(x + i*eps) / pi`` on the given real grid.
+
+    At the default eps = 0 it is exact: with ``omega = u + i v`` the subordination
+    function of ``(nu~, sigma2~)`` at x - s, ``f(x) = (v / (pi x)) sum w t / |omega - t|^2``
+    for x > 0, a sum of non-negative terms, and f = 0 for x < 0.  At x = 0, f = 0 unless
+    ``c (1 - nu({0})) = 1``, where the support reaches 0 and f is unbounded: a DomainError.
+    """
+    xs = free_additive._grid(grid, eps)
+    if eps > 0.0:
+        f = -_g(ctx, xs + 1j * eps).imag / math.pi
+    elif np.any(xs == 0.0) and ctx.c * (1.0 - ctx.nu.weight_at(0.0)) == 1.0:
+        raise DomainError("the density is unbounded at x=0, where c (1 - nu({0})) = 1")
+    else:
+        f, pos = np.zeros(xs.shape), xs > 0.0
+        if ctx._biased is not None:
+            omega = free_additive.subordination(ctx._biased, xs[pos] - ctx._shift)
+            tilt = (ctx._wts * ctx._locs / np.abs(omega[:, None] - ctx._locs) ** 2).sum(axis=1)
+            f[pos] = omega.imag / (math.pi * xs[pos]) * tilt
     return [(float(x), float(v)) for x, v in zip(xs, f)]

@@ -1,12 +1,13 @@
 """End-to-end tests for the command line front end.
 
 main() is exercised in-process; exit codes follow the documented map
-(2 spec/domain/theory, 3 convergence, 4 numerical accuracy).
+(2 spec/domain/theory, 4 numerical accuracy).
 """
 
 import json
 import math
 
+import numpy as np
 import pytest
 
 from spikelab import cli, free_additive
@@ -259,24 +260,23 @@ def test_density_json_format(tmp_path, capsys):
     assert len(doc["x"]) == 5 and len(doc["density"]) == 5
 
 
-def test_density_exit_3_at_support_edge(tmp_path, capsys):
-    # x = 2.0 sits exactly on the semicircle edge, where the damped Picard
-    # iteration cannot reach tol within its budget.
+def test_density_vanishes_at_the_semicircle_edge(tmp_path, capsys):
     path = write_model(tmp_path, SEMICIRCLE_MODEL)
-    assert cli.main(["density", "--spec", path, "--grid", "2:2.5:2"]) == 3
-    err = capsys.readouterr().err
-    assert "x=2" in err
+    assert cli.main(["density", "--spec", path, "--grid", "2:2.5:2"]) == 0
+    assert capsys.readouterr().out == "x,density\n2,0\n2.5,0\n"
 
 
 def test_density_rejects_bad_eps(tmp_path, capsys):
-    # Both families check the settings before solving: no iteration budget is spent.
+    # Both families check eps before solving; --tol is gone.
     for model in (SEMICIRCLE_MODEL, MP_FREE_MODEL):
         path = write_model(tmp_path, model)
-        for flag in ("--eps", "--tol"):
-            for value in ("nan", "inf", "0", "-1"):
-                argv = ["density", "--spec", path, "--grid", "0:1:3", flag, value]
-                assert cli.main(argv) == 2
-                assert f"{flag[2:]} must be a finite positive number" in capsys.readouterr().err
+        for value in ("nan", "inf", "-1"):
+            assert cli.main(["density", "--spec", path, "--grid", "0:1:3", "--eps", value]) == 2
+            assert "eps must be a finite non-negative number" in capsys.readouterr().err
+        assert cli.main(["density", "--spec", path, "--grid", "0:1:3", "--eps", "0"]) == 0
+        capsys.readouterr()
+        assert cli.main(["density", "--spec", path, "--grid", "0:1:3", "--tol", "1e-12"]) == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_density_multiplicative_converges_through_zero(tmp_path, capsys):
@@ -284,13 +284,25 @@ def test_density_multiplicative_converges_through_zero(tmp_path, capsys):
     assert cli.main(["density", "--spec", path, "--grid=-1:4:601"]) == 0
     rows = [tuple(map(float, ln.split(","))) for ln in capsys.readouterr().out.split()[1:]]
     assert len(rows) == 601
-    edges = (0.0, (1.0 - math.sqrt(0.5)) ** 2, (1.0 + math.sqrt(0.5)) ** 2)
-    checked = 0
     for x, f in rows:
-        if min(abs(x - e) for e in edges) > 0.05:
-            assert abs(f - (mp_density(0.5, x) if x > 0.0 else 0.0)) < 1e-5
-            checked += 1
-    assert checked > 500
+        assert abs(f - (mp_density(0.5, x) if x > 0.0 else 0.0)) <= 1e-13
+
+
+def test_density_unbounded_at_zero_exits_2(tmp_path, capsys):
+    path = write_model(tmp_path, dict(MP_FREE_MODEL, c=1.0))
+    assert cli.main(["density", "--spec", path, "--grid=-1:4:501"]) == 2
+    assert "x=0" in capsys.readouterr().err
+
+
+def test_readme_density_examples_run(tmp_path, capsys):
+    # The README's Python call and its density command, on the README model.
+    nu = AtomicMeasure(((1.0, 0.5), (-1.0, 0.5)))
+    pts = free_additive.density(free_additive.AdditiveContext(nu, sigma2=0.5), np.linspace(-2.5, 2.5, 200))
+    assert len(pts) == 200 and min(f for _, f in pts) == 0.0 and max(f for _, f in pts) > 0.0
+    path = write_model(tmp_path, dict(PAPER_MODEL, N=1000))
+    assert cli.main(["density", "--spec", path, "--grid=-3:3:601"]) == 0
+    lines = capsys.readouterr().out.split()
+    assert len(lines) == 602 and not any(",-" in ln for ln in lines)
 
 
 # ------------------------------------------------------------ simulate
@@ -354,15 +366,16 @@ def test_simulate_real_field(tmp_path, capsys):
 
 @pytest.mark.parametrize("model", [PAPER_MODEL, dict(MP_FREE_MODEL, spikes=[[3.0, 1]], N=80)])
 def test_simulate_computes_the_support_once(tmp_path, monkeypatch, model):
-    # The multiplicative support is the additive one of its size-biased measure.
+    # Both families find their support from the additive outlier set, of nu or of the
+    # size-biased measure, and only the support needs it.
     calls = []
-    support = free_additive.support
+    intervals = free_additive.outlier_set_intervals
 
     def counting(ctx):
         calls.append(ctx)
-        return support(ctx)
+        return intervals(ctx)
 
-    monkeypatch.setattr(free_additive, "support", counting)
+    monkeypatch.setattr(free_additive, "outlier_set_intervals", counting)
     path = write_model(tmp_path, model)
     assert cli.main(["simulate", "--spec", path, "--reps", "1"]) == 0
     assert len(calls) == 1

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from spikelab.errors import ConvergenceError, DomainError, SpecError
+from spikelab import free_additive
+from spikelab.errors import DomainError, NumericalError, SpecError
 from spikelab.free_additive import (
     AdditiveContext,
     H,
@@ -199,7 +200,7 @@ class TestSubordinatedG:
         for re in np.linspace(-2.5, 4.5, 15):
             for im in (0.3, 1.0, 2.5):
                 z = complex(re, im)
-                got = subordinated_g(ctx, z, tol=1e-12)
+                got = subordinated_g(ctx, z)
                 want = semicircle_g(z - a, sigma2)
                 assert abs(got - want) < 1e-11
 
@@ -217,10 +218,21 @@ class TestSubordinatedG:
         with pytest.raises(DomainError):
             subordinated_g(PAPER, 2.0 - 1j)
 
-    def test_convergence_error_carries_residual(self):
-        with pytest.raises(ConvergenceError) as err:
-            subordinated_g(PAPER, 0.3 + 1e-9j, max_iter=4)
-        assert err.value.residual is not None and err.value.residual > 0.0
+    def test_paper_example_matches_the_cubic_root(self):
+        # For nu = (delta_1 + delta_-1)/2, omega solves (omega - z)(omega^2 - 1) + sigma2 omega = 0;
+        # the subordination root is the one above z.
+        for eps in (1e-6, 1e-3, 0.1, 1.0):
+            for x in np.linspace(-3.0, 3.0, 61):
+                z = complex(x, eps)
+                roots = np.roots([1.0, -z, 0.5 - 1.0, z])
+                omega = max(roots, key=lambda r: r.imag)
+                want = 0.5 * (1.0 / (omega - 1.0) + 1.0 / (omega + 1.0))
+                assert abs(subordinated_g(PAPER, z) - want) <= 1e-11 * abs(want)
+
+    def test_residual_guard_raises(self, monkeypatch):
+        monkeypatch.setattr(free_additive, "RESIDUAL_TOL", -1.0)
+        with pytest.raises(NumericalError, match="residual"):
+            subordinated_g(PAPER, 0.3 + 1e-9j)
 
 
 class TestDensity:
@@ -242,37 +254,39 @@ class TestDensity:
             assert abs(f - semicircle_density(x)) < 1e-3
 
     def test_paper_example_total_mass(self):
-        # quadrature grid hugs the support but skips 0.004-wide slivers
-        # at the edges, where the square-root profile carries ~1e-4 mass
-        (a1, b1), (a2, b2) = support(PAPER).intervals
-        m = 0.004
-        xs = np.unique(
-            np.concatenate(
-                [
-                    np.linspace(-2.7, a1 - m, 60),
-                    np.linspace(a1 + m, b1 - m, 500),
-                    np.linspace(b1 + m, a2 - m, 60),
-                    np.linspace(a2 + m, b2 - m, 500),
-                    np.linspace(b2 + m, 2.7, 60),
-                ]
-            )
-        )
-        pts = density(PAPER, xs, eps=1e-6)
-        f = np.array([p[1] for p in pts])
-        assert np.all(f >= 0.0)
-        mass = np.trapezoid(f, xs)
-        assert abs(mass - 1.0) < 5e-3
+        # Gauss-Legendre in phi after x = a + (b - a) sin^2(phi), which smooths the
+        # square-root edges, so the grid reaches each edge.
+        phi, wq = np.polynomial.legendre.leggauss(200)
+        phi, wq = np.pi / 4.0 * (phi + 1.0), np.pi / 4.0 * wq
+        mass = 0.0
+        for a, b in support(PAPER).intervals:
+            xs = a + (b - a) * np.sin(phi) ** 2
+            f = np.array([p[1] for p in density(PAPER, xs)])
+            assert np.all(f > 0.0)
+            mass += np.sum(wq * f * (b - a) * np.sin(2.0 * phi))
+        assert abs(mass - 1.0) < 1e-10
 
     def test_paper_example_symmetry(self):
         xs = np.linspace(-2.05, 2.05, 83)
         f = np.array([p[1] for p in density(PAPER, xs, eps=1e-6)])
         assert np.max(np.abs(f - f[::-1])) < 1e-8
 
-    def test_grid_index_on_failure(self):
-        with pytest.raises(ConvergenceError) as err:
-            density(PAPER, [0.4, 0.5], eps=1e-6, max_iter=3)
-        assert err.value.grid_index in (0, 1)
+    def test_semicircle_closed_form_everywhere(self):
+        # eps = 0 is exact: edges, both sides of them and the centre, to 1e-13.  Each
+        # sigma2 has a float-exact edge 2 sigma, where the density is 0.
+        for sigma2 in (1.0, 0.25, 2.25):
+            r = 2.0 * math.sqrt(sigma2)
+            xs = np.concatenate([np.linspace(-1.5 * r, 1.5 * r, 601), [-r, r, 0.0]])
+            for x, f in density(AdditiveContext(DELTA0, sigma2), xs):
+                assert abs(f - semicircle_density(x, sigma2)) <= 1e-13
+                assert math.copysign(1.0, f) == 1.0
 
-    def test_eps_must_be_positive(self):
-        with pytest.raises(SpecError):
-            density(PAPER, [0.0], eps=0.0)
+    def test_vanishes_exactly_off_support(self):
+        ctx = AdditiveContext(DELTA0, 1.0)
+        assert [f for _, f in density(ctx, [-3.0, -2.0, 2.0, 3.0])] == [0.0] * 4
+
+    def test_eps_must_be_finite_and_non_negative(self):
+        for eps in (math.nan, math.inf, -1.0):
+            with pytest.raises(SpecError, match="eps must be a finite non-negative number"):
+                density(PAPER, [0.0], eps=eps)
+        assert density(PAPER, [1.0], eps=0.0)[0][1] > 0.0

@@ -1,11 +1,12 @@
 """Oracle tests for the spiked sample-covariance analytics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from spikelab.errors import ConvergenceError, DomainError, SpecError
+from spikelab.errors import DomainError, SpecError
 from spikelab.free_multiplicative import (
     MultiplicativeContext,
     W,
@@ -47,6 +48,16 @@ class TestContext:
     def test_accepts_atom_at_zero(self):
         c = ctx(HALF01, 2.0)
         assert c.c == 2.0
+
+    def test_overflowing_size_bias_names_the_atom(self):
+        # c w t^2 = 1e400 is past the float range: one SpecError, and no RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecError, match=r"c\*w\*t\^2 overflows at the atom t=1e\+200"):
+                ctx(AtomicMeasure(((1e200, 1.0),)), 1.0)
+            # Each c w t^2 is finite here; their sum is not.
+            with pytest.raises(SpecError, match=r"overflows at the atom t=1\.4e\+154"):
+                ctx(AtomicMeasure(((1.3e154, 0.5), (1.4e154, 0.5))), 1.0)
 
 
 class TestMpDensity:
@@ -244,6 +255,16 @@ class TestSupport:
             assert lo == pytest.approx((1.0 - math.sqrt(c)) ** 2, abs=1e-8)
             assert hi == pytest.approx((1.0 + math.sqrt(c)) ** 2, abs=1e-8)
 
+    def test_marchenko_pastur_edges_keep_relative_accuracy(self):
+        # (1 - sqrt c)^2 = ((1 - c) / (1 + sqrt c))^2; the right side has no cancellation,
+        # so it is the reference even when the lower edge is close to 0.
+        for c in (0.25, 0.5, 0.9999, 2.0):
+            (lo, hi), = support(ctx(DELTA1, c)).intervals
+            want_lo = ((1.0 - c) / (1.0 + math.sqrt(c))) ** 2
+            want_hi = (1.0 + math.sqrt(c)) ** 2
+            assert abs(lo - want_lo) <= 1e-12 * want_lo
+            assert abs(hi - want_hi) <= 1e-12 * want_hi
+
     def test_scaling(self):
         sup = support(ctx(DELTA2, 0.25))
         lo, hi = sup.intervals[0]
@@ -308,12 +329,6 @@ class TestFixedPointG:
         context = ctx(TWO_SPREAD, 0.1)
         for z in (0.5 + 1e-4j, 1.2 + 0.01j, 4.0 + 1e-5j, 10.0 + 1.0j):
             assert fixed_point_g(context, z).imag < 0.0
-
-    def test_convergence_error_carries_diagnostics(self):
-        with pytest.raises(ConvergenceError) as err:
-            fixed_point_g(ctx(DELTA1, 1.0), 2.0 + 1e-8j, max_iter=2)
-        assert err.value.iterations == 2
-        assert err.value.residual is not None and err.value.residual > 0.0
 
 
 class TestCompanionG:
@@ -401,12 +416,25 @@ class TestDensity:
         total = mass_at_zero(context) + np.trapezoid(f, xs)
         assert abs(total - 1.0) < 1e-2
 
-    def test_eps_validation(self):
-        with pytest.raises(SpecError):
-            density(ctx(DELTA1, 1.0), [2.0], eps=0.0)
+    def test_closed_form_everywhere(self):
+        # eps = 0 is exact, through x = 0, both edges and the gaps, to 1e-13.
+        for c in (0.5, 2.0):
+            xs = np.concatenate([np.linspace(-1.0, 7.0, 801), [(1.0 - math.sqrt(c)) ** 2, (1.0 + math.sqrt(c)) ** 2]])
+            for x, f in density(ctx(DELTA1, c), xs):
+                assert abs(f - (mp_density(c, x) if x > 0.0 else 0.0)) <= 1e-13
+                assert math.copysign(1.0, f) == 1.0
 
-    def test_grid_convergence_error_reports_index(self):
-        with pytest.raises(ConvergenceError) as err:
-            density(ctx(DELTA1, 1.0), [3.0, 2.0], max_iter=3)
-        assert err.value.grid_index == 0
-        assert err.value.residual is not None
+    def test_zero_unless_the_support_reaches_it(self):
+        for nu, c in ((DELTA1, 0.5), (DELTA1, 2.0), (HALF01, 4.0), (HALF01, 1.0), (DELTA0, 3.0)):
+            assert density(ctx(nu, c), [0.0]) == [(0.0, 0.0)]
+
+    def test_unbounded_at_zero_when_the_support_reaches_it(self):
+        for nu, c in ((DELTA1, 1.0), (HALF01, 2.0)):
+            with pytest.raises(DomainError, match="x=0"):
+                density(ctx(nu, c), [1.0, 0.0])
+        assert density(ctx(DELTA1, 1.0), [1.0])[0][1] == pytest.approx(mp_density(1.0, 1.0), abs=1e-13)
+
+    def test_eps_validation(self):
+        for eps in (math.nan, math.inf, -1.0):
+            with pytest.raises(SpecError, match="eps must be a finite non-negative number"):
+                density(ctx(DELTA1, 1.0), [2.0], eps=eps)

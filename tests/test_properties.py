@@ -4,7 +4,8 @@ Each property runs 100 derandomized examples: monotonicity of the outlier
 location maps, the derivative identity tying Z' to W, the two composition
 identities between the fixed-point transforms and their real inverses,
 the scaled Marchenko-Pastur law of a two-atom nu with an atom at 0, the
-spike values against plain sums, the Weyl perturbation bound on sampled
+spike values against plain sums, the sign, support and mass of the
+limiting density in both families, the Weyl perturbation bound on sampled
 additive models, and the Pythagoras bound on per-vector eigenvector
 overlaps.
 """
@@ -14,6 +15,7 @@ import math
 import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+from spikelab import free_additive, free_multiplicative
 from spikelab.ensemble import (
     SpikedModelSpec,
     assemble,
@@ -146,7 +148,7 @@ def test_subordination_inverts_H(data):
     u = _point_in(data, interval)
     assume(H_prime(ctx, u) > 5e-3)
     z = H(ctx, u)
-    g = subordinated_g(ctx, complex(z, 1e-9), tol=1e-13, max_iter=200_000)
+    g = subordinated_g(ctx, complex(z, 1e-9))
     assert abs((z - sigma2 * g) - u) < 1e-6
 
 
@@ -163,7 +165,7 @@ def test_companion_transform_inverts_Z(data):
     x = 1.0 / u
     z = Z(ctx, x)
     assume(abs(z) > 1e-6)
-    g = companion_g(ctx, complex(z, 1e-9), tol=1e-13, max_iter=200_000)
+    g = companion_g(ctx, complex(z, 1e-9))
     # The tiny upper-half-plane shift leaks into Im g with an O(1/Z')
     # amplification; the identity itself lives on the real axis.
     assert abs(g.real - x) < 1e-6
@@ -275,3 +277,45 @@ def test_per_vector_overlaps_obey_pythagoras(spec):
         for n in range(len(sample.spike_ranks[j])):
             assert -1e-12 <= per_all[j][n] <= 1.0 + 1e-10
             assert sum(per_all[l][n] for l in range(n_spikes)) <= 1.0 + 1e-8
+
+
+# Gauss-Legendre nodes and weights on [0, pi/2]; 400 nodes left 1.5e-6 of the mass of
+# 0.8 delta_1 + 0.2 delta_4 with sigma2 = 3 unaccounted for, 1600 nodes 1e-13.
+_PHI, _WQ = np.polynomial.legendre.leggauss(1600)
+_PHI, _WQ = np.pi / 4.0 * (_PHI + 1.0), np.pi / 4.0 * _WQ
+
+
+def _mass(density, ctx, support):
+    """Integral of the density over each support interval [a, b], by Gauss-Legendre in phi
+    after x = a + (b - a) sin^2(phi), which turns square-root edges into smooth ends."""
+    total = 0.0
+    for a, b in support.intervals:
+        f = np.array([v for _, v in density(ctx, a + (b - a) * np.sin(_PHI) ** 2)])
+        total += float(np.sum(_WQ * f * (b - a) * np.sin(2.0 * _PHI)))
+    return total
+
+
+@COMMON
+@given(data=st.data())
+def test_density_is_positive_exactly_on_the_support_with_unit_mass(data):
+    if data.draw(st.booleans()):
+        nu = data.draw(measures(positive=True))
+        p0 = data.draw(st.sampled_from((0.0, 0.3, 0.7)))
+        if p0:
+            nu = AtomicMeasure(((0.0, p0),) + tuple((t, (1.0 - p0) * w) for t, w in nu.atoms))
+        ctx = MultiplicativeContext(nu, data.draw(st.floats(0.05, 4.0)))
+        mod, at_zero = free_multiplicative, mass_at_zero(ctx)
+    else:
+        ctx = AdditiveContext(data.draw(measures()), data.draw(st.floats(0.1, 3.0)))
+        mod, at_zero = free_additive, 0.0
+    support = mod.support(ctx)
+    lo, hi = support.intervals[0][0], support.intervals[-1][1]
+    xs = np.linspace(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo), 801)
+    f = np.array([v for _, v in mod.density(ctx, xs)])
+    assert np.all(f >= 0.0)
+    edges = np.array(support.edges())
+    away = np.min(np.abs(xs[:, None] - edges), axis=1) > 1e-9 * (1.0 + hi - lo)
+    inside = np.array([support.contains(x) for x in xs])
+    assert np.array_equal((f > 0.0)[away], inside[away])
+    assert abs(_mass(mod.density, ctx, support) + at_zero - 1.0) <= 1e-6
+
