@@ -16,7 +16,6 @@ from .errors import (
     NumericalError,
     SpecError,
     SpikelabError,
-    TheoryError,
 )
 from .free_additive import AdditiveContext
 from .free_multiplicative import MultiplicativeContext
@@ -40,7 +39,6 @@ __all__ = [
     "SpikedModelSpec",
     "SpikelabError",
     "SupportIntervals",
-    "TheoryError",
     "VerificationResult",
     "cli",
     "ensemble",

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import verify
 from .ensemble import SpikedModelSpec
-from .errors import DegenerateOutlierError, DomainError, NumericalError, SpecError, TheoryError
+from .errors import DegenerateOutlierError, DomainError, NumericalError, SpecError
 from .measure import AtomicMeasure
 
 MODEL_KEYS = {"kind", "sigma2", "c", "nu", "spikes", "N", "entry_law", "field", "seed"}
@@ -150,7 +150,7 @@ def cmd_simulate(spec: SpikedModelSpec, args: argparse.Namespace) -> str:
     )
     if spec.N is None:
         raise SpecError("simulate requires N (in the model file or via --N)")
-    result = verify.run(spec, args.reps, expect_sticking=verify.expected_sticking(spec))
+    result = verify.run(spec, args.reps)
     if args.format == "json":
         return json.dumps(verify.to_json_dict(result), indent=2, allow_nan=False) + "\n"
     return verify.to_csv_text(result)
@@ -187,7 +187,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         text = _COMMANDS[args.command](load_model(args.spec), args)
-    except (SpecError, DomainError, TheoryError, DegenerateOutlierError) as exc:
+    except (SpecError, DomainError, DegenerateOutlierError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

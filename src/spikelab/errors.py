@@ -17,9 +17,5 @@ class NumericalError(SpikelabError):
     """A numeric routine produced output that fails its accuracy contract."""
 
 
-class TheoryError(SpikelabError):
-    """A requested verification is inconsistent with the computed theory."""
-
-
 class DegenerateOutlierError(SpikelabError):
     """An outlier spike maps to the excluded degenerate location Z(1/theta)=0."""

@@ -89,14 +89,14 @@ def mp_density(c: float, x: float) -> float:
 
 
 def Z(ctx: MultiplicativeContext, x: float) -> float:
-    """Outlier map ``s + H~(1/x)``, summed as ``1/x + c sum w_j t_j / (1 - t_j x)`` for accuracy."""
+    """Outlier map ``s + H~(1/x)``, that is ``_rho`` at ``u = 1/x``."""
     x = float(x)
     if x == 0.0:
         raise DomainError("Z is undefined at x = 0")
     u = 1.0 / x
     if ctx._biased is not None and float(np.min(np.abs(u - ctx._biased._locs))) <= MERGE_TOL:
         raise DomainError(f"1/x = {u!r} lies in the support of nu")
-    return float(1.0 / x + ctx.c * np.sum(ctx._wts * ctx._locs / (1.0 - ctx._locs * x)))
+    return _rho(ctx, u)
 
 
 def W(ctx: MultiplicativeContext, u: float) -> float:

@@ -15,6 +15,9 @@ from .errors import NumericalError
 
 BRACKET_WIDTH = 1e-12
 MAX_BISECT = 200
+MAX_HALVINGS = 200
+MARCH_GROWTH = 2.0
+MAX_MARCH = 200
 
 
 def bisect(
@@ -24,13 +27,11 @@ def bisect(
     *,
     flo: float | None = None,
     fhi: float | None = None,
-    width: float = BRACKET_WIDTH,
-    max_iter: int = MAX_BISECT,
 ) -> float:
-    """Root of f in [lo, hi] by bisection to bracket width ``width``.
+    """Root of f in [lo, hi] by bisection to bracket width BRACKET_WIDTH.
 
     Requires a sign change over the bracket; raises NumericalError
-    otherwise. Hard-capped at ``max_iter`` halvings.
+    otherwise. Hard-capped at MAX_BISECT halvings.
     """
     if not lo < hi:
         raise NumericalError(f"empty bracket [{lo}, {hi}]")
@@ -42,8 +43,8 @@ def bisect(
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise NumericalError(f"no sign change over [{lo}, {hi}]")
-    for _ in range(max_iter):
-        if hi - lo <= width:
+    for _ in range(MAX_BISECT):
+        if hi - lo <= BRACKET_WIDTH:
             break
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # bracket at float resolution
@@ -63,18 +64,16 @@ def creep_to_sign(
     boundary: float,
     interior: float,
     sign: int,
-    *,
-    max_halvings: int = 200,
 ) -> float:
     """Point between ``boundary`` and ``interior`` where sign(f) == sign.
 
     Walks x_k = boundary + (interior - boundary) / 2^k, k = 0, 1, ...
     Intended for boundaries where f blows up with the requested sign, so
     the walk is guaranteed to terminate; raises NumericalError if the
-    step underflows first.
+    step underflows first or after MAX_HALVINGS halvings.
     """
     offset = interior - boundary
-    for _ in range(max_halvings):
+    for _ in range(MAX_HALVINGS):
         x = boundary + offset
         if x == boundary or x == interior and offset != interior - boundary:
             break
@@ -92,20 +91,18 @@ def march_to_sign(
     start: float,
     step: float,
     sign: int,
-    *,
-    growth: float = 2.0,
-    max_steps: int = 200,
 ) -> float:
-    """Point start + step * growth^k where sign(f) == sign.
+    """Point start + step * MARCH_GROWTH^k where sign(f) == sign.
 
     ``step`` may be negative to march left. ``start`` itself is never
-    evaluated. Raises NumericalError if the sign never shows up.
+    evaluated. Raises NumericalError if the sign does not show up within
+    MAX_MARCH steps.
     """
     offset = step
-    for _ in range(max_steps):
+    for _ in range(MAX_MARCH):
         x = start + offset
         val = f(x)
         if (val > 0.0 and sign > 0) or (val < 0.0 and sign < 0):
             return x
-        offset *= growth
+        offset *= MARCH_GROWTH
     raise NumericalError(f"no point of sign {sign} found marching from {start}")

@@ -2,13 +2,13 @@
 
 ``run`` draws seeded replicas of a spiked model, reads off the eigenvalues
 and eigenvector overlaps at the spike ranks, and aggregates them next to
-the limiting values from the analytic layer.  Spikes that do not generate
-an outlier must be flagged explicitly; for those the ranked eigenvalues
-are checked against the limiting support edges instead of an outlier
-location.  ``replicas`` holds the seeding rule: replica i is drawn from
-child i of one ``SeedSequence(seed)``, so the result is byte-identical from
-run to run, and a failing replica is named by its index and spawn key so
-that it can be redrawn alone.  ``run`` is ``aggregate`` over ``replicas``.
+the limiting values from the analytic layer.  Which spikes generate an
+outlier is read off the theory: for a spike that sticks, the ranked
+eigenvalues are checked against the limiting support edges instead of an
+outlier location.  ``replicas`` holds the seeding rule: replica i is drawn
+from child i of one ``SeedSequence(seed)``, so the result is byte-identical
+from run to run, and a failing replica is named by its index and spawn key
+so that it can be redrawn alone.  ``run`` is ``aggregate`` over ``replicas``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import free_additive, free_multiplicative
 from .ensemble import EnsembleSample, SpikedModelSpec, draw_sample, overlaps, wishart_p
-from .errors import NumericalError, SpecError, TheoryError
+from .errors import NumericalError, SpecError
 from .verdicts import SupportIntervals
 
 # Desk-scale agreement tolerances behind the report-level pass flags.
@@ -203,32 +203,16 @@ def _rep_record(sample, verdicts, sup):
     return records
 
 
-def aggregate(spec: SpikedModelSpec, samples, expect_sticking) -> VerificationResult:
+def aggregate(spec: SpikedModelSpec, samples) -> VerificationResult:
     """Spike statistics of ``samples``, replicas of ``spec``, next to the theory.
 
-    Every spike must either generate an outlier or be flagged in
-    ``expect_sticking`` (0-based positions into ``spec.spikes``); a
-    mismatch in either direction raises TheoryError before ``samples`` is
-    iterated, so no replica of a lazy ``replicas`` iterator is drawn.
+    Each spike gets the statistics its verdict calls for: rho, tau and the
+    margins for an outlier, the edge distance and excess for a spike that
+    sticks.  The theory is computed before ``samples`` is iterated, so a
+    failure there draws no replica of a lazy ``replicas`` iterator.
     """
-    flagged = frozenset(int(i) for i in expect_sticking)
-    for i in sorted(flagged):
-        if not 0 <= i < len(spec.spikes):
-            raise SpecError(f"expect_sticking index {i} is out of range")
-
     aspect, ctx, mod, verdicts = _verdicts(spec)
     sup = mod.support(ctx)
-    for j, verdict in enumerate(verdicts):
-        if verdict.is_outlier and j in flagged:
-            raise TheoryError(
-                f"spike theta={verdict.theta} generates an outlier"
-                " but was flagged expect_sticking"
-            )
-        if not verdict.is_outlier and j not in flagged:
-            raise TheoryError(
-                f"spike theta={verdict.theta} does not generate an outlier;"
-                " flag its index in expect_sticking to verify sticking instead"
-            )
 
     # map releases each sample before drawing the next; a comprehension's loop
     # variable would keep it alive and raise the peak memory of a run.
@@ -282,17 +266,21 @@ def aggregate(spec: SpikedModelSpec, samples, expect_sticking) -> VerificationRe
     )
 
 
-def run(spec: SpikedModelSpec, reps: int, *, expect_sticking=()) -> VerificationResult:
+def run(spec: SpikedModelSpec, reps: int) -> VerificationResult:
     """Draw ``reps`` replicas of ``spec`` and aggregate spike statistics.
 
-    The same as ``aggregate(spec, replicas(spec, reps), expect_sticking)``:
-    arguments and theory are checked before the first replica is drawn.
+    The same as ``aggregate(spec, replicas(spec, reps))``: arguments and
+    theory are checked before the first replica is drawn.
     """
-    return aggregate(spec, replicas(spec, reps), expect_sticking)
+    return aggregate(spec, replicas(spec, reps))
 
 
 def expected_sticking(spec: SpikedModelSpec) -> frozenset[int]:
-    """Indices of the spikes the theory predicts will not detach."""
+    """Indices of the spikes the theory predicts will not detach.
+
+    ``run`` works this out itself; this is the same verdict for callers
+    that want it without drawing a replica.
+    """
     *_, verdicts = _verdicts(spec)
     return frozenset(j for j, verdict in enumerate(verdicts) if not verdict.is_outlier)
 

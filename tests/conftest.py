@@ -52,12 +52,12 @@ def bbp_samples():
 
 @pytest.fixture(scope="session")
 def paper_sim(paper_samples):
-    return verify.aggregate(PAPER_SPEC, paper_samples, {1})
+    return verify.aggregate(PAPER_SPEC, paper_samples)
 
 
 @pytest.fixture(scope="session")
 def bbp_sim(bbp_samples):
-    return verify.aggregate(BBP_SPEC, bbp_samples, ())
+    return verify.aggregate(BBP_SPEC, bbp_samples)
 
 
 @pytest.fixture(scope="session")

@@ -58,6 +58,7 @@ def test_criterion_1_paper_example_analytics():
 
 
 def test_criterion_2_paper_example_simulation(paper_sim):
+    assert [s.is_outlier for s in paper_sim.spikes] == [True, False, True]
     top, _, zero = paper_sim.spikes
     err_l1 = abs(top.eigenvalue_mean - RHO_TOP)
     err_mid = abs(zero.eigenvalue_mean)
@@ -131,6 +132,7 @@ def test_criterion_4_marchenko_pastur_oracle():
 def test_criterion_5_bbp_cross_check(bbp_sim):
     verdict = classify_mult(MultiplicativeContext(DELTA1, 1.0), 3.0)
     analytic_ok = abs(verdict.rho - 4.5) <= 1e-12 and abs(verdict.tau - 0.5) <= 1e-12
+    assert all(s.is_outlier for s in bbp_sim.spikes)
     out = bbp_sim.spikes[0]
     err_rho = abs(out.eigenvalue_mean - 4.5)
     err_tau = abs(out.overlap_mean - 0.5)

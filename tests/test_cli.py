@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from spikelab import cli, free_additive
+from spikelab import cli, free_additive, free_multiplicative
 from spikelab.errors import NumericalError
 from spikelab.free_multiplicative import MultiplicativeContext, classify_spike, mp_density, support
 from spikelab.measure import AtomicMeasure
@@ -319,7 +319,7 @@ def test_simulate_writes_deterministic_json(tmp_path):
     doc = json.loads(blob1)
     assert doc["N"] == 120 and doc["reps"] == 3 and doc["seed"] == 42
     assert len(doc["spikes"]) == 3
-    assert doc["spikes"][1]["verdict"] == "sticking"  # auto-flagged, no TheoryError
+    assert doc["spikes"][1]["verdict"] == "sticking"  # worked out from the theory
     assert doc["spikes"][0]["margin_below"] is not None
     assert isinstance(doc["pass"], bool)
 
@@ -367,7 +367,8 @@ def test_simulate_real_field(tmp_path, capsys):
 @pytest.mark.parametrize("model", [PAPER_MODEL, dict(MP_FREE_MODEL, spikes=[[3.0, 1]], N=80)])
 def test_simulate_computes_the_support_once(tmp_path, monkeypatch, model):
     # Both families find their support from the additive outlier set, of nu or of the
-    # size-biased measure, and only the support needs it.
+    # size-biased measure, and only the support needs it.  Each spike is classified
+    # once, by the theory module of its family.
     calls = []
     intervals = free_additive.outlier_set_intervals
 
@@ -376,9 +377,18 @@ def test_simulate_computes_the_support_once(tmp_path, monkeypatch, model):
         return intervals(ctx)
 
     monkeypatch.setattr(free_additive, "outlier_set_intervals", counting)
+    classified = []
+    for mod in (free_additive, free_multiplicative):
+
+        def classify(ctx, theta, multiplicity=1, _classify=mod.classify_spike):
+            classified.append(theta)
+            return _classify(ctx, theta, multiplicity)
+
+        monkeypatch.setattr(mod, "classify_spike", classify)
     path = write_model(tmp_path, model)
     assert cli.main(["simulate", "--spec", path, "--reps", "1"]) == 0
     assert len(calls) == 1
+    assert classified == [theta for theta, _ in model["spikes"]]
 
 
 def test_simulate_exit_4_on_numerical_failure(tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ import pytest
 
 from spikelab import verify
 from spikelab.ensemble import SpikedModelSpec, draw_sample
-from spikelab.errors import NumericalError, SpecError, TheoryError
+from spikelab.errors import NumericalError, SpecError
 from spikelab.free_multiplicative import MultiplicativeContext, classify_spike, mp_density
 from spikelab.measure import AtomicMeasure
 
@@ -40,7 +40,7 @@ def paper_spec(N, seed=7):
 
 
 def run_paper(N, reps, seed=7):
-    return verify.run(paper_spec(N, seed), reps, expect_sticking={1})
+    return verify.run(paper_spec(N, seed), reps)
 
 
 # ---------------------------------------------------------------- run()
@@ -68,26 +68,11 @@ def test_run_metadata_echo():
     assert len(res.spikes) == 3
 
 
-def test_run_requires_flag_for_sticking_spike():
-    with pytest.raises(TheoryError, match="expect_sticking"):
-        verify.run(paper_spec(120), 1)
-
-
-def test_run_rejects_flag_on_outlier():
-    with pytest.raises(TheoryError, match="outlier"):
-        verify.run(paper_spec(120), 1, expect_sticking={0, 1})
-
-
 def test_run_rejects_bad_reps():
     with pytest.raises(SpecError):
         verify.run(paper_spec(120), 0)
     with pytest.raises(SpecError):
         verify.run(paper_spec(120), 2.5)
-
-
-def test_run_rejects_out_of_range_flag():
-    with pytest.raises(SpecError):
-        verify.run(paper_spec(120), 1, expect_sticking={3})
 
 
 def test_single_rep_has_zero_stderr():
@@ -134,7 +119,9 @@ def test_run_equals_aggregating_its_replicas():
     spec = paper_spec(60, seed=13)
     samples = list(verify.replicas(spec, 3))
     assert len(samples) == 3
-    assert verify.run(spec, 3, expect_sticking={1}) == verify.aggregate(spec, samples, {1})
+    result = verify.aggregate(spec, samples)
+    assert [s.is_outlier for s in result.spikes] == [True, False, True]
+    assert verify.run(spec, 3) == result
 
 
 def test_failing_replica_is_named_with_its_spawn_key(monkeypatch):
