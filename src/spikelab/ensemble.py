@@ -4,6 +4,8 @@ The perturbation A_N is always diagonal: spike eigenvalues (with multiplicity)
 plus deterministic quantiles of the bulk limit nu, sorted descending.  That
 makes each spike's eigenspace a coordinate subspace, so spike projectors are
 exact index sets and the eigenvector observables reduce to coordinate sums.
+Wishart noise enters only through B B*, so Gaussian entries are drawn as the
+Bartlett factor of B, an N x min(N, p) triangle, rather than B itself.
 A replica computes every eigenvalue of M but only the r eigenvectors at the
 spike ranks, by shifted inverse iteration, and checks exactly what it returns.
 """
@@ -170,6 +172,13 @@ def _draw(entry_law: str, rng: np.random.Generator, size) -> np.ndarray:
     return (rng.integers(0, 2, size=size) * 2 - 1).astype(float)
 
 
+def _entries(entry_law: str, field: str, rng: np.random.Generator, size) -> np.ndarray:
+    """Unit-variance entries of the field: real, or (x + iy)/sqrt(2)."""
+    if field == "complex_hermitian":
+        return (_draw(entry_law, rng, size) + 1j * _draw(entry_law, rng, size)) / math.sqrt(2.0)
+    return _draw(entry_law, rng, size)
+
+
 def sample_wigner(N: int, field: str, entry_law: str, rng: np.random.Generator) -> np.ndarray:
     """Unit-scale Wigner matrix X = W/sqrt(N), semicircle limit on [-2, 2].
 
@@ -203,16 +212,32 @@ def sample_wigner(N: int, field: str, entry_law: str, rng: np.random.Generator) 
 def sample_wishart_factor(
     N: int, p: int, field: str, entry_law: str, rng: np.random.Generator
 ) -> np.ndarray:
-    """N x p factor B with i.i.d. standardized entries (unit variance each)."""
+    """A factor F whose F F* has the law of B B*, B N x p with unit-variance entries.
+
+    Rademacher entries return B itself.  Gaussian entries return the N x m
+    Bartlett factor of B, m = min(N, p): the lower-trapezoidal L of B = L Q
+    with Q unitary (Bartlett 1933).  Below its diagonal L holds standard
+    (complex) normals; diagonal entry i < m is sqrt(chi^2_{p-i}) (real) or
+    sqrt(chi^2_{2(p-i)}/2) (complex).  That is N m - m(m - 1)/2 draws in
+    place of N p.
+    """
     if field not in FIELDS:
         raise SpecError(f"field must be one of {FIELDS}, got {field!r}")
     if entry_law not in ENTRY_LAWS:
         raise SpecError(f"entry_law must be one of {ENTRY_LAWS}, got {entry_law!r}")
+    if entry_law == "rademacher":
+        return _entries(entry_law, field, rng, (N, p))
+    m = min(N, p)
+    dof = p - np.arange(m)
     if field == "complex_hermitian":
-        return (
-            _draw(entry_law, rng, (N, p)) + 1j * _draw(entry_law, rng, (N, p))
-        ) / math.sqrt(2.0)
-    return _draw(entry_law, rng, (N, p))
+        L = np.zeros((N, m), dtype=complex)
+        L.flat[:: m + 1] = np.sqrt(rng.chisquare(2 * dof) / 2.0)
+    else:
+        L = np.zeros((N, m))
+        L.flat[:: m + 1] = np.sqrt(rng.chisquare(dof))
+    below = np.tril_indices(N, -1, m)
+    L[below] = _entries(entry_law, field, rng, below[0].size)
+    return L
 
 
 def wishart_p(N: int, c: float) -> int:
@@ -221,16 +246,24 @@ def wishart_p(N: int, c: float) -> int:
 
 
 def assemble(spec: SpikedModelSpec, A: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """M = X + A (additive) or A^{1/2} (BB*/p) A^{1/2} (multiplicative)."""
+    """M = X + A (additive) or A^{1/2} (F F*/p) A^{1/2} (multiplicative).
+
+    ``noise`` is the Wigner matrix X, or a factor F from
+    ``sample_wishart_factor``.  p comes from the spec, not from F, whose
+    Bartlett form has min(N, p) columns.  F F* is scaled in place into M;
+    beside M, only the conjugate of a complex F is allocated.
+    """
     A = np.asarray(A, dtype=float)
     if spec.kind == "additive_wigner":
         return noise + np.diag(A)
     if np.any(A < 0.0):
         raise SpecError("multiplicative perturbation requires a nonnegative diagonal")
-    p = noise.shape[1]
     root = np.sqrt(A)
-    inner = noise @ noise.conj().T / p
-    return root[:, None] * inner * root[None, :]
+    inner = noise @ noise.conj().T
+    inner /= wishart_p(spec.N, spec.c)
+    inner *= root[:, None]
+    inner *= root
+    return inner
 
 
 def diagonalize(M: np.ndarray, ranks):

@@ -80,12 +80,18 @@ class SpikeOutcome:
 
 @dataclass(frozen=True)
 class VerificationResult:
-    """Cross-replica aggregate for one model size, ready to serialize."""
+    """Cross-replica aggregate for one model size, ready to serialize.
+
+    ``c`` is the aspect ratio the model requests and ``aspect_ratio`` the
+    realized N/p the theory is evaluated at; both are None for an additive
+    model.
+    """
 
     kind: str
     N: int
     reps: int
     seed: int
+    c: float | None
     aspect_ratio: float | None
     support: SupportIntervals
     spikes: tuple[SpikeOutcome, ...]
@@ -260,6 +266,7 @@ def aggregate(spec: SpikedModelSpec, samples) -> VerificationResult:
         N=spec.N,
         reps=len(records),
         seed=spec.seed,
+        c=spec.c,
         aspect_ratio=aspect,
         support=sup,
         spikes=tuple(outcomes),

@@ -185,6 +185,7 @@ def test_analyze_uses_c_and_simulate_the_realized_aspect_ratio(tmp_path, capsys)
     assert cli.main(["simulate", "--spec", path, "--reps", "1"]) == 0
     sim = json.loads(capsys.readouterr().out)
     realized = 100 / round(100 / 0.3)
+    assert sim["c"] == 0.3
     assert sim["aspect_ratio"] == realized != 0.3
     at_p = classify_spike(MultiplicativeContext(nu, realized), 3.0)
     assert sim["spikes"][0]["rho"] == at_p.rho != want.rho

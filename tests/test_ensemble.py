@@ -224,21 +224,109 @@ class TestSampleWigner:
         assert ks < 0.05
 
 
+FIELD_IDS = ("real_symmetric", "complex_hermitian")
+
+
+def _ks_two_sample(a, b) -> float:
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    fa = np.searchsorted(a, grid, side="right") / a.size
+    fb = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.max(np.abs(fa - fb)))
+
+
 class TestSampleWishart:
-    def test_shape_and_determinism(self):
-        B = sample_wishart_factor(20, 30, "complex_hermitian", "gaussian", np.random.default_rng(1))
-        B2 = sample_wishart_factor(20, 30, "complex_hermitian", "gaussian", np.random.default_rng(1))
+    @pytest.mark.parametrize("field", FIELD_IDS)
+    @pytest.mark.parametrize("p", [8, 20, 30])
+    def test_gaussian_factor_is_lower_trapezoidal_and_deterministic(self, field, p):
+        N = 20
+        F = sample_wishart_factor(N, p, field, "gaussian", np.random.default_rng(1))
+        F2 = sample_wishart_factor(N, p, field, "gaussian", np.random.default_rng(1))
+        assert F.shape == (N, min(N, p))
+        assert F.dtype.kind == ("c" if field == "complex_hermitian" else "f")
+        assert np.array_equal(F, F2)
+        assert not np.any(np.triu(F, 1))
+        diag = np.diagonal(F)
+        assert np.all(diag.imag == 0.0) and np.all(diag.real > 0.0)
+        # Below the diagonal every entry is drawn, rows past min(N, p) included.
+        assert np.all(F[np.tril_indices(N, -1, F.shape[1])] != 0.0)
+
+    @pytest.mark.parametrize("field", FIELD_IDS)
+    @pytest.mark.parametrize("p", [8, 20, 30])
+    def test_gaussian_factor_entry_moments(self, field, p):
+        # Bartlett: |L_ii|^2 has mean p - i and variance 2(p - i) (real) or
+        # p - i (complex); entries below the diagonal have mean 0 and unit
+        # variance.  Each sum over 400 draws is standardized; |z| <= 4.
+        N, draws = 20, 400
+        complex_field = field == "complex_hermitian"
+        children = np.random.SeedSequence(7).spawn(draws)
+        F = np.array([
+            sample_wishart_factor(N, p, field, "gaussian", np.random.default_rng(child))
+            for child in children
+        ])
+        m = min(N, p)
+        dof = p - np.arange(m)
+        diag = np.abs(np.diagonal(F, axis1=1, axis2=2)) ** 2
+        var = dof if complex_field else 2 * dof
+        assert abs(np.sum(diag - dof)) <= 4.0 * math.sqrt(draws * np.sum(var))
+        rows, cols = np.tril_indices(N, -1, m)
+        below = F[:, rows, cols].ravel()
+        n = below.size
+        square = np.abs(below) ** 2
+        assert abs(np.sum(square - 1.0)) <= 4.0 * math.sqrt(n * (1.0 if complex_field else 2.0))
+        parts = (below.real, below.imag) if complex_field else (below,)
+        for part in parts:
+            assert abs(np.sum(part)) <= 4.0 * math.sqrt(n / len(parts))
+        if complex_field:
+            # Real and imaginary parts carry half the variance each.
+            assert abs(np.mean(below.real**2) - 0.5) <= 4.0 * math.sqrt(0.5 / n)
+
+    @pytest.mark.parametrize("field", FIELD_IDS)
+    def test_rademacher_factor_is_b(self, field):
+        B = sample_wishart_factor(20, 30, field, "rademacher", np.random.default_rng(2))
+        B2 = sample_wishart_factor(20, 30, field, "rademacher", np.random.default_rng(2))
         assert B.shape == (20, 30)
         assert np.array_equal(B, B2)
+        if field == "complex_hermitian":
+            parts = np.concatenate([B.real, B.imag]) * math.sqrt(2.0)
+            assert np.array_equal(np.abs(parts), np.ones_like(parts))
+        else:
+            assert B.dtype.kind == "f"
+            assert np.array_equal(np.abs(B), np.ones_like(B))
+        assert {1.0, -1.0} <= set(np.sign(B.real).ravel().tolist())
 
-    def test_unit_entry_variance(self):
-        B = sample_wishart_factor(
-            300, 200, "complex_hermitian", "gaussian", np.random.default_rng(2)
-        )
-        assert abs(np.mean(np.abs(B) ** 2) - 1.0) < 0.05
-        Br = sample_wishart_factor(300, 200, "real_symmetric", "gaussian", np.random.default_rng(2))
-        assert Br.dtype.kind == "f"
-        assert abs(np.mean(Br**2) - 1.0) < 0.05
+    @pytest.mark.parametrize("field", FIELD_IDS)
+    @pytest.mark.parametrize("p", [50, 200, 2000])
+    def test_factor_matches_the_law_of_b(self, field, p):
+        # Reference draws of B are made here with rng.standard_normal, apart
+        # from the code under test, on streams disjoint from the factor's.
+        N, seeds = 200, 60
+        children = np.random.SeedSequence(20261018).spawn(2 * seeds)
+        complex_field = field == "complex_hermitian"
+        ref, new = [], []
+        for child in children[:seeds]:
+            rng = np.random.default_rng(child)
+            B = rng.standard_normal((N, p))
+            if complex_field:
+                B = (B + 1j * rng.standard_normal((N, p))) / math.sqrt(2.0)
+            ref.append(np.linalg.eigvalsh(B @ B.conj().T / p))
+        for child in children[seeds:]:
+            F = sample_wishart_factor(N, p, field, "gaussian", np.random.default_rng(child))
+            new.append(np.linalg.eigvalsh(F @ F.conj().T / p))
+        ref, new = np.array(ref), np.array(new)
+
+        # Moments 1-3 and the top eigenvalue, per draw: the two means agree
+        # to within 4 standard errors of their difference.
+        for k in (1, 2, 3, None):
+            a = ref[:, -1] if k is None else np.mean(ref**k, axis=1)
+            b = new[:, -1] if k is None else np.mean(new**k, axis=1)
+            se = math.sqrt(a.var(ddof=1) / seeds + b.var(ddof=1) / seeds)
+            assert abs(a.mean() - b.mean()) <= 4.0 * se, (k, a.mean(), b.mean(), se)
+        # Pooled eigenvalues: the two-sample KS distance stays below the
+        # 1% critical value for independent samples of this size, which
+        # eigenvalue rigidity makes conservative.
+        n = ref.size
+        assert _ks_two_sample(ref.ravel(), new.ravel()) < 1.63 * math.sqrt(2.0 / n)
 
     def test_square_case_operator_norm(self):
         N = p = 1000
@@ -275,6 +363,19 @@ class TestAssemble:
         B = sample_wishart_factor(4, 4, "complex_hermitian", "gaussian", np.random.default_rng(0))
         M = assemble(spec, A, B)
         assert np.allclose(M, B @ B.conj().T / 4)
+
+    def test_multiplicative_divides_by_the_spec_p(self):
+        # The Bartlett factor of an N x 10N matrix B is N x N; M still
+        # carries B B*/p with p = 10 N.
+        spec = SpikedModelSpec(
+            kind="multiplicative_wishart", nu=DELTA1, spikes=((3.0, 1),), N=4, seed=0, c=0.1
+        )
+        F = sample_wishart_factor(4, 40, "real_symmetric", "gaussian", np.random.default_rng(0))
+        assert F.shape == (4, 4)
+        A = np.array([3.0, 1.0, 1.0, 1.0])
+        root = np.sqrt(A)
+        M = assemble(spec, A, F)
+        assert np.array_equal(M, root[:, None] * (F @ F.T / 40) * root[None, :])
 
     def test_multiplicative_rejects_negative_diagonal(self):
         spec = bbp_spec(N=4)
@@ -476,6 +577,36 @@ class TestOverlapsAndDraw:
         sample = draw_sample(bbp_spec(N=60, seed=4))
         assert sample.eigenvalues[-1] > -1e-10
         assert sample.eigenvalues[0] > 3.0  # spike pushes top eigenvalue up
+
+    def test_small_c_stays_within_the_marchenko_pastur_spread(self):
+        # p = N/c = 500,000: the factor is 50 x 50, B would be 50 x 500,000.
+        # M = A^{1/2} W A^{1/2} has its k-th eigenvalue at a_k times a number
+        # in the spectrum of W = F F*/p (Ostrowski), which lies within
+        # 2 sqrt(c) + c of 1 up to edge fluctuations of the finite N.
+        c = 1e-4
+        spec = SpikedModelSpec(
+            kind="multiplicative_wishart", nu=AtomicMeasure(((1.0, 0.5), (4.0, 0.5))),
+            spikes=((6.0, 1),), N=50, seed=5, c=c,
+        )
+        A, _, _ = build_perturbation(spec)
+        sample = draw_sample(spec)
+        relative = np.abs(sample.eigenvalues / A - 1.0)
+        assert np.max(relative) <= 1.5 * (2.0 * math.sqrt(c) + c)
+
+    @pytest.mark.parametrize("field", FIELD_IDS)
+    def test_rank_deficient_wishart_null_space_vectors(self, field):
+        # p = 14 < N = 28: M has rank 14, and the ranks of both spikes, 24
+        # and 28, fall among its 14 zero eigenvalues.
+        spec = SpikedModelSpec(
+            kind="multiplicative_wishart", nu=AtomicMeasure(((1.0, 0.1), (3.0, 0.9))),
+            spikes=((2.5, 1), (0.5, 1)), N=28, seed=0, c=2.0, field=field,
+        )
+        sample = draw_sample(spec)
+        assert sample.spike_ranks == ((24,), (28,))
+        lam = sample.eigenvalues
+        assert np.all(lam[:14] > 1e-3) and np.all(np.abs(lam[14:]) < 1e-12 * lam[0])
+        V = sample.eigenvectors
+        assert np.max(np.abs(V.conj().T @ V - np.eye(2))) < 1e-12
 
     def test_real_and_rademacher_paths(self):
         for field in ("real_symmetric", "complex_hermitian"):

@@ -63,6 +63,7 @@ def test_run_metadata_echo():
     assert res.N == 120
     assert res.reps == 3
     assert res.seed == 99
+    assert res.c is None
     assert res.aspect_ratio is None
     assert len(res.support.intervals) == 2
     assert len(res.spikes) == 3
@@ -163,6 +164,7 @@ def test_multiplicative_theory_uses_realized_aspect():
     )
     res = verify.run(spec, 1)
     realized = 100 / round(100 / 0.75)
+    assert res.c == 0.75
     assert res.aspect_ratio == pytest.approx(realized, abs=0.0)
     expected = classify_spike(MultiplicativeContext(DELTA1, realized), 3.0)
     assert res.spikes[0].rho == expected.rho
@@ -311,11 +313,11 @@ def test_json_dict_round_trips():
     back = json.loads(text)
     assert back["kind"] == "additive_wigner"
     assert back["N"] == 120 and back["reps"] == 2
-    assert back["aspect_ratio"] is None
+    assert back["c"] is None and back["aspect_ratio"] is None
     assert len(back["support"]) == 2 and len(back["support"][0]) == 2
     assert isinstance(back["pass"], bool)
     assert list(back) == [
-        "kind", "N", "reps", "seed", "aspect_ratio", "support", "spikes", "pass"
+        "kind", "N", "reps", "seed", "c", "aspect_ratio", "support", "spikes", "pass"
     ]
     top, mid, _ = back["spikes"]
     assert list(top) == [
@@ -339,7 +341,7 @@ def test_csv_shape_and_byte_determinism():
     lines = text.strip("\n").split("\n")
     assert len(lines) == 4  # header plus one row per spike
     assert lines[0] == (
-        "kind,N,reps,seed,aspect_ratio,spike,theta,multiplicity,verdict,rho,tau,"
+        "kind,N,reps,seed,c,aspect_ratio,spike,theta,multiplicity,verdict,rho,tau,"
         "eigenvalue_mean,eigenvalue_stderr,overlap_mean,overlap_stderr,"
         "overlap_sum_mean,overlap_sum_stderr,margin_above,margin_below,leakage,"
         "edge_distance,edge_excess,pass"
