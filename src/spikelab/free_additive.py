@@ -32,7 +32,9 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, SpecError
 from .measure import MERGE_TOL, AtomicMeasure
-from .rootfind import bisect, creep_to_sign, march_to_sign
+# Not called here: a traced run patches these names on every theory module.
+from .rootfind import bisect, creep_to_sign, march_to_sign  # noqa: F401
+from .rootfind import newton
 from .verdicts import SpikeVerdict, SupportIntervals, uncovered
 
 # H'(theta) within this of zero counts as sticking, not an outlier.
@@ -119,59 +121,54 @@ def classify_spike(ctx: AdditiveContext, theta: float, multiplicity: int = 1) ->
 def outlier_set_intervals(ctx: AdditiveContext) -> list[tuple[float, float]]:
     """Maximal open intervals where ``H' > 0``, one or zero per gap of ``nu``.
 
-    The two unbounded gaps always contribute (``H' -> 1`` at infinity).  On a
-    bounded gap ``H'`` is strictly concave, so it is positive on a single
-    subinterval or nowhere; the peak is located through the sign change of
-    ``H''`` and the endpoints by bisection from the blow-up at each atom.
+    ``H'`` is strictly concave on each gap.  On a bounded gap ``(t_l, t_r)`` of length L, its
+    two atoms alone give ``H' <= 1 - sigma2 (w_l^(1/3) + w_r^(1/3))^3 / L^2``: a gap where
+    that is <= 0 is dropped unsolved.  On the rest the peak of ``H'`` is the root of ``H''``,
+    and a gap counts iff ``H'(peak) > BOUNDARY_TOL``; its ends are the roots of ``H'`` on
+    either side.  The unbounded gaps always count (``H' -> 1``), and as ``H' >= 0`` where
+    all atoms are at least sigma away, their ends lie in ``[t_1 - sigma, t_1)`` and ``(t_k,
+    t_k + sigma]``.  Each of the two solves is one bracketed Newton over all gaps.
     """
-    locs = ctx._locs
-    sigma = math.sqrt(ctx.sigma2)
+    t, w, s2 = ctx._locs, ctx._wts, ctx.sigma2
+    sigma = max(math.sqrt(s2), np.spacing(np.abs(t).max()))  # so that t_1 - sigma < t_1
 
-    def hp(u: float) -> float:
-        return 1.0 - ctx.sigma2 * float(np.sum(ctx._wts / (u - locs) ** 2))
+    def hp(u):
+        r = 1.0 / (u[:, None] - t)
+        return 1.0 - s2 * ((r * r) @ w), 2.0 * s2 * ((r * r * r) @ w)
 
-    def hpp(u: float) -> float:
-        return 2.0 * ctx.sigma2 * float(np.sum(ctx._wts / (u - locs) ** 3))
+    def hpp(u):
+        r = 1.0 / (u[:, None] - t)
+        return 2.0 * s2 * ((r * r * r) @ w), -6.0 * s2 * ((r * r * r * r) @ w)
 
-    out: list[tuple[float, float]] = []
+    cube = np.cbrt(w)
+    kept = s2 * (cube[:-1] + cube[1:]) ** 3 < np.diff(t) ** 2
+    tl, tr, cl, cr = t[:-1][kept], t[1:][kept], cube[:-1][kept], cube[1:][kept]
+    # Start at the peak of the two-atom bound, or mid-gap where that rounds onto an atom.
+    start = tl + (tr - tl) * cl / (cl + cr)
+    start = np.where((tl < start) & (start < tr), start, 0.5 * (tl + tr))
+    peak = newton(hpp, start, tl, tr, False, _STEP_RTOL * (np.abs(tl) + np.abs(tr)))
+    up = hp(peak)[0] > BOUNDARY_TOL
+    tl, tr, peak = tl[up], tr[up], peak[up]
 
-    # Left unbounded gap: H' -> 1 far away, -> -inf at the first atom.
-    far = march_to_sign(hp, float(locs[0]), -sigma, 1)
-    near = creep_to_sign(hp, float(locs[0]), far, -1)
-    out.append((-math.inf, bisect(hp, far, near)))
-
-    # Bounded gaps: peak of H' where H'' changes sign (H'' is strictly
-    # decreasing across the gap, +inf to -inf).
-    for tl, tr in zip(locs, locs[1:]):
-        mid = 0.5 * (float(tl) + float(tr))
-        a = creep_to_sign(hpp, float(tl), mid, 1)
-        b = creep_to_sign(hpp, float(tr), mid, -1)
-        u_peak = bisect(hpp, a, b)
-        if hp(u_peak) > BOUNDARY_TOL:
-            left = creep_to_sign(hp, float(tl), u_peak, -1)
-            right = creep_to_sign(hp, float(tr), u_peak, -1)
-            out.append((bisect(hp, left, u_peak), bisect(hp, u_peak, right)))
-
-    # Right unbounded gap, mirror of the left one.
-    far = march_to_sign(hp, float(locs[-1]), sigma, 1)
-    near = creep_to_sign(hp, float(locs[-1]), far, -1)
-    out.append((bisect(hp, near, far), math.inf))
-
-    return out
+    # One root of H' per interval end, in order: beside each peak and in the unbounded gaps.
+    lo = np.concatenate(([t[0] - sigma], np.column_stack((tl, peak)).ravel(), [t[-1]]))
+    hi = np.concatenate(([t[0]], np.column_stack((peak, tr)).ravel(), [t[-1] + sigma]))
+    start = np.concatenate(([lo[0]], np.repeat(peak, 2), [hi[-1]]))
+    rising = np.concatenate(([False], np.tile([True, False], peak.size), [True]))
+    ends = newton(hp, start, lo, hi, rising, _STEP_RTOL * (np.abs(lo) + np.abs(hi)))
+    ends = [-math.inf, *ends.tolist(), math.inf]
+    return list(zip(ends[::2], ends[1::2]))
 
 
 def support(ctx: AdditiveContext) -> SupportIntervals:
     """Support of the deformed limit, as the complement of the H-images.
 
-    H is strictly increasing on each outlier interval and maps it onto a gap
-    of the limiting measure; the support is what remains of the line.
+    H is strictly increasing on each outlier interval and maps it onto a gap of the
+    limiting measure; the support is what remains of the line.  H maps all ends at once.
     """
-    images: list[tuple[float, float]] = []
-    for a, b in outlier_set_intervals(ctx):
-        lo = -math.inf if a == -math.inf else H(ctx, a)
-        hi = math.inf if b == math.inf else H(ctx, b)
-        images.append((lo, hi))
-    return SupportIntervals(tuple(uncovered(images)))
+    ends = np.array(outlier_set_intervals(ctx)).ravel()
+    ends[1:-1] += ctx.sigma2 * np.sum(ctx._wts / (ends[1:-1, None] - ctx._locs), axis=1)
+    return SupportIntervals(tuple(uncovered(ends.reshape(-1, 2).tolist())))
 
 
 def _v_squared(w: np.ndarray, s2: float, d2: np.ndarray) -> np.ndarray:
@@ -214,29 +211,12 @@ def _on_axis(ctx: AdditiveContext, xs: np.ndarray) -> np.ndarray:
     """``omega(x) = u + i v`` on the real axis: the root u of ``psi(u) = x``, then ``v(u)``.
 
     By Cauchy-Schwarz ``|psi(u) - u| <= sigma``, so ``[x - sigma, x + sigma]`` brackets u;
-    Newton runs inside the bracket and bisects where a step would leave it or not halve.
+    bracketed Newton (rootfind.newton) finds it from x.
     """
     sigma = math.sqrt(ctx.sigma2)
-    lo, hi, u = xs - sigma, xs + sigma, xs.copy()
-    last = np.full(xs.shape, 2.0 * sigma)
     settled = _STEP_RTOL * (np.abs(xs) + sigma)
-    active = np.arange(xs.size)
-    for _ in range(_MAX_STEPS):
-        ua = u[active]
-        psi, slope = _psi(ctx, ua)
-        r = psi - xs[active]
-        la = lo[active] = np.where(r < 0.0, ua, lo[active])
-        ha = hi[active] = np.where(r > 0.0, ua, hi[active])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = ua - r / slope
-        slow = ~((la <= newton) & (newton <= ha)) | (2.0 * np.abs(r) > np.abs(last[active] * slope))
-        new = np.where(r == 0.0, ua, np.where(slow, 0.5 * (la + ha), newton))
-        last[active] = np.abs(new - ua)
-        u[active] = new
-        active = active[last[active] > settled[active]]
-        if not active.size:
-            return u + 1j * np.sqrt(_v_squared(ctx._wts, ctx.sigma2, (u[:, None] - ctx._locs) ** 2))
-    raise NumericalError("the bracketed Newton solve of psi(u) = x did not settle")
+    u = newton(lambda u: _psi(ctx, u), xs, xs - sigma, xs + sigma, True, settled, xs)
+    return u + 1j * np.sqrt(_v_squared(ctx._wts, ctx.sigma2, (u[:, None] - ctx._locs) ** 2))
 
 
 def subordination(ctx: AdditiveContext, zs) -> np.ndarray:

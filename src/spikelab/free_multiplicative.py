@@ -149,14 +149,19 @@ def outlier_set_intervals(ctx: MultiplicativeContext) -> list[tuple[float, float
 
 def support(ctx: MultiplicativeContext) -> SupportIntervals:
     """Support of the continuous part: what the images under Z(1/u) of the outlier set of
-    ``(nu~, sigma2~)`` leave uncovered, cut at 0."""
+    ``(nu~, sigma2~)`` leave uncovered, cut at 0.
+
+    All finite endpoints are mapped at once, by ``_rho`` summed as ``u (1 - c m + c u
+    sum_{t>0} w / (u - t))`` with m = 1 - nu({0}): where a lower edge is close to 0, u is
+    small and no term cancels."""
     if ctx._biased is None:
         return SupportIntervals(())
-    images = [
-        (-math.inf if a == -math.inf else _rho(ctx, a), math.inf if b == math.inf else _rho(ctx, b))
-        for a, b in free_additive.outlier_set_intervals(ctx._biased)
-    ]
-    return SupportIntervals(tuple((max(lo, 0.0), hi) for lo, hi in uncovered(images) if hi > 0.0))
+    t, c, m = ctx._biased._locs, ctx.c, 1.0 - ctx.nu.weight_at(0.0)
+    u = np.array(free_additive.outlier_set_intervals(ctx._biased)).ravel()
+    w = ctx._wts[ctx._locs > MERGE_TOL]
+    u[1:-1] *= 1.0 - c * m + c * u[1:-1] * np.sum(w / (u[1:-1, None] - t), axis=1)
+    gaps = uncovered(u.reshape(-1, 2).tolist())
+    return SupportIntervals(tuple((max(lo, 0.0), hi) for lo, hi in gaps if hi > 0.0))
 
 
 def mass_at_zero(ctx: MultiplicativeContext) -> float:

@@ -1,62 +1,77 @@
-"""Bracketed bisection and bracket-hunting helpers.
+"""Root finding: one vectorized bracketed Newton.
 
-Bisection only, no Newton: the per-gap concavity/convexity of the
-classification criteria gives guaranteed brackets, and bisection is
-unconditionally convergent. The two hunting helpers locate bracket
-endpoints next to blow-up boundaries (geometric creep toward an atom)
-and in unbounded gaps (geometric march outward).
+``newton`` solves many monotone problems ``f(u) = y`` at once, each in its own
+bracket: a Newton step where it stays inside the bracket and at least halves the
+previous step, bisection otherwise.  The scalar ``bisect`` is ``newton`` without
+slopes.  It, ``creep_to_sign`` and ``march_to_sign`` (bracket hunting toward a
+blow-up and outward) have no caller in the package; the traced benchmark run still
+wraps them by name.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from .errors import NumericalError
 
 BRACKET_WIDTH = 1e-12
-MAX_BISECT = 200
 MAX_HALVINGS = 200
 MARCH_GROWTH = 2.0
 MAX_MARCH = 200
+MAX_NEWTON = 200
 
 
-def bisect(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    flo: float | None = None,
-    fhi: float | None = None,
-) -> float:
-    """Root of f in [lo, hi] by bisection to bracket width BRACKET_WIDTH.
+def newton(f, x, lo, hi, rising, tol, y=0.0) -> np.ndarray:
+    """Roots of ``f(u) = y`` in the brackets ``[lo, hi]``, elementwise, by bracketed Newton.
 
-    Requires a sign change over the bracket; raises NumericalError
-    otherwise. Hard-capped at MAX_BISECT halvings.
+    ``f`` maps a 1-D array of points to ``(values, slopes)`` and is monotone on each bracket,
+    increasing where ``rising``.  Each problem starts at ``x`` in its closed bracket; later
+    points lie strictly inside, so an end where f blows up is never evaluated.  Each value
+    moves one end of the bracket to its point.  A step that would leave the bracket or not
+    halve the previous one (at first the bracket width) bisects instead.  A problem settles
+    once its step is at most ``tol``; NumericalError after MAX_NEWTON steps.
+    """
+    x, lo0, hi0, tol, y = (np.array(a, dtype=float) for a in np.broadcast_arrays(x, lo, hi, tol, y))
+    sign = np.where(np.broadcast_to(rising, x.shape), 1.0, -1.0)
+    lo, hi, last = lo0.copy(), hi0.copy(), hi0 - lo0
+    active = np.arange(x.size)
+    for _ in range(MAX_NEWTON):
+        if not active.size:
+            return x
+        ua = x[active]
+        value, slope = f(ua)
+        r, slope = sign[active] * (value - y[active]), sign[active] * slope
+        la = lo[active] = np.where(r < 0.0, ua, lo[active])
+        ha = hi[active] = np.where(r > 0.0, ua, hi[active])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = ua - r / slope
+        slow = ~((la <= step) & (step <= ha)) | (2.0 * np.abs(r) > np.abs(last[active] * slope))
+        new = np.where(r == 0.0, ua, np.where(slow, 0.5 * (la + ha), step))
+        new = np.where((lo0[active] < new) & (new < hi0[active]), new, ua)
+        last[active] = np.abs(new - ua)
+        x[active] = new
+        active = active[last[active] > tol[active]]
+    raise NumericalError(f"bracketed Newton did not settle on {active.size} of {x.size} problems")
+
+
+def bisect(f: Callable[[float], float], lo: float, hi: float, *,
+           flo: float | None = None, fhi: float | None = None) -> float:
+    """Root of f in [lo, hi] to bracket width BRACKET_WIDTH: ``newton`` with no slopes.
+
+    Requires a sign change over the bracket; raises NumericalError otherwise.
     """
     if not lo < hi:
         raise NumericalError(f"empty bracket [{lo}, {hi}]")
     flo = f(lo) if flo is None else flo
     fhi = f(hi) if fhi is None else fhi
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
+    if flo == 0.0 or fhi == 0.0:
+        return lo if flo == 0.0 else hi
     if (flo > 0.0) == (fhi > 0.0):
         raise NumericalError(f"no sign change over [{lo}, {hi}]")
-    for _ in range(MAX_BISECT):
-        if hi - lo <= BRACKET_WIDTH:
-            break
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # bracket at float resolution
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return 0.5 * (lo + hi)
+    return float(newton(lambda u: (np.array([f(float(u[0]))]), np.nan),
+                        [0.5 * (lo + hi)], lo, hi, fhi > 0.0, 0.5 * BRACKET_WIDTH)[0])
 
 
 def creep_to_sign(

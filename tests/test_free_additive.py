@@ -140,6 +140,14 @@ class TestOutlierSetIntervals:
         assert ivals[0][1] == pytest.approx(a - sigma, abs=1e-9)
         assert ivals[1][0] == pytest.approx(a + sigma, abs=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    def test_noise_below_float_resolution_never_touches_an_atom(self):
+        # sigma = 1e-17 is below half an ulp of the atoms, so t_1 - sigma rounds to t_1.
+        ivals = outlier_set_intervals(AdditiveContext(TWO_POINT, 1e-34))
+        (_, b1), (a2, b2), (a3, _) = ivals
+        assert b1 == math.nextafter(-1.0, -2.0) and a3 == math.nextafter(1.0, 2.0)
+        assert -1.0 < a2 <= -1.0 + 1e-15 and 1.0 - 1e-15 <= b2 < 1.0
+
     def test_paper_example_three_intervals(self):
         ivals = outlier_set_intervals(PAPER)
         assert len(ivals) == 3

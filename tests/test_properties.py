@@ -4,7 +4,8 @@ Each property runs 100 derandomized examples: monotonicity of the outlier
 location maps, the derivative identity tying Z' to W, the two composition
 identities between the fixed-point transforms and their real inverses,
 the scaled Marchenko-Pastur law of a two-atom nu with an atom at 0, the
-spike values against plain sums, the sign, support and mass of the
+spike values against plain sums, the outlier set of nu with up to 30 atoms
+against a per-gap scan and bisection, the sign, support and mass of the
 limiting density in both families, the Weyl perturbation bound on sampled
 additive models, and the Pythagoras bound on per-vector eigenvector
 overlaps.
@@ -25,6 +26,7 @@ from spikelab.ensemble import (
     sample_wigner,
 )
 from spikelab.free_additive import (
+    BOUNDARY_TOL,
     AdditiveContext,
     H,
     H_prime,
@@ -319,3 +321,69 @@ def test_density_is_positive_exactly_on_the_support_with_unit_mass(data):
     assert np.array_equal((f > 0.0)[away], inside[away])
     assert abs(_mass(mod.density, ctx, support) + at_zero - 1.0) <= 1e-6
 
+
+
+@st.composite
+def many_atom_measures(draw):
+    """Up to 30 atoms on a narrow or a wide spread, weights over three decades."""
+    k = draw(st.integers(1, 30))
+    spread = draw(st.sampled_from((1.0, 20.0, 100.0)))
+    locs = draw(st.lists(st.floats(-spread, spread), min_size=k, max_size=k, unique=True))
+    weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k))
+    total = sum(weights)
+    return AtomicMeasure(tuple((t, w / total) for t, w in zip(locs, weights)))
+
+
+def _bisect_to_resolution(f, a, b, sign_at_a):
+    """Plain bisection of f between a and b, never evaluating either end."""
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break
+        if np.sign(f(mid)) == sign_at_a:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+def _scanned_intervals(t, w, sigma2):
+    """Outlier intervals gap by gap: H' scanned on a dense grid, ends bisected.
+
+    Also returns, per bounded gap, whether the scan saw H' > BOUNDARY_TOL.
+    """
+
+    def hp(u):
+        return 1.0 - sigma2 * np.sum(w / (u - t) ** 2)
+
+    def hpp(u):
+        return np.sum(w / (u - t) ** 3)
+
+    sigma = math.sqrt(sigma2)
+    out = [(-math.inf, _bisect_to_resolution(hp, t[0] - 2.0 * sigma, t[0], 1.0))]
+    seen = []
+    grid = np.linspace(0.0, 1.0, 2001)[1:-1]
+    for tl, tr in zip(t, t[1:]):
+        u = tl + (tr - tl) * grid
+        scan = 1.0 - sigma2 * np.sum(w / (u[:, None] - t) ** 2, axis=1)
+        seen.append(bool(np.max(scan) > BOUNDARY_TOL))
+        peak = _bisect_to_resolution(hpp, tl, tr, 1.0)
+        if max(hp(peak), np.max(scan)) > BOUNDARY_TOL:
+            out.append((_bisect_to_resolution(hp, tl, peak, -1.0), _bisect_to_resolution(hp, peak, tr, 1.0)))
+    out.append((_bisect_to_resolution(hp, t[-1], t[-1] + 2.0 * sigma, -1.0), math.inf))
+    return out, seen
+
+
+@settings(COMMON, max_examples=60)
+@given(nu=many_atom_measures(), log_sigma2=st.floats(-4.0, 2.0))
+def test_outlier_set_matches_a_per_gap_scan(nu, log_sigma2):
+    ctx = AdditiveContext(nu, 10.0**log_sigma2)
+    t, w = nu.locations, nu.weights
+    got = additive_intervals(ctx)
+    want, seen = _scanned_intervals(t, w, ctx.sigma2)
+    assert len(got) == len(want)
+    ends = np.array(got)[np.isfinite(got)]
+    assert np.max(np.abs(ends - np.array(want)[np.isfinite(want)])) <= 1e-11
+    # A gap where the scan saw H' > BOUNDARY_TOL is never dropped.
+    kept = [any(tl < a < tr for a, _ in got) for tl, tr in zip(t, t[1:])]
+    assert all(k for k, s in zip(kept, seen) if s)

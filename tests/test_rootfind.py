@@ -1,11 +1,89 @@
-"""Tests for the bracketed bisection helpers."""
+"""Tests for the bracketed Newton solver and the scalar bisection helpers."""
 
 import math
 
+import numpy as np
 import pytest
 
+from spikelab import rootfind
 from spikelab.errors import NumericalError
-from spikelab.rootfind import bisect, creep_to_sign, march_to_sign
+from spikelab.rootfind import bisect, creep_to_sign, march_to_sign, newton
+
+
+def recording(f, seen):
+    """f, also appending every point it is evaluated at to ``seen``."""
+
+    def wrapped(u):
+        seen.extend(u.tolist())
+        return f(u)
+
+    return wrapped
+
+
+def test_newton_solves_every_bracket_of_an_array():
+    targets = np.array([2.0, 3.0, 10.0, 0.25])
+    roots = newton(lambda u: (u * u, 2.0 * u), [1.0, 1.0, 3.0, 0.5], 0.0, 4.0, True, 1e-15, targets)
+    assert roots.shape == targets.shape
+    assert np.max(np.abs(roots - np.sqrt(targets))) <= 1e-15
+
+
+def test_newton_mixes_rising_and_falling_brackets():
+    # u^2 - 2 rises on [0, 2] and falls on [-2, 0].
+    roots = newton(lambda u: (u * u - 2.0, 2.0 * u), [2.0, -2.0], [0.0, -2.0], [2.0, 0.0], [True, False], 1e-15)
+    assert np.max(np.abs(roots - [math.sqrt(2.0), -math.sqrt(2.0)])) <= 1e-15
+
+
+def test_newton_on_no_problems_evaluates_nothing():
+    def f(u):
+        raise AssertionError("f was evaluated")
+
+    assert newton(f, [], [], [], True, 1e-15).shape == (0,)
+
+
+def test_newton_bisects_when_the_first_step_leaves_the_bracket():
+    # From 5, Newton on atan jumps to about -30.7, far left of the bracket.
+    seen = []
+    f = recording(lambda u: (np.arctan(u), 1.0 / (1.0 + u * u)), seen)
+    (root,) = newton(f, [5.0], -1.0, 10.0, True, 1e-15)
+    assert abs(root) <= 1e-15
+    assert seen[1] == 2.0  # the midpoint of [-1, 5], not the Newton point
+    assert all(-1.0 <= u <= 10.0 for u in seen)
+
+
+def test_newton_returns_a_root_at_the_start_end_exactly():
+    # delta_0 with sigma2 = 1: H'(u) = 1 - 1/u^2 falls on [-1, 0) from exactly 0 at -1.
+    (root,) = newton(lambda u: (1.0 - 1.0 / (u * u), 2.0 / u**3), [-1.0], -1.0, 0.0, False, 1e-15)
+    assert root == -1.0
+
+
+def test_newton_never_evaluates_an_atom_at_a_bracket_end():
+    # H' of (delta_0 + delta_1)/2 with sigma2 = 0.01 blows up at both atoms.
+    t, w, s2 = np.array([0.0, 1.0]), np.array([0.5, 0.5]), 0.01
+    seen = []
+
+    def hp(u):
+        r = 1.0 / (u[:, None] - t)
+        return 1.0 - s2 * ((r * r) @ w), 2.0 * s2 * ((r * r * r) @ w)
+
+    roots = newton(recording(hp, seen), [0.5, 0.5], [0.0, 0.5], [0.5, 1.0], [True, False], 1e-15)
+    assert np.max(np.abs(hp(roots)[0])) <= 1e-13
+    assert 0.0 not in seen and 1.0 not in seen
+
+
+def test_newton_does_not_bisect_onto_an_atom_at_float_resolution():
+    # No float lies strictly between 1 and its successor, and their midpoint rounds to 1.
+    hi = math.nextafter(1.0, 2.0)
+    seen = []
+    f = recording(lambda u: (np.full(u.shape, 1.0), np.full(u.shape, math.nan)), seen)
+    (root,) = newton(f, [hi], 1.0, hi, True, 0.0)
+    assert root == hi and seen == [hi]
+
+
+def test_newton_raises_when_it_does_not_settle(monkeypatch):
+    monkeypatch.setattr(rootfind, "MAX_NEWTON", 5)
+    with pytest.raises(NumericalError, match="did not settle on 1 of 2"):
+        # Without slopes every step bisects; [0, 1] needs about 50 halvings.
+        newton(lambda u: (u - 1.0 / 3.0, np.full(u.shape, math.nan)), [0.5, 1.0 / 3.0], 0.0, 1.0, True, 1e-15)
 
 
 def test_bisect_sqrt2():
