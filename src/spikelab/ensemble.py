@@ -2,8 +2,9 @@
 
 The perturbation A_N is always diagonal: spike eigenvalues (with multiplicity)
 plus deterministic quantiles of the bulk limit nu, sorted descending.  That
-makes each spike's eigenspace a coordinate subspace, so spike projectors are
-exact index sets and the eigenvector observables reduce to coordinate sums.
+makes each spike's eigenspace a coordinate subspace: rank r is coordinate
+r - 1, so a spike's ranks index its block and the eigenvector observables
+reduce to coordinate sums.  Only this module turns a rank into a coordinate.
 Wishart noise enters only through B B*, so Gaussian entries are drawn as the
 Bartlett factor of B, an N x min(N, p) triangle, rather than B itself.
 A replica computes every eigenvalue of M but only the r eigenvectors at the
@@ -26,6 +27,7 @@ FIELDS = ("real_symmetric", "complex_hermitian")
 
 EIGEN_RESIDUAL_TOL = 1e-7
 GRAM_TOL = 1e-8
+UNIT_SLACK = 1e-8
 
 
 def _is_int(value) -> bool:
@@ -122,48 +124,32 @@ class SpikedModelSpec:
 class EnsembleSample:
     """One diagonalized draw: spectrum plus spike bookkeeping.
 
-    spike_ranks are 1-based positions of each spike among the descending
-    eigenvalues of A_N; spike_projectors are the 0-based coordinate indices
-    spanning Ker(theta_j I - A_N).  eigenvectors is N x r: the vectors at the
-    flattened spike_ranks, in that order (see ``vector``).
+    spike_ranks[j] are the 1-based positions of spike j's copies among the
+    descending eigenvalues of A_N.  They also index its eigenspace
+    Ker(theta_j I - A_N): rank r is coordinate r - 1.  eigenvectors is
+    N x r: the vectors at the flattened spike_ranks, in that order, so
+    spike j's vectors are one slice of columns.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     spike_ranks: tuple[tuple[int, ...], ...]
-    spike_projectors: tuple[tuple[int, ...], ...]
-
-    def vector(self, rank: int) -> np.ndarray:
-        """The eigenvector at 1-based descending ``rank``, one of the spike ranks."""
-        flat = [r for block in self.spike_ranks for r in block]
-        return self.eigenvectors[:, flat.index(rank)]
 
 
 def build_perturbation(spec: SpikedModelSpec):
-    """Diagonal of A_N (descending) plus spike ranks and coordinate projectors."""
+    """Diagonal of A_N (descending) and the 1-based ranks of each spike's copies.
+
+    The ranks of spike j are where the diagonal equals theta_j: the bulk
+    holds atoms of nu, and the spec keeps every spike off them.
+    """
     if spec.N is None:
         raise SpecError("drawing a finite-N sample requires N")
     r = spec.rank
-    bulk = quantile_discretize(spec.nu, spec.N - r) if spec.N > r else np.empty(0)
-    spike_vals = np.concatenate(
-        [np.full(k, t) for t, k in spec.spikes] + [np.empty(0)]
-    ) if spec.spikes else np.empty(0)
-    vals = np.concatenate([spike_vals, np.asarray(bulk, dtype=float)])
-    order = np.argsort(-vals, kind="stable")
-    diag = vals[order]
-    position = np.empty(spec.N, dtype=int)
-    position[order] = np.arange(spec.N)
-
-    ranks = []
-    projectors = []
-    offset = 0
-    for _, k in spec.spikes:
-        coords = position[offset : offset + k]
-        coords = np.sort(coords)
-        ranks.append(tuple(int(i) + 1 for i in coords))
-        projectors.append(tuple(int(i) for i in coords))
-        offset += k
-    return diag, tuple(ranks), tuple(projectors)
+    bulk = quantile_discretize(spec.nu, spec.N - r) if spec.N > r else []
+    vals = np.concatenate([np.full(k, t) for t, k in spec.spikes] + [np.asarray(bulk, dtype=float)])
+    diag = vals[np.argsort(-vals, kind="stable")]
+    ranks = tuple(tuple(int(i) + 1 for i in np.flatnonzero(diag == t)) for t, _ in spec.spikes)
+    return diag, ranks
 
 
 def _draw(entry_law: str, rng: np.random.Generator, size) -> np.ndarray:
@@ -190,22 +176,13 @@ def sample_wigner(N: int, field: str, entry_law: str, rng: np.random.Generator) 
         raise SpecError(f"field must be one of {FIELDS}, got {field!r}")
     if entry_law not in ENTRY_LAWS:
         raise SpecError(f"entry_law must be one of {ENTRY_LAWS}, got {entry_law!r}")
+    complex_field = field == "complex_hermitian"
+    diag = _draw(entry_law, rng, N) * (1.0 if complex_field else math.sqrt(2.0))
     iu = np.triu_indices(N, 1)
-    n_off = iu[0].size
-    if field == "complex_hermitian":
-        diag = _draw(entry_law, rng, N)
-        off = (_draw(entry_law, rng, n_off) + 1j * _draw(entry_law, rng, n_off)) / math.sqrt(2.0)
-        W = np.zeros((N, N), dtype=complex)
-        W[iu] = off
-        W += W.conj().T
-        W[np.diag_indices(N)] = diag
-    else:
-        diag = math.sqrt(2.0) * _draw(entry_law, rng, N)
-        off = _draw(entry_law, rng, n_off)
-        W = np.zeros((N, N), dtype=float)
-        W[iu] = off
-        W += W.T
-        W[np.diag_indices(N)] = diag
+    W = np.zeros((N, N), dtype=complex if complex_field else float)
+    W[iu] = _entries(entry_law, field, rng, iu[0].size)
+    W += W.conj().T
+    W[np.diag_indices(N)] = diag
     return np.divide(W, math.sqrt(N), out=W)
 
 
@@ -313,13 +290,13 @@ def overlaps(sample: EnsembleSample, spike_j: int, spike_l: int):
     """Squared projections of spike-j outlier eigenvectors onto spike-l's eigenspace.
 
     Returns (per_vector, summed) where per_vector[n] = ||P_l xi_n(j)||^2 for
-    the eigenvector at descending rank spike_ranks[j][n].
+    the eigenvector at descending rank spike_ranks[j][n].  P_l keeps the
+    coordinates r - 1 at spike l's ranks r.
     """
-    coords = np.asarray(sample.spike_projectors[spike_l], dtype=int)
-    per = [
-        float(np.sum(np.abs(sample.vector(rank)[coords]) ** 2))
-        for rank in sample.spike_ranks[spike_j]
-    ]
+    start = sum(len(block) for block in sample.spike_ranks[:spike_j])
+    vectors = sample.eigenvectors[:, start : start + len(sample.spike_ranks[spike_j])]
+    coords = [r - 1 for r in sample.spike_ranks[spike_l]]
+    per = [float(np.sum(np.abs(v[coords]) ** 2)) for v in vectors.T]
     return per, float(sum(per))
 
 
@@ -329,10 +306,12 @@ def draw_sample(spec: SpikedModelSpec, rng: np.random.Generator | None = None) -
     The additive noise is sqrt(sigma2) times a unit Wigner matrix, giving
     entry variance sigma2.  With rng=None a fresh deterministic stream is
     derived from spec.seed; verification passes per-replica spawned streams.
+    Raises NumericalError when a returned vector has more than unit mass on
+    the spike coordinates.
     """
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    A, ranks, projectors = build_perturbation(spec)
+    A, ranks = build_perturbation(spec)
     if spec.kind == "additive_wigner":
         noise = sample_wigner(spec.N, spec.field, spec.entry_law, rng)
         noise *= math.sqrt(spec.sigma2)
@@ -340,7 +319,11 @@ def draw_sample(spec: SpikedModelSpec, rng: np.random.Generator | None = None) -
         p = wishart_p(spec.N, spec.c)
         noise = sample_wishart_factor(spec.N, p, spec.field, spec.entry_law, rng)
     M = assemble(spec, A, noise)
-    lam, V = diagonalize(M, [r for block in ranks for r in block])
-    return EnsembleSample(
-        eigenvalues=lam, eigenvectors=V, spike_ranks=ranks, spike_projectors=projectors
-    )
+    flat = [r for block in ranks for r in block]
+    lam, V = diagonalize(M, flat)
+    # Each returned vector is a unit vector, so its overlaps summed over
+    # every spike block, its mass on the spike coordinates, are at most 1.
+    mass = np.sum(np.abs(V[[r - 1 for r in flat]]) ** 2, axis=0)
+    if np.any(mass > 1.0 + UNIT_SLACK):
+        raise NumericalError(f"overlaps of an outlier vector sum to {mass.max()}")
+    return EnsembleSample(eigenvalues=lam, eigenvectors=V, spike_ranks=ranks)

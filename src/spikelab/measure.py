@@ -73,10 +73,10 @@ class AtomicMeasure:
     def weights(self) -> np.ndarray:
         return np.array([w for _, w in self.atoms])
 
-    def weight_at(self, x: float, tol: float = MERGE_TOL) -> float:
-        """Mass of the atom at x, or 0.0 if there is none."""
+    def weight_at(self, x: float) -> float:
+        """Mass of the atom within MERGE_TOL of x, or 0.0 if there is none."""
         for t, w in self.atoms:
-            if abs(t - x) <= tol:
+            if abs(t - x) <= MERGE_TOL:
                 return w
         return 0.0
 

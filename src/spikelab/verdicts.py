@@ -60,8 +60,8 @@ class SupportIntervals:
             out.extend((lo, hi))
         return out
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return any(lo - tol <= x <= hi + tol for lo, hi in self.intervals)
+    def contains(self, x: float) -> bool:
+        return any(lo <= x <= hi for lo, hi in self.intervals)
 
     def distance_to_edge(self, x: float) -> float:
         edges = self.edges()

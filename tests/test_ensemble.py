@@ -139,16 +139,17 @@ class TestSpecValidation:
 
 class TestBuildPerturbation:
     def test_paper_example_small(self):
-        diag, ranks, projs = build_perturbation(paper_spec(N=8))
+        diag, ranks = build_perturbation(paper_spec(N=8))
         assert np.allclose(diag, [2.0, 1.5, 1.0, 1.0, 0.0, -1.0, -1.0, -1.0])
         assert ranks == ((1,), (2,), (5,))
-        assert projs == ((0,), (1,), (4,))
+        for (theta, _), block in zip(paper_spec(N=8).spikes, ranks):
+            assert all(diag[r - 1] == theta for r in block)
 
     def test_zero_bulk(self):
         spec = SpikedModelSpec(
             kind="additive_wigner", nu=DELTA0, spikes=((3.0, 1),), N=6, seed=0, sigma2=1.0
         )
-        diag, ranks, _ = build_perturbation(spec)
+        diag, ranks = build_perturbation(spec)
         assert np.allclose(diag, [3.0, 0, 0, 0, 0, 0])
         assert ranks == ((1,),)
 
@@ -156,13 +157,13 @@ class TestBuildPerturbation:
         spec = SpikedModelSpec(
             kind="additive_wigner", nu=DELTA1, spikes=((5.0, 2),), N=5, seed=0, sigma2=1.0
         )
-        diag, ranks, projs = build_perturbation(spec)
+        diag, ranks = build_perturbation(spec)
         assert np.allclose(diag, [5.0, 5.0, 1.0, 1.0, 1.0])
         assert ranks == ((1, 2),)
-        assert projs == ((0, 1),)
+        assert all(diag[r - 1] == 5.0 for r in ranks[0])
 
     def test_paper_example_full_size(self):
-        diag, ranks, _ = build_perturbation(paper_spec(N=1000))
+        diag, ranks = build_perturbation(paper_spec(N=1000))
         assert ranks == ((1,), (2,), (501,))
         assert int(np.sum(diag == -1.0)) == 499
         assert int(np.sum(diag == 1.0)) == 498
@@ -171,10 +172,10 @@ class TestBuildPerturbation:
         spec = SpikedModelSpec(
             kind="additive_wigner", nu=TWO_POINT, spikes=((-2.0, 1),), N=8, seed=0, sigma2=0.5
         )
-        diag, ranks, projs = build_perturbation(spec)
+        diag, ranks = build_perturbation(spec)
         assert diag[-1] == -2.0
         assert ranks == ((8,),)
-        assert projs == ((7,),)
+        assert all(diag[r - 1] == -2.0 for r in ranks[0])
 
 
 class TestSampleWigner:
@@ -344,14 +345,14 @@ class TestSampleWishart:
 class TestAssemble:
     def test_additive_is_sum(self):
         spec = paper_spec()
-        A, _, _ = build_perturbation(spec)
+        A, _ = build_perturbation(spec)
         X = sample_wigner(8, "complex_hermitian", "gaussian", np.random.default_rng(0))
         M = assemble(spec, A, X)
         assert np.allclose(M, X + np.diag(A))
 
     def test_additive_zero_noise(self):
         spec = paper_spec()
-        A, _, _ = build_perturbation(spec)
+        A, _ = build_perturbation(spec)
         M = assemble(spec, A, np.zeros((8, 8)))
         assert np.allclose(M, np.diag(A))
 
@@ -422,12 +423,12 @@ class TestDiagonalize:
         spec = SpikedModelSpec(
             kind="additive_wigner", nu=DELTA1, spikes=((5.0, 2),), N=6, seed=0, sigma2=1.0
         )
-        A, ranks, projs = build_perturbation(spec)
+        A, ranks = build_perturbation(spec)
         lam, V = diagonalize(np.diag(A), ranks[0])
         assert lam[:2].tolist() == [5.0, 5.0]
         assert np.max(np.abs(V.T @ V - np.eye(2))) < 1e-12
         sample = EnsembleSample(
-            eigenvalues=lam, eigenvectors=V, spike_ranks=ranks, spike_projectors=projs
+            eigenvalues=lam, eigenvectors=V, spike_ranks=ranks
         )
         per, summed = overlaps(sample, 0, 0)
         assert per == pytest.approx([1.0, 1.0], abs=1e-12)
@@ -446,13 +447,22 @@ class TestDiagonalize:
                 field="real_symmetric",
             ),
             paper_spec(N=200, seed=9),
+            SpikedModelSpec(
+                kind="additive_wigner",
+                nu=TWO_POINT,
+                spikes=((4.0, 9), (0.0, 1)),
+                N=200,
+                seed=3,
+                sigma2=0.5,
+                entry_law="rademacher",
+            ),
         ],
-        ids=["wishart_real_gap_pair", "additive_complex"],
+        ids=["wishart_real_gap_pair", "additive_complex", "rademacher_multiplicity_nine"],
     )
     def test_selected_vectors_match_full_eigh(self, spec):
         sample = draw_sample(spec)
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-        A, ranks, projs = build_perturbation(spec)
+        A, ranks = build_perturbation(spec)
         if spec.kind == "additive_wigner":
             noise = math.sqrt(spec.sigma2) * sample_wigner(spec.N, spec.field, spec.entry_law, rng)
         else:
@@ -464,7 +474,6 @@ class TestDiagonalize:
             eigenvalues=lam[::-1],
             eigenvectors=V[:, ::-1][:, [r - 1 for r in flat]],
             spike_ranks=ranks,
-            spike_projectors=projs,
         )
         assert sample.eigenvectors.shape == (spec.N, spec.rank)
         assert np.max(np.abs(sample.eigenvalues - reference.eigenvalues)) < 1e-12
@@ -500,10 +509,10 @@ class TestDiagonalize:
 class TestOverlapsAndDraw:
     def test_noiseless_overlaps_are_kronecker(self):
         spec = paper_spec()
-        A, ranks, projs = build_perturbation(spec)
+        A, ranks = build_perturbation(spec)
         lam, V = diagonalize(np.diag(A).astype(complex), [r for block in ranks for r in block])
         sample = EnsembleSample(
-            eigenvalues=lam, eigenvectors=V, spike_ranks=ranks, spike_projectors=projs
+            eigenvalues=lam, eigenvectors=V, spike_ranks=ranks
         )
         for j in range(3):
             for l in range(3):
@@ -520,9 +529,9 @@ class TestOverlapsAndDraw:
         for l in range(3):
             _, summed = overlaps(sample, j, l)
             total += summed
-        spike_coords = [i for p in sample.spike_projectors for i in p]
+        spike_coords = [r - 1 for block in sample.spike_ranks for r in block]
         bulk = np.setdiff1d(np.arange(60), spike_coords)
-        vec = sample.vector(sample.spike_ranks[j][0])
+        vec = sample.eigenvectors[:, 0]  # the first vector of spike j = 0
         total += float(np.sum(np.abs(vec[bulk]) ** 2))
         assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -565,7 +574,7 @@ class TestOverlapsAndDraw:
 
     def test_weyl_bound(self):
         spec = paper_spec(N=80, seed=17)
-        A, _, _ = build_perturbation(spec)
+        A, _ = build_perturbation(spec)
         rng = np.random.default_rng(np.random.SeedSequence(17))
         X = math.sqrt(spec.sigma2) * sample_wigner(80, "complex_hermitian", "gaussian", rng)
         sample = draw_sample(spec)
@@ -588,7 +597,7 @@ class TestOverlapsAndDraw:
             kind="multiplicative_wishart", nu=AtomicMeasure(((1.0, 0.5), (4.0, 0.5))),
             spikes=((6.0, 1),), N=50, seed=5, c=c,
         )
-        A, _, _ = build_perturbation(spec)
+        A, _ = build_perturbation(spec)
         sample = draw_sample(spec)
         relative = np.abs(sample.eigenvalues / A - 1.0)
         assert np.max(relative) <= 1.5 * (2.0 * math.sqrt(c) + c)

@@ -261,7 +261,7 @@ def sampling_specs(draw):
 @given(spec=additive_specs())
 def test_weyl_bound_on_additive_samples(spec):
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    diag, _, _ = build_perturbation(spec)
+    diag, _ = build_perturbation(spec)
     noise = math.sqrt(spec.sigma2) * sample_wigner(spec.N, spec.field, spec.entry_law, rng)
     M = assemble(spec, diag, noise)
     lam_M = np.linalg.eigvalsh(M)[::-1]

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from spikelab import verify
+from spikelab import ensemble, verify
 from spikelab.ensemble import SpikedModelSpec, draw_sample
 from spikelab.errors import NumericalError, SpecError
 from spikelab.free_multiplicative import MultiplicativeContext, classify_spike, mp_density
@@ -141,6 +141,40 @@ def test_failing_replica_is_named_with_its_spawn_key(monkeypatch):
     # The named spawn key redraws the failing replica's stream alone.
     redrawn = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(2,)))
     assert redrawn.standard_normal(4).tolist() == calls[2].standard_normal(4).tolist()
+
+
+def test_replica_with_more_than_unit_spike_mass_is_named(monkeypatch):
+    # draw_sample checks the mass of each returned vector on the spike
+    # coordinates; the replica's error still names its spawn key.
+    diagonalize = ensemble.diagonalize
+
+    def doubled(M, ranks):
+        lam, V = diagonalize(M, ranks)
+        return lam, 2.0 * V
+
+    monkeypatch.setattr(ensemble, "diagonalize", doubled)
+    with pytest.raises(
+        NumericalError,
+        match=r"replica 0 \(seed 7, spawn_key=\(0,\)\): overlaps of an outlier vector sum to",
+    ):
+        run_paper(40, 1)
+
+
+def test_overlap_mean_and_overlap_sum_mean_are_one_statistic():
+    # Nine copies: numpy's mean of the nine per-vector overlaps sums them
+    # pairwise, so computing the statistic a second way moves its last digits.
+    spec = SpikedModelSpec(
+        kind="additive_wigner",
+        nu=TWO_POINT,
+        spikes=((4.0, 9), (0.0, 1)),
+        N=200,
+        seed=3,
+        sigma2=0.5,
+        entry_law="rademacher",
+    )
+    for outcome in verify.run(spec, 4).spikes:
+        assert outcome.overlap_mean == outcome.overlap_sum_mean
+        assert outcome.overlap_stderr == outcome.overlap_sum_stderr
 
 
 def test_paper_example_accuracy_small_N():
