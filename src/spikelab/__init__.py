@@ -23,7 +23,7 @@ from .measure import AtomicMeasure, moment, quantile_discretize, stieltjes
 from .verdicts import SpikeVerdict, SupportIntervals
 from .verify import SpikeOutcome, VerificationResult
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "AdditiveContext",

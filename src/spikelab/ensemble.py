@@ -8,7 +8,8 @@ reduce to coordinate sums.  Only this module turns a rank into a coordinate.
 Wishart noise enters only through B B*, so Gaussian entries are drawn as the
 Bartlett factor of B, an N x min(N, p) triangle, rather than B itself.
 A replica computes every eigenvalue of M but only the r eigenvectors at the
-spike ranks, by shifted inverse iteration, and checks exactly what it returns.
+spike ranks, from one Householder reduction of M to a real tridiagonal, and
+checks exactly what it returns.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import lapack
 from .errors import NumericalError, SpecError
 from .measure import MERGE_TOL, AtomicMeasure, quantile_discretize
 
@@ -28,6 +30,8 @@ FIELDS = ("real_symmetric", "complex_hermitian")
 EIGEN_RESIDUAL_TOL = 1e-7
 GRAM_TOL = 1e-8
 UNIT_SLACK = 1e-8
+# Rows per block of the Hermitian check: its temporaries are N x this.
+_CHECK_ROWS = 128
 
 
 def _is_int(value) -> bool:
@@ -246,37 +250,38 @@ def assemble(spec: SpikedModelSpec, A: np.ndarray, noise: np.ndarray) -> np.ndar
 def diagonalize(M: np.ndarray, ranks):
     """Descending eigenvalues of a Hermitian M and its eigenvectors at ``ranks``.
 
-    Returns all N eigenvalues, from one LAPACK ``eigvalsh`` call, and an
-    N x len(ranks) array of eigenvectors at the 1-based descending ranks, in
-    the order given.  Each vector is one inverse iteration step from a fixed
-    pseudo-random start: an LU solve with M shifted by its eigenvalue plus 4
-    ulps of (1 + ||M||), so no pivot is exactly zero; one QR then spans any
-    repeated eigenvalue's eigenspace.  Raises NumericalError unless
-    |M - M*| <= 1e-7 (1 + ||M||) entrywise, every returned pair has residual
-    ||Mv - lambda v|| <= 1e-7 (1 + ||M||) and the Gram deviation is <= 1e-8.
+    Returns all N eigenvalues and an N x len(ranks) array of eigenvectors at
+    the 1-based descending ranks, in the order given.  One Householder
+    reduction of M to a real tridiagonal T is the only O(N^3) step: every
+    eigenvalue of T then comes from ?sterf, as in ``np.linalg.eigvalsh``,
+    which it matches bit for bit, and the selected vectors from bisection
+    and inverse iteration on T (see ``lapack``).  Where numpy's library does
+    not export those routines, the pairs come from ``np.linalg.eigh``.
+    Raises NumericalError unless |M - M*| <= 1e-7 (1 + ||M||) entrywise,
+    every returned pair has residual ||Mv - lambda v|| <= 1e-7 (1 + ||M||)
+    and the Gram deviation is <= 1e-8.
     """
     M = np.asarray(M)
     N = M.shape[0]
     index = np.asarray(ranks, dtype=int).reshape(-1) - 1
     if np.unique(index).size != index.size or not np.all((index >= 0) & (index < N)):
         raise SpecError(f"ranks must be distinct integers in [1, {N}], got {ranks!r}")
-    lam = np.linalg.eigvalsh(M)[::-1].copy()
+    # Row blocks of M against column blocks of M*: each pair (i, j) once.
+    asymmetry = 0.0
+    for lo in range(0, N, _CHECK_ROWS):
+        hi = min(N, lo + _CHECK_ROWS)
+        gap = np.abs(M[lo:hi, :hi] - M[:hi, lo:hi].conj().T)
+        asymmetry = max(asymmetry, float(np.max(gap)))
+
+    if lapack.routines() is None:
+        w, vectors = np.linalg.eigh(M)
+        lam, V = w[::-1].copy(), vectors[:, ::-1][:, index]
+    else:
+        lam, V = lapack.eigenpairs(M, index)
     norm = float(max(abs(lam[0]), abs(lam[-1])))
     tol = EIGEN_RESIDUAL_TOL * (1.0 + norm)
-    asymmetry = float(np.max(np.abs(M - M.conj().T)))
     if not asymmetry <= tol:
         raise NumericalError(f"input is not Hermitian: |M - M*| reaches {asymmetry:.3e}")
-
-    shifted = M.astype(np.result_type(M, float))
-    V = np.random.default_rng(0).standard_normal((N, index.size)).astype(shifted.dtype)
-    for col, i in enumerate(index):
-        shifted.flat[:: N + 1] = M.diagonal() - (lam[i] + 4.0 * np.spacing(1.0 + norm))
-        try:
-            V[:, col] = np.linalg.solve(shifted, V[:, col])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"inverse iteration at rank {i + 1} failed: {exc}") from None
-    V = np.linalg.qr(V)[0]
-
     residual = np.linalg.norm(M @ V - V * lam[index], axis=0)
     if not np.all(residual <= tol):
         raise NumericalError(f"eigenpair residual {np.max(residual):.3e} exceeds {tol:.3e}")
@@ -319,6 +324,7 @@ def draw_sample(spec: SpikedModelSpec, rng: np.random.Generator | None = None) -
         p = wishart_p(spec.N, spec.c)
         noise = sample_wishart_factor(spec.N, p, spec.field, spec.entry_law, rng)
     M = assemble(spec, A, noise)
+    del noise  # frees X, or F, before the eigensolve
     flat = [r for block in ranks for r in block]
     lam, V = diagonalize(M, flat)
     # Each returned vector is a unit vector, so its overlaps summed over

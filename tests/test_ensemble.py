@@ -17,6 +17,7 @@ from spikelab.ensemble import (
     sample_wishart_factor,
     wishart_p,
 )
+from spikelab import lapack
 from spikelab.errors import NumericalError, SpecError
 from spikelab.measure import AtomicMeasure
 
@@ -385,6 +386,18 @@ class TestAssemble:
 
 
 class TestDiagonalize:
+    """On the LAPACK path; TestDiagonalizeEighFallback reruns every case on eigh."""
+
+    @pytest.fixture(autouse=True)
+    def solver(self):
+        if lapack.routines() is None:
+            pytest.skip("numpy's LAPACK does not export the partial-eigensolve routines")
+
+    @staticmethod
+    def inject_eigenvalue_error(monkeypatch, error):
+        sterf = lapack.sterf
+        monkeypatch.setattr(lapack, "sterf", lambda d, e: sterf(d, e) + error)
+
     def test_diagonal_matrix(self):
         lam, V = diagonalize(np.diag([3.0, -1.0, 2.0]), [1, 2, 3])
         assert np.allclose(lam, [3.0, 2.0, -1.0])
@@ -485,10 +498,15 @@ class TestDiagonalize:
                 assert summed == pytest.approx(ref_summed, abs=1e-10)
 
     def test_inaccurate_eigenvalue_fails_residual_check(self, monkeypatch):
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: eigvalsh(M) + 1e-3)
+        self.inject_eigenvalue_error(monkeypatch, 1e-3)
         with pytest.raises(NumericalError, match="residual"):
             diagonalize(np.diag([3.0, -1.0, 2.0]), [2])
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_zero_ranks(self, dtype):
+        lam, V = diagonalize(np.diag([3.0, -1.0, 2.0]).astype(dtype), [])
+        assert lam.tolist() == [3.0, 2.0, -1.0]
+        assert V.shape == (3, 0) and V.dtype == dtype
 
     def test_non_hermitian_input_detected(self):
         with pytest.raises(NumericalError):
@@ -504,6 +522,39 @@ class TestDiagonalize:
     def test_bad_ranks_rejected(self, ranks):
         with pytest.raises(SpecError):
             diagonalize(np.eye(2), ranks)
+
+
+class TestDiagonalizeEighFallback(TestDiagonalize):
+    """Every TestDiagonalize case where numpy's LAPACK symbols do not resolve."""
+
+    @pytest.fixture(autouse=True)
+    def solver(self, monkeypatch):
+        monkeypatch.setattr(lapack, "routines", lambda: None)
+
+    @staticmethod
+    def inject_eigenvalue_error(monkeypatch, error):
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: (eigh(M)[0] + error, eigh(M)[1]))
+
+
+@pytest.mark.skipif(lapack.routines() is None, reason="numpy's LAPACK lacks the routines")
+def test_lapack_eigenvalues_match_eigvalsh_bit_for_bit():
+    # Scaling F F^T by sqrt(2) and sqrt(3) rounds M_ij and M_ji differently,
+    # so the two triangles of M differ in their last bits.
+    spec = SpikedModelSpec(
+        kind="multiplicative_wishart", nu=AtomicMeasure(((2.0, 0.5), (3.0, 0.5))),
+        spikes=((6.0, 1),), N=50, seed=0, c=0.5, field="real_symmetric",
+    )
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    A, ranks = build_perturbation(spec)
+    noise = sample_wishart_factor(spec.N, wishart_p(spec.N, spec.c), spec.field, spec.entry_law, rng)
+    M = assemble(spec, A, noise)
+    assert not np.array_equal(M, M.T)
+    reference = np.linalg.eigvalsh(M)[::-1]
+    assert np.array_equal(diagonalize(M, ranks[0])[0], reference)
+    # A C-order copy hands LAPACK the upper triangle: M.T in Fortran order.
+    upper = lapack.sterf(*lapack.tridiagonalize(M.T)[2:])[::-1]
+    assert not np.array_equal(upper, reference)
 
 
 class TestOverlapsAndDraw:
