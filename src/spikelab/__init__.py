@@ -1,11 +1,11 @@
 """spikelab: spiked random-matrix analytics and Monte Carlo verification.
 
-Computes, for additively deformed Wigner and multiplicatively spiked
-sample-covariance models, which spikes of the deformation generate
-outlier eigenvalues, where those outliers land, the limiting squared
-overlap of outlier eigenvectors with the spike eigenspace, the support
-and density of the limiting spectral law, and checks every prediction
-against seeded finite-N simulations.
+For additively deformed Wigner and multiplicatively spiked sample-covariance
+models: which spikes generate outlier eigenvalues, where those outliers land,
+the limiting squared overlap of their eigenvectors with the spike eigenspace,
+and the support and density of the limiting spectral law (free_additive,
+free_multiplicative, on atomic measures from measure), each checked against
+seeded finite-N simulations (ensemble, verify); cli is the command line.
 """
 
 from . import cli, ensemble, free_additive, free_multiplicative, measure, verify
@@ -19,11 +19,11 @@ from .errors import (
 )
 from .free_additive import AdditiveContext
 from .free_multiplicative import MultiplicativeContext
-from .measure import AtomicMeasure, moment, quantile_discretize, stieltjes
+from .measure import AtomicMeasure, quantile_discretize
 from .verdicts import SpikeVerdict, SupportIntervals
 from .verify import SpikeOutcome, VerificationResult
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "AdditiveContext",
@@ -45,9 +45,7 @@ __all__ = [
     "free_additive",
     "free_multiplicative",
     "measure",
-    "moment",
     "quantile_discretize",
-    "stieltjes",
     "verify",
     "__version__",
 ]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -44,6 +45,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise SpecError(f"grid must look like LO:HI:N, got {text!r}") from None
+    if not math.isfinite(hi - lo):  # also catches an HI - LO that overflows
+        raise SpecError(f"grid needs finite LO and HI with a finite HI - LO, got {text!r}")
     if not lo < hi:
         raise SpecError(f"grid needs LO < HI, got {text!r}")
     if n < 2:

@@ -253,19 +253,14 @@ def subordination(ctx: AdditiveContext, zs) -> np.ndarray:
     return omega
 
 
-def subordinated_g(ctx: AdditiveContext, z: complex) -> complex:
-    """Stieltjes transform ``g_nu(omega(z))`` of the deformed limit at ``z`` in the upper half-plane."""
-    z = complex(z)
-    if not z.imag > 0.0:
-        raise DomainError(f"z must lie in the open upper half-plane, got {z!r}")
-    return complex(np.sum(ctx._wts / (subordination(ctx, [z])[0] - ctx._locs)))
-
-
 def _grid(grid, eps: float) -> np.ndarray:
-    """The grid as a flat float array, once eps is checked; both families' densities start here."""
+    """The grid as a flat array of finite floats, once eps is checked; both families start here."""
     if not (math.isfinite(eps) and eps >= 0.0):
         raise SpecError(f"eps must be a finite non-negative number, got {eps!r}")
-    return np.asarray(grid, dtype=float).ravel()
+    xs = np.asarray(grid, dtype=float).ravel()
+    if (bad := np.flatnonzero(~np.isfinite(xs))).size:
+        raise SpecError(f"grid point {bad[0]} is {float(xs[bad[0]])!r}, not a finite number")
+    return xs
 
 
 def density(ctx: AdditiveContext, grid, eps: float = 0.0) -> list[tuple[float, float]]:

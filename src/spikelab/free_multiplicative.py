@@ -69,25 +69,6 @@ class MultiplicativeContext:
         object.__setattr__(self, "_biased", biased)
 
 
-def mp_density(c: float, x: float) -> float:
-    """Marchenko-Pastur density at ``x > 0`` for aspect ratio ``c``.
-
-    Covers only the absolutely continuous part on [(1-sqrt c)^2, (1+sqrt c)^2];
-    the point mass at zero for c > 1 is reported by mass_at_zero.
-    """
-    c = float(c)
-    x = float(x)
-    if not math.isfinite(c) or c <= 0.0:
-        raise SpecError(f"c must be a finite positive number, got {c!r}")
-    if x <= 0.0:
-        raise DomainError(f"mp_density requires x > 0, got {x!r}")
-    lo = (1.0 - math.sqrt(c)) ** 2
-    hi = (1.0 + math.sqrt(c)) ** 2
-    if x < lo or x > hi:
-        return 0.0
-    return math.sqrt(max((x - lo) * (hi - x), 0.0)) / (2.0 * math.pi * c * x)
-
-
 def Z(ctx: MultiplicativeContext, x: float) -> float:
     """Outlier map ``s + H~(1/x)``, that is ``_rho`` at ``u = 1/x``."""
     x = float(x)
@@ -182,19 +163,6 @@ def _g(ctx: MultiplicativeContext, z: np.ndarray) -> np.ndarray:
     if ctx._biased is not None:
         omega = free_additive.subordination(ctx._biased, omega)
     return omega / z * np.sum(ctx._wts / (omega[:, None] - ctx._locs), axis=1)
-
-
-def fixed_point_g(ctx: MultiplicativeContext, z: complex) -> complex:
-    """Stieltjes transform at ``z`` in the upper half-plane."""
-    z = complex(z)
-    if not z.imag > 0.0:
-        raise DomainError(f"z must lie in the open upper half-plane, got {z!r}")
-    return complex(_g(ctx, np.array([z]))[0])
-
-
-def companion_g(ctx: MultiplicativeContext, z: complex) -> complex:
-    """Stieltjes transform (1-c)/z + c*g(z) of the companion p-side spectrum."""
-    return (1.0 - ctx.c) / complex(z) + ctx.c * fixed_point_g(ctx, z)
 
 
 def density(ctx: MultiplicativeContext, grid, eps: float = 0.0) -> list[tuple[float, float]]:

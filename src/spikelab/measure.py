@@ -1,4 +1,4 @@
-"""Atomic probability measures on the real line and their transforms.
+"""Atomic probability measures on the real line.
 
 A measure nu = sum_i w_i delta_{t_i} carries the limiting bulk law of a
 deformation as well as empirical spectral measures. Everything downstream
@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, SpecError
+from .errors import SpecError
 
 # Locations closer than this are considered the same atom; also the
 # tolerance used when testing whether a point sits on the support.
@@ -91,28 +91,6 @@ class AtomicMeasure:
         if not isinstance(data, dict) or "atoms" not in data:
             raise SpecError('a measure spec must be an object with an "atoms" list')
         return cls(data["atoms"])
-
-
-def stieltjes(nu: AtomicMeasure, z: complex) -> complex:
-    """Stieltjes transform g_nu(z) = sum_i w_i / (z - t_i).
-
-    Accepts complex z off the real axis, or real z at positive distance
-    from every atom. For z in the upper half-plane the value lies in the
-    lower half-plane.
-    """
-    zc = complex(z)
-    if zc.imag == 0.0:
-        for t, _ in nu.atoms:
-            if abs(zc.real - t) <= MERGE_TOL:
-                raise DomainError(f"z={zc.real!r} coincides with an atom of the measure")
-    return sum(w / (zc - t) for t, w in nu.atoms)
-
-
-def moment(nu: AtomicMeasure, k: int) -> float:
-    """k-th moment sum_i w_i t_i^k (k a nonnegative integer)."""
-    if k != int(k) or k < 0:
-        raise SpecError("moment order must be a nonnegative integer")
-    return float(sum(w * t ** int(k) for t, w in nu.atoms))
 
 
 def quantile_discretize(nu: AtomicMeasure, m: int) -> list[float]:

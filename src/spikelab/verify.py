@@ -271,46 +271,6 @@ def expected_sticking(spec: SpikedModelSpec) -> frozenset[int]:
     return frozenset(j for j, verdict in enumerate(verdicts) if not verdict.is_outlier)
 
 
-def separation_check(sample: EnsembleSample, spike_j: int, rho: float, delta: float) -> bool:
-    """True when the block at spike_j sits delta-separated around rho.
-
-    Checks that the eigenvalue ranked directly above the block exceeds
-    rho + delta and the one directly below falls under rho - delta, with
-    the conventions lambda_0 = +inf and lambda_{N+1} = -inf at the ends
-    of the spectrum.
-    """
-    lam = sample.eigenvalues
-    ranks = sample.spike_ranks[spike_j]
-    n_prev = ranks[0] - 1
-    above = float(lam[n_prev - 1]) if n_prev >= 1 else math.inf
-    idx_below = n_prev + len(ranks)
-    below = float(lam[idx_below]) if idx_below < lam.size else -math.inf
-    return bool(above > rho + delta and below < rho - delta)
-
-
-def empirical_density(samples, bins):
-    """Bulk spectral histogram pooled over samples, as probability masses.
-
-    The eigenvalues at each sample's spike ranks are removed before
-    binning; the masses are counts divided by the pooled bulk size, so
-    they sum to 1 exactly when every bulk eigenvalue lands inside the
-    bins.  Returns (masses, bin_edges) with np.histogram bin semantics.
-    """
-    pooled = []
-    for sample in samples:
-        lam = np.asarray(sample.eigenvalues, dtype=float)
-        keep = np.ones(lam.size, dtype=bool)
-        for block in sample.spike_ranks:
-            for rank in block:
-                keep[rank - 1] = False
-        pooled.append(lam[keep])
-    flat = np.concatenate(pooled) if pooled else np.empty(0)
-    if flat.size == 0:
-        raise SpecError("no bulk eigenvalues to bin")
-    counts, edges = np.histogram(flat, bins=bins)
-    return counts.astype(float) / flat.size, edges
-
-
 def outcome_passes(outcome: SpikeOutcome) -> bool:
     """Report-level agreement flag at the desk-scale tolerances."""
     if outcome.is_outlier:

@@ -10,6 +10,7 @@ import numpy as np
 
 import test_properties as props
 from conftest import BBP_SPEC, DELTA0, DELTA1, TWO_POINT
+from oracles import mp_density, separation_check
 from spikelab import verify
 from spikelab.ensemble import wishart_p
 from spikelab.free_additive import (
@@ -25,7 +26,6 @@ from spikelab.free_multiplicative import (
     classify_spike as classify_mult,
     density as mult_density,
     mass_at_zero,
-    mp_density,
     support as mult_support,
 )
 
@@ -197,7 +197,7 @@ def test_criterion_8_exact_separation(paper_samples, bbp_samples):
         ("BBP", bbp_samples, 0, bbp_rho),
     )
     rates = {
-        label: np.mean([verify.separation_check(s, j, rho, 0.1) for s in samples])
+        label: np.mean([separation_check(s, j, rho, 0.1) for s in samples])
         for label, samples, j, rho in cases
     }
     ok = all(rate >= 0.9 for rate in rates.values())

@@ -13,13 +13,17 @@ from pathlib import Path
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
-def test_every_bench_patch_point_exists():
+def load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_bench_patch_point_exists():
     missing = [
         f"{module_name}.{attr}"
-        for module_name, attr, _ in spans.PATCHES
+        for module_name, attr, _ in load_spans().PATCHES
         if not callable(getattr(importlib.import_module(module_name), attr, None))
     ]
     assert missing == []

@@ -10,9 +10,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import mp_density
 from spikelab import cli, free_additive, free_multiplicative
 from spikelab.errors import NumericalError
-from spikelab.free_multiplicative import MultiplicativeContext, classify_spike, mp_density, support
+from spikelab.free_multiplicative import MultiplicativeContext, classify_spike, support
 from spikelab.measure import AtomicMeasure
 
 PAPER_MODEL = {
@@ -252,6 +253,17 @@ def test_density_grid_validation(tmp_path):
     assert cli.main(["density", "--spec", path, "--grid", "0:1:1"]) == 2
     assert cli.main(["density", "--spec", path, "--grid", "abc"]) == 2
     assert cli.main(["density", "--spec", path]) == 2  # --grid is required
+
+
+def test_density_rejects_non_finite_grids(tmp_path, capsys):
+    # inf ends, and finite ends whose difference overflows: exit 2 in both formats.
+    path = write_model(tmp_path, SEMICIRCLE_MODEL)
+    for grid in ("-inf:inf:3", "0:inf:3", "-1e308:1e308:3"):
+        for fmt in ("json", "csv"):
+            assert cli.main(["density", "--spec", path, f"--grid={grid}", "--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "grid needs finite LO and HI" in captured.err
 
 
 def test_density_json_format(tmp_path, capsys):

@@ -1,0 +1,61 @@
+"""Every public function and class in the package has a reason to be there.
+
+A public top-level ``def`` or ``class`` in ``src/spikelab`` must be used
+somewhere in the package outside its own definition (``__init__``
+re-exports and imports do not count), be named in backticks in the README,
+or be a patch point of the traced benchmark run (``bench/spans.py``
+``PATCHES``).  Anything else only serves the tests, and belongs in them.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+from test_bench_patch_points import load_spans
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "spikelab"
+
+
+def _uses(node: ast.AST, skip) -> set[str]:
+    """Names loaded or attributes read under ``node``, outside the subtrees in ``skip``."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if child in skip:
+            continue
+        if isinstance(child, ast.Name):
+            found.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            found.add(child.attr)
+        found |= _uses(child, skip)
+    return found
+
+
+def test_every_public_definition_is_used_documented_or_patched():
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    }
+    readme = re.findall(r"`([^`]+)`", (ROOT / "README.md").read_text(encoding="utf-8"))
+    exempt = {word for text in readme for word in re.findall(r"[A-Za-z_]\w*", text)}
+    exempt |= {attr for module, attr, _ in load_spans().PATCHES if module.startswith("spikelab.")}
+    public = {
+        node: f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    # A use inside a definition that is itself unused does not count, so repeat to a fixed point.
+    unused: set[ast.AST] = set()
+    while True:
+        found = {
+            node
+            for node in public
+            if node not in unused and node.name not in exempt
+            and not any(node.name in _uses(tree, unused | {node}) for tree in trees.values())
+        }
+        if not found:
+            break
+        unused |= found
+    assert sorted(public[node] for node in unused) == []

