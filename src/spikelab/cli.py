@@ -10,8 +10,9 @@ SpikedModelSpec: spike thetas strictly decreasing, and N, seed, entry_law
 and field checked even by the commands that do not use them.
 
 Exit codes: 0 success, 2 invalid spec or domain, 4 numerical accuracy
-failure (3, once fixed-point non-convergence, is retired).  Output is a
-pure function of the model file bytes, the flags and the seed.
+failure (3, once fixed-point non-convergence, is retired).  On one
+machine, output is a pure function of the model file bytes, the flags and
+the seed.
 """
 
 from __future__ import annotations

@@ -6,10 +6,11 @@ makes each spike's eigenspace a coordinate subspace: rank r is coordinate
 r - 1, so a spike's ranks index its block and the eigenvector observables
 reduce to coordinate sums.  Only this module turns a rank into a coordinate.
 Wishart noise enters only through B B*, so Gaussian entries are drawn as the
-Bartlett factor of B, an N x min(N, p) triangle, rather than B itself.
+upper-triangular N x N Bartlett factor of B rather than B itself.
 A replica computes every eigenvalue of M but only the r eigenvectors at the
 spike ranks, from one Householder reduction of M to a real tridiagonal, and
-checks exactly what it returns.
+checks exactly what it returns.  It draws the noise, assembles M and reduces
+it in one N x N buffer, which a caller drawing many replicas can reuse.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ FIELDS = ("real_symmetric", "complex_hermitian")
 EIGEN_RESIDUAL_TOL = 1e-7
 GRAM_TOL = 1e-8
 UNIT_SLACK = 1e-8
-# Rows per block of the Hermitian check: its temporaries are N x this.
-_CHECK_ROWS = 128
+# Side of the square tiles of the Hermitian check: its temporaries are this squared.
+_CHECK_TILE = 64
 
 
 def _is_int(value) -> bool:
@@ -156,69 +157,115 @@ def build_perturbation(spec: SpikedModelSpec):
     return diag, ranks
 
 
-def _draw(entry_law: str, rng: np.random.Generator, size) -> np.ndarray:
+def _dtype(field: str):
+    return complex if field == "complex_hermitian" else float
+
+
+def workspace(spec: SpikedModelSpec) -> np.ndarray:
+    """An N x N Fortran-ordered array of M's dtype, for ``draw_sample(spec, rng, work)``."""
+    return np.empty((spec.N, spec.N), dtype=_dtype(spec.field), order="F")
+
+
+def _into(out, shape, dtype) -> np.ndarray:
+    """``out``, checked to be a writable Fortran-ordered array of ``shape`` and ``dtype``, or a new one."""
+    if out is None:
+        return np.zeros(shape, dtype=dtype, order="F")
+    if out.shape != shape or out.dtype != dtype or not out.flags.f_contiguous or not out.flags.writeable:
+        raise SpecError(
+            f"the buffer must be a writable Fortran-ordered {np.dtype(dtype)} array of shape {shape}"
+        )
+    return out
+
+
+def _fill(entry_law: str, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Independent unit-variance draws of the law into the contiguous float64 ``out``."""
     if entry_law == "gaussian":
-        return rng.standard_normal(size)
-    return (rng.integers(0, 2, size=size) * 2 - 1).astype(float)
+        rng.standard_normal(out=out)
+    else:
+        np.multiply(rng.integers(0, 2, size=out.shape, dtype=np.int8), 2.0, out=out)
+        out -= 1.0
 
 
-def _entries(entry_law: str, field: str, rng: np.random.Generator, size) -> np.ndarray:
-    """Unit-variance entries of the field: real, or (x + iy)/sqrt(2)."""
+def _fill_entries(entry_law: str, field: str, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Unit-variance entries of the field into the contiguous ``out``: real, or (x + iy)/sqrt(2)."""
+    _fill(entry_law, rng, out.ravel(order="K").view(float))
     if field == "complex_hermitian":
-        return (_draw(entry_law, rng, size) + 1j * _draw(entry_law, rng, size)) / math.sqrt(2.0)
-    return _draw(entry_law, rng, size)
+        out /= math.sqrt(2.0)
 
 
-def sample_wigner(N: int, field: str, entry_law: str, rng: np.random.Generator) -> np.ndarray:
+def _mirror_upper(M: np.ndarray) -> None:
+    """Overwrite the strict lower triangle of M with the conjugate of its strict upper one."""
+    for j in range(M.shape[0] - 1):
+        np.conjugate(M[j, j + 1 :], out=M[j + 1 :, j])
+
+
+def sample_wigner(
+    N: int, field: str, entry_law: str, rng: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
     """Unit-scale Wigner matrix X = W/sqrt(N), semicircle limit on [-2, 2].
 
     Convention: diagonal entries of W have variance 1 (complex case) or 2
     (real case); off-diagonal entries have total variance 1.  Callers scale by
-    sigma to reach variance sigma^2.  W is summed and scaled in place.
+    sigma to reach variance sigma^2.  X is drawn straight into ``out``, an
+    N x N Fortran-ordered array of the field's dtype (a new one by default):
+    the diagonal, then the strict upper triangle one column at a time, which
+    is then mirrored into the lower one, so X is exactly Hermitian.
     """
     if field not in FIELDS:
         raise SpecError(f"field must be one of {FIELDS}, got {field!r}")
     if entry_law not in ENTRY_LAWS:
         raise SpecError(f"entry_law must be one of {ENTRY_LAWS}, got {entry_law!r}")
-    complex_field = field == "complex_hermitian"
-    diag = _draw(entry_law, rng, N) * (1.0 if complex_field else math.sqrt(2.0))
-    iu = np.triu_indices(N, 1)
-    W = np.zeros((N, N), dtype=complex if complex_field else float)
-    W[iu] = _entries(entry_law, field, rng, iu[0].size)
-    W += W.conj().T
-    W[np.diag_indices(N)] = diag
-    return np.divide(W, math.sqrt(N), out=W)
+    X = _into(out, (N, N), _dtype(field))
+    diag = np.empty(N)
+    _fill(entry_law, rng, diag)
+    if field == "real_symmetric":
+        diag *= math.sqrt(2.0)
+    np.fill_diagonal(X, diag)
+    for j in range(1, N):
+        _fill_entries(entry_law, field, rng, X[:j, j])
+    _mirror_upper(X)
+    X /= math.sqrt(N)
+    return X
 
 
 def sample_wishart_factor(
-    N: int, p: int, field: str, entry_law: str, rng: np.random.Generator
+    N: int, p: int, field: str, entry_law: str, rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """A factor F whose F F* has the law of B B*, B N x p with unit-variance entries.
 
-    Rademacher entries return B itself.  Gaussian entries return the N x m
-    Bartlett factor of B, m = min(N, p): the lower-trapezoidal L of B = L Q
-    with Q unitary (Bartlett 1933).  Below its diagonal L holds standard
-    (complex) normals; diagonal entry i < m is sqrt(chi^2_{p-i}) (real) or
-    sqrt(chi^2_{2(p-i)}/2) (complex).  That is N m - m(m - 1)/2 draws in
-    place of N p.
+    F is drawn straight into ``out``, a Fortran-ordered array of the field's
+    dtype (a new one by default).  Rademacher entries give B itself, N x p.
+    Gaussian entries give the upper-triangular N x N Bartlett factor
+    U = J L J of B (Bartlett 1933): B = L Q with Q unitary and L lower
+    trapezoidal, N x m for m = min(N, p), and J reverses the order of rows
+    and columns.  U U* and L L* have the same law.  Column j >= N - m of U
+    holds standard (complex) normals above its diagonal and
+    sqrt(chi^2_{p-i}) (real) or sqrt(chi^2_{2(p-i)}/2) (complex) on it,
+    i = N - 1 - j; the first N - m columns are zero.  That is
+    N m - m(m - 1)/2 draws in place of N p.
     """
     if field not in FIELDS:
         raise SpecError(f"field must be one of {FIELDS}, got {field!r}")
     if entry_law not in ENTRY_LAWS:
         raise SpecError(f"entry_law must be one of {ENTRY_LAWS}, got {entry_law!r}")
     if entry_law == "rademacher":
-        return _entries(entry_law, field, rng, (N, p))
+        B = _into(out, (N, p), _dtype(field))
+        _fill_entries(entry_law, field, rng, B)
+        return B
+    U = _into(out, (N, N), _dtype(field))
     m = min(N, p)
     dof = p - np.arange(m)
     if field == "complex_hermitian":
-        L = np.zeros((N, m), dtype=complex)
-        L.flat[:: m + 1] = np.sqrt(rng.chisquare(2 * dof) / 2.0)
+        chi = np.sqrt(rng.chisquare(2 * dof) / 2.0)
     else:
-        L = np.zeros((N, m))
-        L.flat[:: m + 1] = np.sqrt(rng.chisquare(dof))
-    below = np.tril_indices(N, -1, m)
-    L[below] = _entries(entry_law, field, rng, below[0].size)
-    return L
+        chi = np.sqrt(rng.chisquare(dof))
+    U[:, : N - m] = 0.0
+    for j in range(N - m, N):
+        _fill_entries(entry_law, field, rng, U[:j, j])
+        U[j, j] = chi[N - 1 - j]
+        U[j + 1 :, j] = 0.0
+    return U
 
 
 def wishart_p(N: int, c: float) -> int:
@@ -226,63 +273,110 @@ def wishart_p(N: int, c: float) -> int:
     return max(1, round(N / c))
 
 
-def assemble(spec: SpikedModelSpec, A: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """M = X + A (additive) or A^{1/2} (F F*/p) A^{1/2} (multiplicative).
+def assemble(spec: SpikedModelSpec, A: np.ndarray, noise, out: np.ndarray | None = None) -> np.ndarray:
+    """M = X + A (additive) or A^{1/2} (F F*/p) A^{1/2} (multiplicative), into ``out``.
 
-    ``noise`` is the Wigner matrix X, or a factor F from
-    ``sample_wishart_factor``.  p comes from the spec, not from F, whose
-    Bartlett form has min(N, p) columns.  F F* is scaled in place into M;
-    beside M, only the conjugate of a complex F is allocated.
+    ``noise`` is the Wigner matrix X, or the factor F that
+    ``sample_wishart_factor`` draws for the spec's entry law: the Bartlett
+    factor U (Gaussian), or B (Rademacher), which may also come as an
+    iterable of its column blocks.  p comes from the spec, not from F.  M is
+    written into ``out``, an N x N Fortran-ordered array of the field's
+    dtype (a new one by default), which may be X or U itself.  F F* is
+    formed in its upper triangle, by ?lauum from U or by ?syrk/?herk summed
+    over the blocks of B, scaled, and mirrored into the lower one, so M is
+    exactly Hermitian.
     """
     A = np.asarray(A, dtype=float)
+    N = A.size
+    dtype = _dtype(spec.field)
     if spec.kind == "additive_wigner":
-        return noise + np.diag(A)
+        M = _into(out, (N, N), dtype)
+        if M is not noise:
+            M[...] = noise
+        M.flat[:: N + 1] += A
+        return M
     if np.any(A < 0.0):
         raise SpecError("multiplicative perturbation requires a nonnegative diagonal")
+    fast = lapack.routines() is not None
+    M = _into(out, (N, N), dtype)
+    if spec.entry_law == "gaussian":
+        if M is not noise:
+            M[...] = noise
+        if fast:
+            lapack.upper_product(M)
+        else:
+            U = np.triu(M)
+            M[...] = U @ U.conj().T
+    else:
+        M.fill(0.0)
+        for B in [noise] if isinstance(noise, np.ndarray) else noise:
+            B = np.asfortranarray(B, dtype=dtype)
+            if fast:
+                lapack.add_gram(M, B)
+            else:
+                M += B @ B.conj().T
     root = np.sqrt(A)
-    inner = noise @ noise.conj().T
-    inner /= wishart_p(spec.N, spec.c)
-    inner *= root[:, None]
-    inner *= root
-    return inner
+    M /= wishart_p(spec.N, spec.c)
+    M *= root[:, None]
+    M *= root
+    _mirror_upper(M)
+    return M
 
 
-def diagonalize(M: np.ndarray, ranks):
+def _asymmetry(M: np.ndarray) -> float:
+    """max |M - M*| entrywise, one pair of square tiles at a time."""
+    N = M.shape[0]
+    worst = 0.0
+    for lo in range(0, N, _CHECK_TILE):
+        hi = min(N, lo + _CHECK_TILE)
+        for left in range(0, hi, _CHECK_TILE):
+            right = min(N, left + _CHECK_TILE)
+            gap = np.abs(M[lo:hi, left:right] - M[left:right, lo:hi].conj().T)
+            worst = max(worst, float(np.max(gap)))
+    return worst
+
+
+def diagonalize(M: np.ndarray, ranks, overwrite: bool = False):
     """Descending eigenvalues of a Hermitian M and its eigenvectors at ``ranks``.
 
     Returns all N eigenvalues and an N x len(ranks) array of eigenvectors at
     the 1-based descending ranks, in the order given.  One Householder
-    reduction of M to a real tridiagonal T is the only O(N^3) step: every
-    eigenvalue of T then comes from ?sterf, as in ``np.linalg.eigvalsh``,
-    which it matches bit for bit, and the selected vectors from bisection
-    and inverse iteration on T (see ``lapack``).  Where numpy's library does
-    not export those routines, the pairs come from ``np.linalg.eigh``.
-    Raises NumericalError unless |M - M*| <= 1e-7 (1 + ||M||) entrywise,
-    every returned pair has residual ||Mv - lambda v|| <= 1e-7 (1 + ||M||)
-    and the Gram deviation is <= 1e-8.
+    reduction of M's lower triangle to a real tridiagonal T is the only
+    O(N^3) step: every eigenvalue of T then comes from ?sterf, as in
+    ``np.linalg.eigvalsh``, which it matches bit for bit, and the selected
+    vectors from bisection and inverse iteration on T (see ``lapack``).
+    Where numpy's library does not export those routines, the pairs come
+    from ``np.linalg.eigh``.  Raises NumericalError unless
+    |M - M*| <= 1e-7 (1 + ||M||) entrywise, every returned pair has residual
+    ||Mv - lambda v|| <= 1e-7 (1 + ||M||) and the Gram deviation is <= 1e-8.
+
+    M is never modified, unless ``overwrite`` is set and M is an N x N
+    Fortran-ordered float64 or complex128 array: the reduction then runs in
+    M itself, whose diagonal and strict upper triangle still hold M on
+    return, and the residual is taken against them.  A replica reduces its
+    one N x N buffer this way.
     """
     M = np.asarray(M)
     N = M.shape[0]
     index = np.asarray(ranks, dtype=int).reshape(-1) - 1
     if np.unique(index).size != index.size or not np.all((index >= 0) & (index < N)):
         raise SpecError(f"ranks must be distinct integers in [1, {N}], got {ranks!r}")
-    # Row blocks of M against column blocks of M*: each pair (i, j) once.
-    asymmetry = 0.0
-    for lo in range(0, N, _CHECK_ROWS):
-        hi = min(N, lo + _CHECK_ROWS)
-        gap = np.abs(M[lo:hi, :hi] - M[:hi, lo:hi].conj().T)
-        asymmetry = max(asymmetry, float(np.max(gap)))
+    asymmetry = _asymmetry(M)
 
     if lapack.routines() is None:
         w, vectors = np.linalg.eigh(M)
         lam, V = w[::-1].copy(), vectors[:, ::-1][:, index]
+        MV = M @ V
     else:
-        lam, V = lapack.eigenpairs(M, index)
+        dtype = np.result_type(M, float)
+        a = np.asarray(M, dtype, order="F") if overwrite else np.array(M, dtype, order="F")
+        lam, V = lapack.eigenpairs(a, index)
+        MV = lapack.upper_times(a, V)
     norm = float(max(abs(lam[0]), abs(lam[-1])))
     tol = EIGEN_RESIDUAL_TOL * (1.0 + norm)
     if not asymmetry <= tol:
         raise NumericalError(f"input is not Hermitian: |M - M*| reaches {asymmetry:.3e}")
-    residual = np.linalg.norm(M @ V - V * lam[index], axis=0)
+    residual = np.linalg.norm(MV - V * lam[index], axis=0)
     if not np.all(residual <= tol):
         raise NumericalError(f"eigenpair residual {np.max(residual):.3e} exceeds {tol:.3e}")
     gram = np.abs(V.conj().T @ V - np.eye(index.size))
@@ -305,28 +399,42 @@ def overlaps(sample: EnsembleSample, spike_j: int, spike_l: int):
     return per, float(sum(per))
 
 
-def draw_sample(spec: SpikedModelSpec, rng: np.random.Generator | None = None) -> EnsembleSample:
+def draw_sample(
+    spec: SpikedModelSpec, rng: np.random.Generator | None = None, work: np.ndarray | None = None
+) -> EnsembleSample:
     """Build A_N, draw the noise, assemble and diagonalize one replica.
 
     The additive noise is sqrt(sigma2) times a unit Wigner matrix, giving
     entry variance sigma2.  With rng=None a fresh deterministic stream is
     derived from spec.seed; verification passes per-replica spawned streams.
-    Raises NumericalError when a returned vector has more than unit mass on
-    the spike coordinates.
+    The noise is drawn, M assembled and reduced in one N x N buffer,
+    ``work`` (see ``workspace``; a new one by default), whose contents are
+    overwritten.  Rademacher Wishart noise adds one N x min(N, p) block of B
+    at a time to it.  Raises NumericalError when a returned vector has more
+    than unit mass on the spike coordinates.
     """
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     A, ranks = build_perturbation(spec)
+    M = _into(work, (spec.N, spec.N), _dtype(spec.field))
     if spec.kind == "additive_wigner":
-        noise = sample_wigner(spec.N, spec.field, spec.entry_law, rng)
+        noise = sample_wigner(spec.N, spec.field, spec.entry_law, rng, out=M)
         noise *= math.sqrt(spec.sigma2)
-    else:
+    elif spec.entry_law == "gaussian":
         p = wishart_p(spec.N, spec.c)
-        noise = sample_wishart_factor(spec.N, p, spec.field, spec.entry_law, rng)
-    M = assemble(spec, A, noise)
-    del noise  # frees X, or F, before the eigensolve
+        noise = sample_wishart_factor(spec.N, p, spec.field, spec.entry_law, rng, out=M)
+    else:
+        # B, N columns at a time, each block drawn into `columns` once the
+        # previous one has been added to M.
+        p = wishart_p(spec.N, spec.c)
+        columns = np.empty((spec.N, min(spec.N, p)), dtype=M.dtype, order="F")
+        noise = (
+            sample_wishart_factor(spec.N, w, spec.field, spec.entry_law, rng, out=columns[:, :w])
+            for w in [min(spec.N, p - lo) for lo in range(0, p, spec.N)]
+        )
+    M = assemble(spec, A, noise, out=M)
     flat = [r for block in ranks for r in block]
-    lam, V = diagonalize(M, flat)
+    lam, V = diagonalize(M, flat, overwrite=True)
     # Each returned vector is a unit vector, so its overlaps summed over
     # every spike block, its mass on the spike coordinates, are at most 1.
     mass = np.sum(np.abs(V[[r - 1 for r in flat]]) ** 2, axis=0)

@@ -7,19 +7,31 @@ outlier is read off the theory: for a spike that sticks, the ranked
 eigenvalues are checked against the limiting support edges instead of an
 outlier location.  ``replicas`` holds the seeding rule: replica i is drawn
 from child i of one ``SeedSequence(seed)``, so the result is byte-identical
-from run to run, and a failing replica is named by its index and spawn key
-so that it can be redrawn alone.  ``run`` is ``aggregate`` over ``replicas``.
+from run to run on one machine, and a failing replica is named by its index
+and spawn key so that it can be redrawn alone.  The replicas are drawn on
+one worker thread per usable CPU.  ``run`` is ``aggregate`` over ``replicas``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+from collections import deque
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import free_additive, free_multiplicative
-from .ensemble import UNIT_SLACK, EnsembleSample, SpikedModelSpec, draw_sample, overlaps, wishart_p
+from . import free_additive, free_multiplicative, lapack
+from .ensemble import (
+    UNIT_SLACK,
+    EnsembleSample,
+    SpikedModelSpec,
+    draw_sample,
+    overlaps,
+    wishart_p,
+    workspace,
+)
 from .errors import NumericalError, SpecError
 from .verdicts import SupportIntervals
 
@@ -139,29 +151,87 @@ def _mean_stderr(values) -> tuple[float, float]:
     return mean, float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-def _replica(spec, i, child) -> EnsembleSample:
+def _replica(spec, i, child, work) -> EnsembleSample:
     try:
-        return draw_sample(spec, np.random.default_rng(child))
+        return draw_sample(spec, np.random.default_rng(child), work)
     except NumericalError as exc:
         raise NumericalError(
             f"replica {i} (seed {spec.seed}, spawn_key={child.spawn_key}): {exc}"
         ) from exc
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _drawn(spec, children):
+    """The replicas of ``children``, in order; see ``replicas``."""
+    workers = min(len(children), _usable_cpus())
+    control = lapack.threads()
+    if workers == 1 or control is None or lapack.routines() is None:
+        work = workspace(spec)
+        for i, child in enumerate(children):
+            yield _replica(spec, i, child, work)
+        return
+
+    # At most `workers` replicas are in flight, each holding one buffer, so
+    # a draw always finds one free.  A deque's pop and append are atomic.
+    free = deque(workspace(spec) for _ in range(workers))
+
+    def draw(i, child):
+        work = free.pop()
+        try:
+            return _replica(spec, i, child, work)
+        finally:
+            free.append(work)
+
+    # Imported here, so that the commands that draw no replica never load it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    get_threads, set_threads = control
+    total = get_threads()
+    set_threads(max(1, total // workers))
+    pool = ThreadPoolExecutor(workers)
+    try:
+        jobs = enumerate(children)
+        pending = deque(pool.submit(draw, *job) for job in itertools.islice(jobs, workers))
+        while pending:
+            sample = pending.popleft().result()
+            pending.extend(pool.submit(draw, *job) for job in itertools.islice(jobs, 1))
+            yield sample
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+        set_threads(total)
+
+
 def replicas(spec: SpikedModelSpec, reps: int):
-    """Iterator over the ``reps`` replicas of ``spec``, drawn in order on demand.
+    """Iterator over the ``reps`` replicas of ``spec``, in order.
 
     Replica i is drawn from child i of ``SeedSequence(spec.seed)``.  A
     NumericalError inside replica i is re-raised naming i and the spawn key
     of its child stream: ``SeedSequence(seed, spawn_key=key)`` redraws that
     replica alone.  The arguments are checked before any replica is drawn.
+
+    Replicas are drawn on ``min(reps, usable CPUs)`` worker threads, up to
+    one per worker ahead of the consumer, each in one N x N buffer that the
+    worker reuses.  While they run, OpenBLAS is held at its thread count on
+    entry divided by the number of workers (at least 1), and it is restored
+    once every worker has finished, also when the iterator is closed early.
+    A failing replica ends the iteration: no later replica is yielded.  A
+    lone replica, a single usable CPU (restrict it with ``taskset``), or a
+    LAPACK or OpenBLAS thread control that numpy's library does not export
+    draws the replicas one after another with all of OpenBLAS's threads.
+    The output repeats bit for bit for one ``reps`` on one machine; its last
+    bits depend on the BLAS thread count.
     """
     if not isinstance(spec, SpikedModelSpec):
         raise SpecError("spec must be a SpikedModelSpec")
     if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
         raise SpecError(f"reps must be a positive integer, got {reps!r}")
-    children = np.random.SeedSequence(spec.seed).spawn(reps)
-    return (_replica(spec, i, child) for i, child in enumerate(children))
+    return _drawn(spec, np.random.SeedSequence(spec.seed).spawn(reps))
 
 
 def _rep_record(sample, verdicts, sup):

@@ -1,6 +1,7 @@
 """Finite-N model construction, sampling, and eigen-extraction tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,25 +241,30 @@ def _ks_two_sample(a, b) -> float:
 class TestSampleWishart:
     @pytest.mark.parametrize("field", FIELD_IDS)
     @pytest.mark.parametrize("p", [8, 20, 30])
-    def test_gaussian_factor_is_lower_trapezoidal_and_deterministic(self, field, p):
+    def test_gaussian_factor_is_upper_triangular_and_deterministic(self, field, p):
         N = 20
+        m = min(N, p)
         F = sample_wishart_factor(N, p, field, "gaussian", np.random.default_rng(1))
         F2 = sample_wishart_factor(N, p, field, "gaussian", np.random.default_rng(1))
-        assert F.shape == (N, min(N, p))
+        assert F.shape == (N, N)
         assert F.dtype.kind == ("c" if field == "complex_hermitian" else "f")
         assert np.array_equal(F, F2)
-        assert not np.any(np.triu(F, 1))
-        diag = np.diagonal(F)
+        assert not np.any(np.tril(F, -1))
+        assert not np.any(F[:, : N - m])
+        diag = np.diagonal(F)[N - m :]
         assert np.all(diag.imag == 0.0) and np.all(diag.real > 0.0)
-        # Below the diagonal every entry is drawn, rows past min(N, p) included.
-        assert np.all(F[np.tril_indices(N, -1, F.shape[1])] != 0.0)
+        # Above the diagonal every entry of the last m columns is drawn.
+        rows, cols = np.triu_indices(N, 1)
+        drawn = cols >= N - m
+        assert np.all(F[rows[drawn], cols[drawn]] != 0.0)
 
     @pytest.mark.parametrize("field", FIELD_IDS)
     @pytest.mark.parametrize("p", [8, 20, 30])
     def test_gaussian_factor_entry_moments(self, field, p):
-        # Bartlett: |L_ii|^2 has mean p - i and variance 2(p - i) (real) or
-        # p - i (complex); entries below the diagonal have mean 0 and unit
-        # variance.  Each sum over 400 draws is standardized; |z| <= 4.
+        # Bartlett: |U_jj|^2 has mean p - i and variance 2(p - i) (real) or
+        # p - i (complex), i = N - 1 - j; entries above the diagonal have
+        # mean 0 and unit variance.  Each sum over 400 draws is
+        # standardized; |z| <= 4.
         N, draws = 20, 400
         complex_field = field == "complex_hermitian"
         children = np.random.SeedSequence(7).spawn(draws)
@@ -267,21 +273,22 @@ class TestSampleWishart:
             for child in children
         ])
         m = min(N, p)
-        dof = p - np.arange(m)
-        diag = np.abs(np.diagonal(F, axis1=1, axis2=2)) ** 2
+        dof = p - (N - 1 - np.arange(N - m, N))
+        diag = np.abs(np.diagonal(F, axis1=1, axis2=2)[:, N - m :]) ** 2
         var = dof if complex_field else 2 * dof
         assert abs(np.sum(diag - dof)) <= 4.0 * math.sqrt(draws * np.sum(var))
-        rows, cols = np.tril_indices(N, -1, m)
-        below = F[:, rows, cols].ravel()
-        n = below.size
-        square = np.abs(below) ** 2
+        rows, cols = np.triu_indices(N, 1)
+        drawn = cols >= N - m
+        above = F[:, rows[drawn], cols[drawn]].ravel()
+        n = above.size
+        square = np.abs(above) ** 2
         assert abs(np.sum(square - 1.0)) <= 4.0 * math.sqrt(n * (1.0 if complex_field else 2.0))
-        parts = (below.real, below.imag) if complex_field else (below,)
+        parts = (above.real, above.imag) if complex_field else (above,)
         for part in parts:
             assert abs(np.sum(part)) <= 4.0 * math.sqrt(n / len(parts))
         if complex_field:
             # Real and imaginary parts carry half the variance each.
-            assert abs(np.mean(below.real**2) - 0.5) <= 4.0 * math.sqrt(0.5 / n)
+            assert abs(np.mean(above.real**2) - 0.5) <= 4.0 * math.sqrt(0.5 / n)
 
     @pytest.mark.parametrize("field", FIELD_IDS)
     def test_rademacher_factor_is_b(self, field):
@@ -367,17 +374,21 @@ class TestAssemble:
         assert np.allclose(M, B @ B.conj().T / 4)
 
     def test_multiplicative_divides_by_the_spec_p(self):
-        # The Bartlett factor of an N x 10N matrix B is N x N; M still
-        # carries B B*/p with p = 10 N.
+        # The Bartlett factor of an N x 16N matrix B is N x N; M still
+        # carries B B*/p with p = 16 N.  Integer factor entries, square
+        # diagonal entries and p a power of 2 make every product exact, so
+        # M is pinned bit for bit whatever order its sums are taken in.
         spec = SpikedModelSpec(
-            kind="multiplicative_wishart", nu=DELTA1, spikes=((3.0, 1),), N=4, seed=0, c=0.1
+            kind="multiplicative_wishart", nu=DELTA1, spikes=((3.0, 1),), N=4, seed=0,
+            c=1.0 / 16.0, field="real_symmetric",
         )
-        F = sample_wishart_factor(4, 40, "real_symmetric", "gaussian", np.random.default_rng(0))
+        F = sample_wishart_factor(4, 64, "real_symmetric", "gaussian", np.random.default_rng(0))
         assert F.shape == (4, 4)
-        A = np.array([3.0, 1.0, 1.0, 1.0])
+        F = np.round(4.0 * F)
+        A = np.array([9.0, 1.0, 4.0, 1.0])
         root = np.sqrt(A)
         M = assemble(spec, A, F)
-        assert np.array_equal(M, root[:, None] * (F @ F.T / 40) * root[None, :])
+        assert np.array_equal(M, root[:, None] * (F @ F.T / 64) * root[None, :])
 
     def test_multiplicative_rejects_negative_diagonal(self):
         spec = bbp_spec(N=4)
@@ -518,10 +529,40 @@ class TestDiagonalize:
         with pytest.raises(NumericalError, match="not Hermitian"):
             diagonalize(M, [1])
 
+    def test_non_hermitian_entry_far_from_the_diagonal_detected(self):
+        # The check runs tile by tile; this pair of entries lies in tiles
+        # off the diagonal.
+        M = np.eye(150)
+        M[140, 3] = 1e-3
+        with pytest.raises(NumericalError, match="not Hermitian"):
+            diagonalize(M, [1])
+
     @pytest.mark.parametrize("ranks", [[0], [3], [1, 1]])
     def test_bad_ranks_rejected(self, ranks):
         with pytest.raises(SpecError):
             diagonalize(np.eye(2), ranks)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_never_modifies_its_argument(self, dtype):
+        # A Fortran-ordered M of the working dtype is the one a reduction
+        # could run in without a copy.
+        rng = np.random.default_rng(3)
+        H = rng.standard_normal((30, 30)).astype(dtype)
+        M = np.asfortranarray(H + H.conj().T)
+        before = M.copy()
+        diagonalize(M, [1, 7])
+        assert np.array_equal(M, before)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_overwrite_leaves_the_diagonal_and_upper_triangle(self, dtype):
+        rng = np.random.default_rng(4)
+        H = rng.standard_normal((30, 30)).astype(dtype)
+        M = np.asfortranarray(H + H.conj().T)
+        reference = diagonalize(M, [1, 7])
+        work = M.copy(order="F")
+        lam, V = diagonalize(work, [1, 7], overwrite=True)
+        assert np.array_equal(lam, reference[0]) and np.array_equal(V, reference[1])
+        assert np.array_equal(np.triu(work), np.triu(M))
 
 
 class TestDiagonalizeEighFallback(TestDiagonalize):
@@ -539,22 +580,63 @@ class TestDiagonalizeEighFallback(TestDiagonalize):
 
 @pytest.mark.skipif(lapack.routines() is None, reason="numpy's LAPACK lacks the routines")
 def test_lapack_eigenvalues_match_eigvalsh_bit_for_bit():
-    # Scaling F F^T by sqrt(2) and sqrt(3) rounds M_ij and M_ji differently,
-    # so the two triangles of M differ in their last bits.
+    # assemble mirrors one triangle into the other; scaling F F^T by sqrt(2)
+    # and sqrt(3) on both sides instead rounds M_ij and M_ji differently, so
+    # the two triangles of this M differ in their last bits.
     spec = SpikedModelSpec(
         kind="multiplicative_wishart", nu=AtomicMeasure(((2.0, 0.5), (3.0, 0.5))),
         spikes=((6.0, 1),), N=50, seed=0, c=0.5, field="real_symmetric",
     )
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     A, ranks = build_perturbation(spec)
-    noise = sample_wishart_factor(spec.N, wishart_p(spec.N, spec.c), spec.field, spec.entry_law, rng)
-    M = assemble(spec, A, noise)
+    p = wishart_p(spec.N, spec.c)
+    F = sample_wishart_factor(spec.N, p, spec.field, spec.entry_law, rng)
+    root = np.sqrt(A)
+    M = (F @ F.T / p) * root[:, None] * root[None, :]
     assert not np.array_equal(M, M.T)
     reference = np.linalg.eigvalsh(M)[::-1]
     assert np.array_equal(diagonalize(M, ranks[0])[0], reference)
     # A C-order copy hands LAPACK the upper triangle: M.T in Fortran order.
-    upper = lapack.sterf(*lapack.tridiagonalize(M.T)[2:])[::-1]
+    upper = lapack.sterf(*lapack.tridiagonalize(np.array(M.T, order="F"))[1:])[::-1]
     assert not np.array_equal(upper, reference)
+
+
+@pytest.mark.skipif(lapack.routines() is None, reason="numpy's LAPACK lacks the routines")
+class TestReplicaMemory:
+    """A replica lives in its one N x N buffer: tracemalloc peaks of one draw."""
+
+    @staticmethod
+    def peak(spec):
+        draw_sample(spec)  # first calls resolve symbols and fill caches
+        tracemalloc.start()
+        try:
+            draw_sample(spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("field", FIELD_IDS)
+    @pytest.mark.parametrize("kind", ["additive_wigner", "multiplicative_wishart"])
+    def test_peak_is_within_a_third_of_one_buffer(self, kind, field):
+        N = 400
+        nu = TWO_POINT if kind == "additive_wigner" else AtomicMeasure(((1.0, 0.5), (4.0, 0.5)))
+        spec = SpikedModelSpec(
+            kind=kind, nu=nu, spikes=((6.0, 1), (2.5, 2)), N=N, seed=1, field=field,
+            **({"sigma2": 0.5} if kind == "additive_wigner" else {"c": 0.1}),
+        )
+        itemsize = 16 if field == "complex_hermitian" else 8
+        assert self.peak(spec) <= 1.3 * N * N * itemsize
+
+    @pytest.mark.parametrize("field", FIELD_IDS)
+    def test_rademacher_wishart_does_not_grow_with_p(self, field):
+        # p = 10 N: B itself would take ten buffers.
+        N = 200
+        spec = SpikedModelSpec(
+            kind="multiplicative_wishart", nu=AtomicMeasure(((1.0, 0.5), (4.0, 0.5))),
+            spikes=((6.0, 1),), N=N, seed=1, c=0.1, field=field, entry_law="rademacher",
+        )
+        itemsize = 16 if field == "complex_hermitian" else 8
+        assert self.peak(spec) <= 3.0 * N * N * itemsize
 
 
 class TestOverlapsAndDraw:
@@ -677,3 +759,20 @@ class TestOverlapsAndDraw:
                 )
                 sample = draw_sample(spec)
                 assert sample.eigenvalues.shape == (30,)
+
+    @pytest.mark.parametrize("field", FIELD_IDS)
+    def test_rademacher_wishart_sums_every_column_block_of_b(self, field):
+        # p = 2.5 N: B is drawn as blocks of N, N and N/2 columns.  Drawn at
+        # once from the same stream, B gives the same spectrum.
+        N = 40
+        spec = SpikedModelSpec(
+            kind="multiplicative_wishart", nu=AtomicMeasure(((1.0, 0.5), (4.0, 0.5))),
+            spikes=((6.0, 1),), N=N, seed=3, c=0.4, field=field, entry_law="rademacher",
+        )
+        sample = draw_sample(spec)
+        rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+        B = np.hstack([sample_wishart_factor(N, w, field, "rademacher", rng) for w in (40, 40, 20)])
+        A, _ = build_perturbation(spec)
+        root = np.sqrt(A)
+        reference = np.linalg.eigvalsh(root[:, None] * (B @ B.conj().T / 100) * root[None, :])
+        assert np.max(np.abs(sample.eigenvalues - reference[::-1])) <= 1e-12 * reference[-1]

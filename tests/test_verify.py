@@ -127,21 +127,23 @@ def test_run_equals_aggregating_its_replicas():
 
 
 def test_failing_replica_is_named_with_its_spawn_key(monkeypatch):
-    calls = []
+    # Workers draw replicas in no fixed order, so the failing replica is
+    # picked by the spawn key of its stream, not by the order of the calls.
+    streams = {}
 
-    def failing_third(spec, rng):
-        calls.append(rng)
-        if len(calls) == 3:
+    def failing_third(spec, rng, work=None):
+        key = rng.bit_generator.seed_seq.spawn_key
+        streams[key] = rng
+        if key == (2,):
             raise NumericalError("eigenpair residual 1.000e+00 exceeds 1.000e-07")
-        return draw_sample(spec, rng)
+        return draw_sample(spec, rng, work)
 
     monkeypatch.setattr(verify, "draw_sample", failing_third)
     with pytest.raises(NumericalError, match=r"replica 2 \(seed 5, spawn_key=\(2,\)\): eigenpair"):
         run_paper(60, 4, seed=5)
-    assert len(calls) == 3
     # The named spawn key redraws the failing replica's stream alone.
     redrawn = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(2,)))
-    assert redrawn.standard_normal(4).tolist() == calls[2].standard_normal(4).tolist()
+    assert redrawn.standard_normal(4).tolist() == streams[(2,)].standard_normal(4).tolist()
 
 
 def test_replica_with_more_than_unit_spike_mass_is_named(monkeypatch):
@@ -149,8 +151,8 @@ def test_replica_with_more_than_unit_spike_mass_is_named(monkeypatch):
     # coordinates; the replica's error still names its spawn key.
     diagonalize = ensemble.diagonalize
 
-    def doubled(M, ranks):
-        lam, V = diagonalize(M, ranks)
+    def doubled(M, ranks, **kwargs):
+        lam, V = diagonalize(M, ranks, **kwargs)
         return lam, 2.0 * V
 
     monkeypatch.setattr(ensemble, "diagonalize", doubled)
