@@ -39,6 +39,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_draw(entry_law: str, field: str, **sizes) -> None:
+    """Raise SpecError unless the law and field are known and every size is a positive integer."""
+    if entry_law not in ENTRY_LAWS:
+        raise SpecError(f"entry_law must be one of {ENTRY_LAWS}, got {entry_law!r}")
+    if field not in FIELDS:
+        raise SpecError(f"field must be one of {FIELDS}, got {field!r}")
+    for name, size in sizes.items():
+        if not _is_int(size) or size < 1:
+            raise SpecError(f"{name} must be a positive integer, got {size!r}")
+
+
 @dataclass(frozen=True)
 class SpikedModelSpec:
     """Complete description of one spiked random matrix model.
@@ -63,10 +74,7 @@ class SpikedModelSpec:
             raise SpecError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not isinstance(self.nu, AtomicMeasure):
             raise SpecError("nu must be an AtomicMeasure")
-        if self.entry_law not in ENTRY_LAWS:
-            raise SpecError(f"entry_law must be one of {ENTRY_LAWS}, got {self.entry_law!r}")
-        if self.field not in FIELDS:
-            raise SpecError(f"field must be one of {FIELDS}, got {self.field!r}")
+        _check_draw(self.entry_law, self.field)
         if self.N is not None and (not _is_int(self.N) or self.N < 1):
             raise SpecError(f"N must be a positive integer, got {self.N!r}")
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
@@ -211,10 +219,7 @@ def sample_wigner(
     the diagonal, then the strict upper triangle one column at a time, which
     is then mirrored into the lower one, so X is exactly Hermitian.
     """
-    if field not in FIELDS:
-        raise SpecError(f"field must be one of {FIELDS}, got {field!r}")
-    if entry_law not in ENTRY_LAWS:
-        raise SpecError(f"entry_law must be one of {ENTRY_LAWS}, got {entry_law!r}")
+    _check_draw(entry_law, field, N=N)
     X = _into(out, (N, N), _dtype(field))
     diag = np.empty(N)
     _fill(entry_law, rng, diag)
@@ -245,10 +250,7 @@ def sample_wishart_factor(
     i = N - 1 - j; the first N - m columns are zero.  That is
     N m - m(m - 1)/2 draws in place of N p.
     """
-    if field not in FIELDS:
-        raise SpecError(f"field must be one of {FIELDS}, got {field!r}")
-    if entry_law not in ENTRY_LAWS:
-        raise SpecError(f"entry_law must be one of {ENTRY_LAWS}, got {entry_law!r}")
+    _check_draw(entry_law, field, N=N, p=p)
     if entry_law == "rademacher":
         B = _into(out, (N, p), _dtype(field))
         _fill_entries(entry_law, field, rng, B)
@@ -287,7 +289,9 @@ def assemble(spec: SpikedModelSpec, A: np.ndarray, noise, out: np.ndarray | None
     exactly Hermitian.
     """
     A = np.asarray(A, dtype=float)
-    N = A.size
+    N = spec.N
+    if A.shape != (N,):
+        raise SpecError(f"A must hold the N={N} diagonal entries of A_N, got shape {A.shape}")
     dtype = _dtype(spec.field)
     if spec.kind == "additive_wigner":
         M = _into(out, (N, N), dtype)
@@ -297,24 +301,15 @@ def assemble(spec: SpikedModelSpec, A: np.ndarray, noise, out: np.ndarray | None
         return M
     if np.any(A < 0.0):
         raise SpecError("multiplicative perturbation requires a nonnegative diagonal")
-    fast = lapack.routines() is not None
     M = _into(out, (N, N), dtype)
     if spec.entry_law == "gaussian":
         if M is not noise:
             M[...] = noise
-        if fast:
-            lapack.upper_product(M)
-        else:
-            U = np.triu(M)
-            M[...] = U @ U.conj().T
+        lapack.upper_product(M)
     else:
         M.fill(0.0)
         for B in [noise] if isinstance(noise, np.ndarray) else noise:
-            B = np.asfortranarray(B, dtype=dtype)
-            if fast:
-                lapack.add_gram(M, B)
-            else:
-                M += B @ B.conj().T
+            lapack.add_gram(M, np.asfortranarray(B, dtype=dtype))
     root = np.sqrt(A)
     M /= wishart_p(spec.N, spec.c)
     M *= root[:, None]
@@ -331,8 +326,9 @@ def _asymmetry(M: np.ndarray) -> float:
         hi = min(N, lo + _CHECK_TILE)
         for left in range(0, hi, _CHECK_TILE):
             right = min(N, left + _CHECK_TILE)
-            gap = np.abs(M[lo:hi, left:right] - M[left:right, lo:hi].conj().T)
-            worst = max(worst, float(np.max(gap)))
+            with np.errstate(invalid="ignore"):  # inf - inf: the NaN is the answer
+                gap = np.abs(M[lo:hi, left:right] - M[left:right, lo:hi].conj().T)
+            worst = float(np.maximum(worst, np.max(gap)))  # NaN propagates
     return worst
 
 
@@ -344,11 +340,13 @@ def diagonalize(M: np.ndarray, ranks, overwrite: bool = False):
     reduction of M's lower triangle to a real tridiagonal T is the only
     O(N^3) step: every eigenvalue of T then comes from ?sterf, as in
     ``np.linalg.eigvalsh``, which it matches bit for bit, and the selected
-    vectors from bisection and inverse iteration on T (see ``lapack``).
-    Where numpy's library does not export those routines, the pairs come
-    from ``np.linalg.eigh``.  Raises NumericalError unless
-    |M - M*| <= 1e-7 (1 + ||M||) entrywise, every returned pair has residual
-    ||Mv - lambda v|| <= 1e-7 (1 + ||M||) and the Gram deviation is <= 1e-8.
+    vectors from bisection and inverse iteration on T (see ``lapack``, which
+    takes the pairs from ``np.linalg.eigh`` where numpy's library does not
+    export those routines).  Raises SpecError unless M is N x N, N >= 1, and
+    the ranks are distinct integers in [1, N], and NumericalError unless M
+    is finite, |M - M*| <= 1e-7 (1 + ||M||) entrywise, every returned pair
+    has residual ||Mv - lambda v|| <= 1e-7 (1 + ||M||) and the Gram
+    deviation is <= 1e-8.
 
     M is never modified, unless ``overwrite`` is set and M is an N x N
     Fortran-ordered float64 or complex128 array: the reduction then runs in
@@ -357,23 +355,22 @@ def diagonalize(M: np.ndarray, ranks, overwrite: bool = False):
     one N x N buffer this way.
     """
     M = np.asarray(M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+        raise SpecError(f"M must be an N x N array with N >= 1, got shape {M.shape}")
     N = M.shape[0]
-    index = np.asarray(ranks, dtype=int).reshape(-1) - 1
-    if np.unique(index).size != index.size or not np.all((index >= 0) & (index < N)):
+    index = np.asarray(ranks).reshape(-1)
+    integral = index.size == 0 or index.dtype.kind in "iu"
+    if not integral or np.unique(index).size != index.size or not np.all((index >= 1) & (index <= N)):
         raise SpecError(f"ranks must be distinct integers in [1, {N}], got {ranks!r}")
+    index = index.astype(int) - 1
     asymmetry = _asymmetry(M)
+    if not math.isfinite(asymmetry):
+        raise NumericalError("M is not finite: it holds a NaN or an infinity")
 
-    if lapack.routines() is None:
-        w, vectors = np.linalg.eigh(M)
-        lam, V = w[::-1].copy(), vectors[:, ::-1][:, index]
-        MV = M @ V
-    else:
-        dtype = np.result_type(M, float)
-        a = np.asarray(M, dtype, order="F") if overwrite else np.array(M, dtype, order="F")
-        lam, V = lapack.eigenpairs(a, index)
-        MV = lapack.upper_times(a, V)
-    norm = float(max(abs(lam[0]), abs(lam[-1])))
-    tol = EIGEN_RESIDUAL_TOL * (1.0 + norm)
+    a = (np.asarray if overwrite else np.array)(M, np.result_type(M, float), order="F")
+    lam, V = lapack.eigenpairs(a, index)
+    MV = lapack.upper_times(a, V)
+    tol = EIGEN_RESIDUAL_TOL * (1.0 + float(max(abs(lam[0]), abs(lam[-1]))))
     if not asymmetry <= tol:
         raise NumericalError(f"input is not Hermitian: |M - M*| reaches {asymmetry:.3e}")
     residual = np.linalg.norm(MV - V * lam[index], axis=0)

@@ -15,8 +15,10 @@ scipy-openblas, which exports each LAPACK and BLAS routine with 64-bit
 integers as ``scipy_<name>_64_``, and its thread-count control as
 ``scipy_openblas_{get,set}_num_threads64_``.  The symbols resolve through
 the handle of numpy's own linalg extension, so nothing new is loaded.
-``routines()`` and ``threads()`` are None where they do not resolve; the
-callers then fall back to numpy and to drawing replicas one at a time.
+``routines()`` and ``threads()`` are None where they do not resolve.  Only
+this module asks ``routines()``: without the routines, ``eigenpairs``,
+``upper_product``, ``add_gram`` and ``upper_times`` fall back to
+``np.linalg.eigh`` and numpy products, so their callers take one path.
 """
 
 from __future__ import annotations
@@ -147,22 +149,20 @@ def eigenpairs(a: np.ndarray, index: np.ndarray):
     """Descending eigenvalues of Hermitian M and its eigenvectors at 0-based ``index``.
 
     ``a`` holds M, N x N, Fortran-ordered, float64 or complex128.  It is
-    reduced in place, and its diagonal is put back on return, so that its
-    diagonal and strict upper triangle still hold M.  Positions count from
-    the largest eigenvalue.  Bisection finds the selected eigenvalues, one
-    dstebz call per contiguous run of positions.  One dstein call then
-    computes every selected vector, so that vectors of a cluster are
-    orthogonalized together even when their positions lie in different runs.
+    reduced in place; its diagonal, which ?ormtr/?unmtr do not read, is put
+    back at once, so that its diagonal and strict upper triangle still hold
+    M.  Positions count from the largest eigenvalue.  Bisection finds the
+    selected eigenvalues, one dstebz call per contiguous run of positions.
+    One dstein call then computes every selected vector, so that vectors of
+    a cluster are orthogonalized together even when their positions lie in
+    different runs.
     """
+    if routines() is None:
+        w, vectors = np.linalg.eigh(a)
+        return w[::-1].copy(), vectors[:, ::-1][:, index]
     diagonal = a.diagonal().copy()
-    try:
-        tau, d, e = tridiagonalize(a)
-        return _eigenpairs(a, tau, d, e, index)
-    finally:
-        np.fill_diagonal(a, diagonal)
-
-
-def _eigenpairs(a, tau, d, e, index):
+    tau, d, e = tridiagonalize(a)
+    np.fill_diagonal(a, diagonal)
     n = d.size
     lam = sterf(d, e)[::-1].copy()
     if index.size == 0:
@@ -207,8 +207,11 @@ def upper_product(a: np.ndarray) -> None:
     """Overwrite the upper triangle of ``a`` with U U*, U that upper triangle (?lauum).
 
     ``a`` is N x N, Fortran-ordered, float64 or complex128; its strict
-    lower triangle is neither read nor written.
+    lower triangle is not read, and is left undefined.
     """
+    if routines() is None:
+        a[...] = np.triu(a) @ np.triu(a).conj().T
+        return
     n = a.shape[0]
     name = "zlauum" if np.iscomplexobj(a) else "dlauum"
     _call(name, b"U", n, a, max(1, n))
@@ -218,8 +221,11 @@ def add_gram(c: np.ndarray, b: np.ndarray) -> None:
     """Add b b* to the upper triangle of ``c`` (?syrk/?herk).
 
     ``c`` is N x N and ``b`` N x k, both Fortran-ordered in one dtype,
-    float64 or complex128; the strict lower triangle of ``c`` is untouched.
+    float64 or complex128; the strict lower triangle of ``c`` is left undefined.
     """
+    if routines() is None:
+        c += b @ b.conj().T
+        return
     n, k = b.shape
     name = "zherk" if np.iscomplexobj(c) else "dsyrk"
     _call(name, b"U", b"N", n, k, 1.0, b, max(1, n), 1.0, c, max(1, n))
@@ -230,6 +236,8 @@ def upper_times(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     ``v`` is N x k, Fortran-ordered, in the dtype of ``a``.
     """
+    if routines() is None:
+        return (np.triu(a) + np.triu(a, 1).conj().T) @ v
     n, k = v.shape
     out = np.zeros((n, k), dtype=a.dtype, order="F")
     one, zero = a.dtype.type(1), a.dtype.type(0)

@@ -8,8 +8,8 @@ eigenvalues are checked against the limiting support edges instead of an
 outlier location.  ``replicas`` holds the seeding rule: replica i is drawn
 from child i of one ``SeedSequence(seed)``, so the result is byte-identical
 from run to run on one machine, and a failing replica is named by its index
-and spawn key so that it can be redrawn alone.  The replicas are drawn on
-one worker thread per usable CPU.  ``run`` is ``aggregate`` over ``replicas``.
+and spawn key so that it can be redrawn alone.  A pool of worker threads, one
+per usable CPU, draws every replica.  ``run`` is ``aggregate`` over ``replicas``.
 """
 
 from __future__ import annotations
@@ -169,38 +169,25 @@ def _usable_cpus() -> int:
 
 def _drawn(spec, children):
     """The replicas of ``children``, in order; see ``replicas``."""
-    workers = min(len(children), _usable_cpus())
     control = lapack.threads()
-    if workers == 1 or control is None or lapack.routines() is None:
-        work = workspace(spec)
-        for i, child in enumerate(children):
-            yield _replica(spec, i, child, work)
-        return
-
-    # At most `workers` replicas are in flight, each holding one buffer, so
-    # a draw always finds one free.  A deque's pop and append are atomic.
-    free = deque(workspace(spec) for _ in range(workers))
-
-    def draw(i, child):
-        work = free.pop()
-        try:
-            return _replica(spec, i, child, work)
-        finally:
-            free.append(work)
+    workers = min(len(children), _usable_cpus()) if control else 1
+    get_threads, set_threads = control or (lambda: 1, lambda n: None)
+    # Replica i is submitted once replica i - workers has returned, so no two
+    # replicas in flight share buffers[i % workers].
+    buffers = [workspace(spec) for _ in range(workers)]
+    jobs = ((spec, i, child, buffers[i % workers]) for i, child in enumerate(children))
 
     # Imported here, so that the commands that draw no replica never load it.
     from concurrent.futures import ThreadPoolExecutor
 
-    get_threads, set_threads = control
     total = get_threads()
     set_threads(max(1, total // workers))
     pool = ThreadPoolExecutor(workers)
     try:
-        jobs = enumerate(children)
-        pending = deque(pool.submit(draw, *job) for job in itertools.islice(jobs, workers))
+        pending = deque(pool.submit(_replica, *job) for job in itertools.islice(jobs, workers))
         while pending:
             sample = pending.popleft().result()
-            pending.extend(pool.submit(draw, *job) for job in itertools.islice(jobs, 1))
+            pending.extend(pool.submit(_replica, *job) for job in itertools.islice(jobs, 1))
             yield sample
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
@@ -216,16 +203,16 @@ def replicas(spec: SpikedModelSpec, reps: int):
     replica alone.  The arguments are checked before any replica is drawn.
 
     Replicas are drawn on ``min(reps, usable CPUs)`` worker threads, up to
-    one per worker ahead of the consumer, each in one N x N buffer that the
-    worker reuses.  While they run, OpenBLAS is held at its thread count on
+    one per worker ahead of the consumer; replica i reuses N x N buffer
+    i mod workers.  While they run, OpenBLAS is held at its thread count on
     entry divided by the number of workers (at least 1), and it is restored
     once every worker has finished, also when the iterator is closed early.
     A failing replica ends the iteration: no later replica is yielded.  A
-    lone replica, a single usable CPU (restrict it with ``taskset``), or a
-    LAPACK or OpenBLAS thread control that numpy's library does not export
-    draws the replicas one after another with all of OpenBLAS's threads.
-    The output repeats bit for bit for one ``reps`` on one machine; its last
-    bits depend on the BLAS thread count.
+    lone replica, a single usable CPU (restrict it with ``taskset``), or an
+    OpenBLAS thread control that numpy's library does not export gives one
+    worker, which keeps all of OpenBLAS's threads.  The output repeats bit
+    for bit for one ``reps`` on one machine; its last bits depend on the
+    BLAS thread count.
     """
     if not isinstance(spec, SpikedModelSpec):
         raise SpecError("spec must be a SpikedModelSpec")

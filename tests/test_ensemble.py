@@ -343,6 +343,16 @@ class TestSampleWishart:
         top = np.linalg.eigvalsh(B @ B.conj().T / p)[-1]
         assert abs(top - 4.0) < 0.1
 
+    @pytest.mark.parametrize("entry_law", ["gaussian", "rademacher"])
+    @pytest.mark.parametrize("N, p, bad", [(3, -2, "p"), (3, 0, "p"), (-1, 4, "N"), (3, 2.0, "p")])
+    def test_bad_dimensions_rejected(self, entry_law, N, p, bad):
+        with pytest.raises(SpecError, match=f"^{bad} must be a positive integer"):
+            sample_wishart_factor(N, p, "real_symmetric", entry_law, np.random.default_rng(0))
+
+    def test_wigner_rejects_a_bad_dimension(self):
+        with pytest.raises(SpecError, match="^N must be a positive integer"):
+            sample_wigner(-2, "real_symmetric", "gaussian", np.random.default_rng(0))
+
     def test_p_choice(self):
         assert wishart_p(1000, 1.0) == 1000
         assert wishart_p(1000, 2.0) == 500
@@ -389,6 +399,14 @@ class TestAssemble:
         root = np.sqrt(A)
         M = assemble(spec, A, F)
         assert np.array_equal(M, root[:, None] * (F @ F.T / 64) * root[None, :])
+
+    @pytest.mark.parametrize(
+        "spec", [paper_spec(), bbp_spec(N=8)], ids=["additive", "multiplicative"]
+    )
+    @pytest.mark.parametrize("size", [7, 9])
+    def test_perturbation_of_the_wrong_length_rejected(self, spec, size):
+        with pytest.raises(SpecError, match="^A must hold the N=8 diagonal entries"):
+            assemble(spec, np.ones(size), np.zeros((8, 8)))
 
     def test_multiplicative_rejects_negative_diagonal(self):
         spec = bbp_spec(N=4)
@@ -541,6 +559,46 @@ class TestDiagonalize:
     def test_bad_ranks_rejected(self, ranks):
         with pytest.raises(SpecError):
             diagonalize(np.eye(2), ranks)
+
+    @pytest.mark.parametrize(
+        "M, ranks",
+        [
+            (np.ones((2, 3)), [1]),
+            (np.ones(3), [1]),
+            (np.zeros((0, 0)), []),
+            (np.ones((1, 2, 2)), [1]),
+        ],
+        ids=["not_square", "one_dimensional", "empty", "three_dimensional"],
+    )
+    def test_malformed_matrix_rejected(self, M, ranks):
+        with pytest.raises(SpecError, match="^M must be an N x N array"):
+            diagonalize(M, ranks)
+
+    @pytest.mark.parametrize("ranks", [[1.5], [1.0], [True], [1, None]])
+    def test_ranks_that_are_not_integers_rejected(self, ranks):
+        with pytest.raises(SpecError, match="^ranks must be distinct integers"):
+            diagonalize(np.eye(3), ranks)
+
+    def test_integer_ranks_of_any_integer_type_accepted(self):
+        for ranks in ([2], (2,), range(2, 3), np.array([2], dtype=np.uint8), [np.int32(2)]):
+            lam, V = diagonalize(np.diag([3.0, 2.0, 1.0]), ranks)
+            assert np.allclose(np.abs(V[:, 0]), [0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize(
+        "where, value",
+        [((0, 3), np.nan), ((3, 0), np.nan), ((2, 2), np.inf)],
+        ids=["nan_above", "nan_below", "inf_on_diagonal"],
+    )
+    def test_non_finite_input_named_before_the_reduction(self, monkeypatch, dtype, where, value):
+        def unreached(*args):
+            raise AssertionError("the eigensolve ran on a non-finite M")
+
+        monkeypatch.setattr(lapack, "eigenpairs", unreached)
+        M = np.eye(4, dtype=dtype)
+        M[where] = value
+        with pytest.raises(NumericalError, match="^M is not finite"):
+            diagonalize(M, [1])
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_never_modifies_its_argument(self, dtype):

@@ -59,3 +59,17 @@ def test_every_public_definition_is_used_documented_or_patched():
             break
         unused |= found
     assert sorted(public[node] for node in unused) == []
+
+
+def test_only_lapack_asks_whether_numpy_exports_the_routines():
+    # Every other module calls the lapack entry points, which fall back to
+    # numpy themselves, so the package takes one path either way.
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "routines":
+                    callers.add(path.name)
+    assert callers == {"lapack.py"}

@@ -138,23 +138,25 @@ def test_blas_threads_are_divided_among_workers_then_restored(workers, blas_thre
     seen = []
 
     def recording(spec, rng, work=None):
-        seen.append((blas_threads(), threading.current_thread() is threading.main_thread()))
+        seen.append(blas_threads())
         return draw_sample(spec, rng, work)
 
     monkeypatch.setattr(verify, "draw_sample", recording)
     workers(2)
     assert len(list(verify.replicas(additive(), 4))) == 4
-    assert seen == [(2, False)] * 4
+    assert seen == [2] * 4
     assert blas_threads() == 4
     assert pool_threads() == []
 
-    # A lone replica keeps every thread, and so does a single usable CPU;
-    # either is drawn on the calling thread.
+    # A lone replica keeps every thread, and so does a single usable CPU:
+    # either makes a pool of one worker.
     for reps, cpus in ((1, 3), (3, 1)):
         seen.clear()
         workers(cpus)
         assert len(list(verify.replicas(additive(), reps))) == reps
-        assert seen == [(4, True)] * reps
+        assert seen == [4] * reps
+        assert blas_threads() == 4
+        assert pool_threads() == []
 
 
 def test_closing_early_joins_the_workers_and_restores_blas_threads(workers, blas_threads):
@@ -167,21 +169,45 @@ def test_closing_early_joins_the_workers_and_restores_blas_threads(workers, blas
     assert blas_threads() == 4
 
 
-@pytest.mark.parametrize("missing", ["threads", "routines"])
-def test_without_thread_control_or_lapack_replicas_are_drawn_one_at_a_time(
-    workers, monkeypatch, missing
-):
+def test_without_thread_control_one_worker_draws_every_replica(workers, blas_threads, monkeypatch):
     calls = []
 
     def recording(spec, rng, work=None):
-        calls.append((rng.bit_generator.seed_seq.spawn_key, threading.current_thread()))
+        key = rng.bit_generator.seed_seq.spawn_key
+        calls.append((key, threading.current_thread(), blas_threads()))
         return draw_sample(spec, rng, work)
 
-    monkeypatch.setattr(lapack, missing, lambda: None)
+    monkeypatch.setattr(lapack, "threads", lambda: None)
     monkeypatch.setattr(verify, "draw_sample", recording)
-    samples = list(verify.replicas(additive(), 4))
-    assert len(samples) == 4
-    assert calls == [((i,), threading.main_thread()) for i in range(4)]
+    assert len(list(verify.replicas(additive(), 4))) == 4
+    assert [key for key, _, _ in calls] == [(i,) for i in range(4)]
+    assert len({thread for _, thread, _ in calls}) == 1
+    assert [threads for _, _, threads in calls] == [4] * 4
+    assert blas_threads() == 4
+    assert pool_threads() == []
+
+
+def test_without_lapack_routines_the_pool_matches_the_eigh_fallback(
+    workers, blas_threads, monkeypatch
+):
+    seen = []
+
+    def recording(spec, rng, work=None):
+        seen.append(blas_threads())
+        return draw_sample(spec, rng, work)
+
+    monkeypatch.setattr(lapack, "routines", lambda: None)
+    spec = additive(120)
+    children = np.random.SeedSequence(spec.seed).spawn(4)
+    alone = [draw_sample(spec, np.random.default_rng(child)) for child in children]
+    monkeypatch.setattr(verify, "draw_sample", recording)
+    pooled = list(verify.replicas(spec, 4))
+    assert seen == [1] * 4  # 4 BLAS threads over 3 workers
+    assert blas_threads() == 4
+    for a, b in zip(pooled, alone):
+        assert np.max(np.abs(a.eigenvalues - b.eigenvalues)) <= 1e-12
+        overlap = np.abs(np.sum(a.eigenvectors.conj() * b.eigenvectors, axis=0))
+        assert np.all(np.abs(overlap - 1.0) <= 1e-10)
 
 
 def test_workers_never_share_a_buffer(workers):
