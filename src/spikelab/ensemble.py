@@ -8,9 +8,10 @@ reduce to coordinate sums.  Only this module turns a rank into a coordinate.
 Wishart noise enters only through B B*, so Gaussian entries are drawn as the
 upper-triangular N x N Bartlett factor of B rather than B itself.
 A replica computes every eigenvalue of M but only the r eigenvectors at the
-spike ranks, from one Householder reduction of M to a real tridiagonal, and
-checks exactly what it returns.  It draws the noise, assembles M and reduces
-it in one N x N buffer, which a caller drawing many replicas can reuse.
+spike ranks, from one unitary reduction of M to a band and a real
+tridiagonal, and checks exactly what it returns.  It draws the noise,
+assembles M and reduces it in one N x N buffer, which a caller drawing many
+replicas can reuse.
 """
 
 from __future__ import annotations
@@ -336,13 +337,15 @@ def diagonalize(M: np.ndarray, ranks, overwrite: bool = False):
     """Descending eigenvalues of a Hermitian M and its eigenvectors at ``ranks``.
 
     Returns all N eigenvalues and an N x len(ranks) array of eigenvectors at
-    the 1-based descending ranks, in the order given.  One Householder
-    reduction of M's lower triangle to a real tridiagonal T is the only
-    O(N^3) step: every eigenvalue of T then comes from ?sterf, as in
-    ``np.linalg.eigvalsh``, which it matches bit for bit, and the selected
-    vectors from bisection and inverse iteration on T (see ``lapack``, which
-    takes the pairs from ``np.linalg.eigh`` where numpy's library does not
-    export those routines).  Raises SpecError unless M is N x N, N >= 1, and
+    the 1-based descending ranks, in the order given.  One unitary
+    reduction of M's lower triangle to a Hermitian band B and a real
+    tridiagonal T is the only O(N^3) step: every eigenvalue of T then comes
+    from ?sterf, as in ``np.linalg.eigvalsh`` (bit for bit for a real M, to
+    rounding for a complex one, which takes a two-stage reduction), the
+    selected ones from bisection on T and their vectors from inverse
+    iteration on B (see ``lapack``, which takes the pairs from
+    ``np.linalg.eigh`` where numpy's library does not export those
+    routines).  Raises SpecError unless M is N x N, N >= 1, and
     the ranks are distinct integers in [1, N], and NumericalError unless M
     is finite, |M - M*| <= 1e-7 (1 + ||M||) entrywise, every returned pair
     has residual ||Mv - lambda v|| <= 1e-7 (1 + ||M||) and the Gram

@@ -1,14 +1,20 @@
 """A partial Hermitian eigensolve on the LAPACK that numpy already loaded.
 
 A replica needs every eigenvalue of M but only the eigenvectors at a few
-ranks.  LAPACK does that with one O(N^3) step: the Householder reduction of
-M to a real tridiagonal T (?sytrd/?hetrd).  All eigenvalues of T then come
-from ?sterf, the selected ones from bisection (dstebz), their vectors from
-inverse iteration on T (dstein), and one ?ormtr/?unmtr maps those back.
-Every routine here works in the caller's N x N buffer: the reduction
-overwrites M's lower triangle and leaves its strict upper triangle, so M is
-still there for the residual check (?symm/?hemm), and the Wishart product
-F F* is formed in place by ?lauum or accumulated by ?syrk/?herk.
+ranks.  LAPACK does that with one O(N^3) step: a unitary reduction of M to
+a Hermitian band B of half-bandwidth kd, which then goes down to a real
+tridiagonal T.  A real M is reduced by ?sytrd, so B is T itself (kd = 1).
+A complex M is reduced in two stages (Bischof, Lang & Sun 2000): full to
+band by ?hetrd_he2hb with BLAS-3 kernels, then band to tridiagonal by
+bulge chasing in ?hetrd_hb2st, which keeps no vectors.  All eigenvalues of
+T come from ?sterf and the selected ones from bisection (dstebz); their
+vectors come from inverse iteration on B (?gbtrf, ?gbtrs), and one
+?ormqr/?unmqr over the reflectors below B maps them back to M.  Every
+routine here works in the caller's N x N buffer: the reduction overwrites
+M's lower triangle with B and the reflectors and leaves its strict upper
+triangle, so M is still there for the residual check (?symm/?hemm), and
+the Wishart product F F* is formed in place by ?lauum or accumulated by
+?syrk/?herk.
 
 numpy.linalg wraps only whole eigensolves, but numpy's wheels bundle
 scipy-openblas, which exports each LAPACK and BLAS routine with 64-bit
@@ -33,15 +39,20 @@ from .errors import NumericalError
 # Fortran argument count and how many of the arguments are CHARACTER: gfortran
 # passes each one's length as a hidden argument after all the others.  The
 # LAPACK routines end with INFO, which ``_call`` supplies; the BLAS ones
-# (?syrk, ?herk, ?symm, ?hemm) have none.
+# (?syrk, ?herk, ?symm, ?hemm) and dlarnv have none.
 _SIGNATURES = {
     "dsytrd": (10, 1),
-    "zhetrd": (10, 1),
+    "zhetrd_he2hb": (11, 1),
+    "zhetrd_hb2st": (14, 3),
     "dsterf": (4, 0),
     "dstebz": (18, 2),
-    "dstein": (13, 0),
-    "dormtr": (13, 3),
-    "zunmtr": (13, 3),
+    "dlarnv": (4, 0),
+    "dgbtrf": (8, 0),
+    "zgbtrf": (8, 0),
+    "dgbtrs": (11, 1),
+    "zgbtrs": (11, 1),
+    "dormqr": (13, 2),
+    "zunmqr": (13, 2),
     "dlauum": (5, 1),
     "zlauum": (5, 1),
     "dsyrk": (10, 2),
@@ -49,8 +60,20 @@ _SIGNATURES = {
     "dsymm": (12, 2),
     "zhemm": (12, 2),
 }
+# Half-bandwidth of the band a complex M is reduced to first.  A wider band
+# moves work from ?hetrd_hb2st's sequential bulge chasing into
+# ?hetrd_he2hb's BLAS-3 kernels, but costs memory: at kd = 32 a replica
+# peaked at 1.37 buffers, against 1.21 at 16.
+_KD = 16
 # dstebz's ABSTOL: twice the safe minimum, LAPACK's most accurate setting.
 _ABSTOL = 2.0 * np.finfo(float).tiny
+# Inverse iteration: solves per vector, and the gap, relative to ||M||,
+# below which neighbouring eigenvalues form a cluster whose vectors are
+# orthogonalized against each other.  Both are dstein's: from an eigenvalue
+# found by bisection, its first solve already meets its stopping test, and
+# it then takes two more.
+_SOLVES = 3
+_CLUSTER_GAP = 1e-3
 
 
 @functools.cache
@@ -89,13 +112,15 @@ def threads():
     return get, put
 
 
-def _call(name: str, *args) -> None:
+def _call(name: str, *args, singular_ok: bool = False) -> None:
     """Call a routine with every argument by reference; raise unless INFO is 0.
 
     bytes pass as CHARACTER, an int as INTEGER*8, a float as DOUBLE
     PRECISION, a complex as COMPLEX*16 and an array as its data, which the
     caller has made contiguous in the routine's dtype.  INFO is appended for
     a LAPACK routine.  The arrays stay referenced here until it returns.
+    ``singular_ok`` accepts a positive INFO, by which ?gbtrf reports an
+    exactly zero pivot of a factorization that it has completed.
     """
     nargs, nchars = _SIGNATURES[name]
     info = np.zeros(1, dtype=np.int64)
@@ -109,7 +134,7 @@ def _call(name: str, *args) -> None:
         *(a if isinstance(a, bytes) else a.ctypes.data for a in held),
         *[1] * nchars,
     )
-    if info[0] != 0:
+    if info[0] < 0 or (info[0] > 0 and not singular_ok):
         raise NumericalError(f"LAPACK {name} returned info={int(info[0])}")
 
 
@@ -122,19 +147,39 @@ def _with_workspace(name: str, dtype, *args) -> None:
 
 
 def tridiagonalize(a: np.ndarray):
-    """Householder reduction of the lower triangle of ``a``, in place: (tau, d, e).
+    """Unitary reduction of the lower triangle of ``a`` to a real tridiagonal T, in place: (tau, d, e).
 
     ``a`` is N x N, Fortran-ordered, float64 or complex128.  LAPACK reads
-    its lower triangle, as ``np.linalg.eigvalsh`` does, and overwrites it
-    and the diagonal with the reflectors and T; the strict upper triangle
-    is left as it was.
+    its lower triangle, as ``np.linalg.eigvalsh`` does, and leaves the
+    strict upper triangle as it was.  Q* M Q is a Hermitian band B of
+    half-bandwidth kd, 1 for a real M (B = T, by ?sytrd) and ``_KD`` for a
+    complex one (by ?hetrd_he2hb, whose output band ?hetrd_hb2st then
+    reduces to T).  B's diagonal and first kd subdiagonals overwrite those
+    of ``a``; Q = H(1) ... H(N - kd) is kept in the reflectors below them
+    and their scalars ``tau``, which is zero where ?hetrd_he2hb, at
+    N <= kd + 1, only copies M.
     """
     n = a.shape[0]
     d = np.zeros(n)
     e = np.zeros(max(1, n - 1))
-    tau = np.zeros(max(1, n - 1), dtype=a.dtype)
-    name = "zhetrd" if np.iscomplexobj(a) else "dsytrd"
-    _with_workspace(name, a.dtype, b"L", n, a, max(1, n), d, e, tau)
+    if not np.iscomplexobj(a):
+        tau = np.zeros(max(1, n - 1))
+        _with_workspace("dsytrd", a.dtype, b"L", n, a, max(1, n), d, e, tau)
+        return tau, d, e
+    band = np.zeros((_KD + 1, n), dtype=a.dtype, order="F")
+    tau = np.zeros(max(1, n - _KD), dtype=a.dtype)
+    _with_workspace("zhetrd_he2hb", a.dtype, b"L", n, _KD, a, max(1, n), band, _KD + 1, tau)
+    # ?hetrd_he2hb returns B in ``band`` but leaves other values in the last
+    # subdiagonals of ``a``, which ?unmqr does not read: put B there.
+    j = np.arange(n)
+    for i in range(min(_KD, n - 1) + 1):
+        a[j[i:], j[: n - i]] = band[i, : n - i]
+    # ?hetrd_hb2st overwrites the band; it sizes two workspaces, HOUS and WORK.
+    args = (b"N", b"N", b"L", n, _KD, band, _KD + 1, d, e)
+    hous, work = np.zeros(1, dtype=a.dtype), np.zeros(1, dtype=a.dtype)
+    _call("zhetrd_hb2st", *args, hous, -1, work, -1)
+    hous, work = (np.zeros(max(1, int(q[0].real)), dtype=a.dtype) for q in (hous, work))
+    _call("zhetrd_hb2st", *args, hous, hous.size, work, work.size)
     return tau, d, e
 
 
@@ -145,38 +190,23 @@ def sterf(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     return lam
 
 
-def eigenpairs(a: np.ndarray, index: np.ndarray):
-    """Descending eigenvalues of Hermitian M and its eigenvectors at 0-based ``index``.
+def _bisect(d: np.ndarray, e: np.ndarray, asc: np.ndarray, norm: float) -> np.ndarray:
+    """The eigenvalues of the tridiagonal (d, e) at the ascending 0-based positions ``asc``.
 
-    ``a`` holds M, N x N, Fortran-ordered, float64 or complex128.  It is
-    reduced in place; its diagonal, which ?ormtr/?unmtr do not read, is put
-    back at once, so that its diagonal and strict upper triangle still hold
-    M.  Positions count from the largest eigenvalue.  Bisection finds the
-    selected eigenvalues, one dstebz call per contiguous run of positions.
-    One dstein call then computes every selected vector, so that vectors of
-    a cluster are orthogonalized together even when their positions lie in
-    different runs.
+    One dstebz call per contiguous run of positions.  Its Sturm counts
+    square e, so d and e are first scaled, exactly, by a power of two near
+    1/``norm``: unscaled, at ||T|| = 1e-200 the squares underflow and the
+    counts are those of the diagonal alone.
     """
-    if routines() is None:
-        w, vectors = np.linalg.eigh(a)
-        return w[::-1].copy(), vectors[:, ::-1][:, index]
-    diagonal = a.diagonal().copy()
-    tau, d, e = tridiagonalize(a)
-    np.fill_diagonal(a, diagonal)
     n = d.size
-    lam = sterf(d, e)[::-1].copy()
-    if index.size == 0:
-        return lam, np.zeros((n, 0), dtype=a.dtype)
-
-    asc = np.sort(n - 1 - index)
-    runs = np.split(asc, np.flatnonzero(np.diff(asc) > 1) + 1)
+    scale = np.ldexp(1.0, -np.frexp(norm)[1])
+    d, e = d * scale, e * scale
     counts = np.zeros(2, dtype=np.int64)  # dstebz's M and NSPLIT
     vals = np.zeros(n)
-    iblock = np.zeros(n, dtype=np.int64)
-    isplit = np.zeros(n, dtype=np.int64)  # where T splits: the same on every call
+    iblock, isplit = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     work, iwork = np.zeros(4 * n), np.zeros(3 * n, dtype=np.int64)
-    w, block = [], []
-    for run in runs:
+    w = []
+    for run in np.split(asc, np.flatnonzero(np.diff(asc) > 1) + 1):
         _call(
             "dstebz", b"I", b"B", n, 0.0, 0.0, int(run[0]) + 1, int(run[-1]) + 1, _ABSTOL,
             d, e, counts[:1], counts[1:], vals, iblock, isplit, work, iwork,
@@ -184,22 +214,88 @@ def eigenpairs(a: np.ndarray, index: np.ndarray):
         if counts[0] != run.size:
             raise NumericalError(f"dstebz found {counts[0]} of {run.size} eigenvalues")
         # dstebz orders by split block; within the run, ascending value is position.
-        order = np.argsort(vals[: run.size], kind="stable")
-        w.append(vals[order])
-        block.append(iblock[order])
-    w, block = np.concatenate(w), np.concatenate(block)
-    order = np.lexsort((w, block))  # dstein takes them by block, ascending within it
-    m = order.size
-    z = np.zeros((n, m), order="F")
-    _call(
-        "dstein", n, d, e, m, w[order], block[order], isplit, z, n,
-        np.zeros(5 * n), np.zeros(n, dtype=np.int64), np.zeros(m, dtype=np.int64),
-    )
-    column = np.zeros(n, dtype=np.int64)
-    column[asc[order]] = np.arange(m)
-    V = np.asfortranarray(z[:, column[n - 1 - index]], dtype=a.dtype)
-    name = "zunmtr" if np.iscomplexobj(a) else "dormtr"
-    _with_workspace(name, a.dtype, b"L", b"L", b"N", n, m, a, max(1, n), tau, V, n)
+        w.append(np.sort(vals[: run.size]))
+    return np.concatenate(w) / scale
+
+
+def _band_vectors(a: np.ndarray, diagonal: np.ndarray, kd: int, w: np.ndarray, norm: float):
+    """Eigenvectors, N x len(w), of the Hermitian band B at its ascending eigenvalues ``w``.
+
+    B has the real ``diagonal`` and, below it, the first ``kd`` subdiagonals
+    of ``a``; ``norm`` is ||B|| > 0.  Each vector is _SOLVES steps of inverse
+    iteration with B - w I, factored by ?gbtrf in one buffer that every
+    eigenvalue reuses; an exactly zero pivot becomes eps ||B||.  As in
+    dstein, the starts are dlarnv's uniform (-1, 1) draws from a fixed seed
+    that runs on from vector to vector, so equal eigenvalues get different
+    starts, and after each solve a vector is orthogonalized against those
+    of the lower eigenvalues of its cluster.
+    """
+    n = diagonal.size
+    kd = min(kd, n - 1)
+    lu = np.zeros((3 * kd + 1, n), dtype=a.dtype, order="F")  # rows 0..kd-1 take the fill-in
+    ipiv = np.zeros(n, dtype=np.int64)
+    seed = np.ones(4, dtype=np.int64)
+    start = np.zeros(n)
+    Y = np.zeros((n, w.size), dtype=a.dtype, order="F")
+    gbtrf, gbtrs = ("zgbtrf", "zgbtrs") if np.iscomplexobj(a) else ("dgbtrf", "dgbtrs")
+    first = 0  # the lowest eigenvalue of the current cluster
+    for k, shift in enumerate(w):
+        lu.fill(0.0)
+        lu[2 * kd] = diagonal - shift
+        for i in range(1, kd + 1):
+            sub = a.diagonal(-i)
+            lu[2 * kd + i, : n - i] = sub
+            lu[2 * kd - i, i:] = sub.conj()
+        _call(gbtrf, n, n, kd, kd, lu, 3 * kd + 1, ipiv, singular_ok=True)
+        pivots = lu[2 * kd]
+        pivots[pivots == 0.0] = np.finfo(float).eps * norm
+        if k and shift - w[k - 1] > _CLUSTER_GAP * norm:
+            first = k
+        _call("dlarnv", 2, seed, n, start)
+        x = Y[:, k]
+        x[...] = start / np.linalg.norm(start)
+        for _ in range(_SOLVES):
+            x *= norm  # the solve grows x by at most about 1/(eps ||B||): no overflow
+            _call(gbtrs, b"N", n, kd, kd, 1, lu, 3 * kd + 1, ipiv, x, n)
+            for y in Y[:, first:k].T:
+                x -= y * np.vdot(y, x)
+            x /= np.linalg.norm(x)
+    return Y
+
+
+def eigenpairs(a: np.ndarray, index: np.ndarray):
+    """Descending eigenvalues of Hermitian M and its eigenvectors at 0-based ``index``.
+
+    ``a`` holds M, N x N, Fortran-ordered, float64 or complex128.  It is
+    reduced in place to the band B (see ``tridiagonalize``); its diagonal,
+    which ?ormqr/?unmqr do not read, is put back at once, so that its
+    diagonal and strict upper triangle still hold M.  Positions count from
+    the largest eigenvalue.  Bisection on T finds the selected eigenvalues,
+    inverse iteration on B their vectors, and one ?ormqr/?unmqr applies Q.
+    """
+    if routines() is None:
+        w, vectors = np.linalg.eigh(a)
+        return w[::-1].copy(), vectors[:, ::-1][:, index]
+    diagonal = a.diagonal().copy()
+    tau, d, e = tridiagonalize(a)
+    band_diagonal = a.diagonal().real.copy()
+    np.fill_diagonal(a, diagonal)
+    n = d.size
+    lam = sterf(d, e)[::-1].copy()
+    if index.size == 0:
+        return lam, np.zeros((n, 0), dtype=a.dtype)
+
+    kd = _KD if np.iscomplexobj(a) else 1
+    asc = np.sort(n - 1 - index)
+    norm = max(abs(lam[0]), abs(lam[-1])) or 1.0
+    w = _bisect(d, e, asc, norm)
+    Y = _band_vectors(a, band_diagonal, kd, w, norm)
+    V = np.asfortranarray(Y[:, np.searchsorted(asc, n - 1 - index)])
+    if n > kd:
+        name = "zunmqr" if np.iscomplexobj(a) else "dormqr"
+        _with_workspace(
+            name, a.dtype, b"L", b"N", n - kd, index.size, n - kd, a[kd:], n, tau, V[kd:], n
+        )
     return lam, V
 
 

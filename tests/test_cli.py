@@ -6,6 +6,10 @@ main() is exercised in-process; exit codes follow the documented map
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,6 +320,22 @@ def test_readme_density_examples_run(tmp_path, capsys):
     assert cli.main(["density", "--spec", path, "--grid=-3:3:601"]) == 0
     lines = capsys.readouterr().out.split()
     assert len(lines) == 602 and not any(",-" in ln for ln in lines)
+
+
+def test_python_dash_m_spikelab_runs_the_command_line(tmp_path, capsys):
+    # The README's `python -m spikelab` form, on the README model: the same
+    # stdout as cli.main and nothing on stderr.
+    path = write_model(tmp_path, dict(PAPER_MODEL, N=1000))
+    assert cli.main(["analyze", "--spec", path]) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-m", "spikelab", "analyze", "--spec", path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == expected
 
 
 # ------------------------------------------------------------ simulate

@@ -1,5 +1,6 @@
 """Finite-N model construction, sampling, and eigen-extraction tests."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -414,67 +415,156 @@ class TestAssemble:
             assemble(spec, np.array([3.0, 1.0, -0.5, 1.0]), np.zeros((4, 4)))
 
 
+KD = lapack._KD
+FIELD_OF = {float: "real_symmetric", complex: "complex_hermitian"}
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def phases(n, dtype):
+    """A fixed diagonal of unit phases in the field of ``dtype``: ones for float."""
+    return np.exp(1j * np.arange(n)) if dtype is complex else np.ones(n)
+
+
+def in_field(M, dtype):
+    """The real symmetric M as it is, or D M D* with D = phases: same eigenvalues, vectors D v."""
+    D = phases(M.shape[0], dtype)
+    return (D[:, None] * M * D.conj()).astype(dtype)
+
+
+def random_hermitian(rng, n, dtype):
+    H = rng.standard_normal((n, n)).astype(dtype)
+    if dtype is complex:
+        H += 1j * rng.standard_normal((n, n))
+    return np.asfortranarray(H + H.conj().T)
+
+
+def assert_spans(V, Q, tol):
+    """The columns of V lie in the span of Q's orthonormal columns."""
+    assert np.linalg.norm(V - Q @ (Q.conj().T @ V), axis=0).max() <= tol
+
+
 class TestDiagonalize:
-    """On the LAPACK path; TestDiagonalizeEighFallback reruns every case on eigh."""
+    """On the LAPACK path, real and complex; TestDiagonalizeEighFallback reruns every case on eigh."""
 
     @pytest.fixture(autouse=True)
     def solver(self):
         if lapack.routines() is None:
             pytest.skip("numpy's LAPACK does not export the partial-eigensolve routines")
 
+    @pytest.fixture(params=[float, complex])
+    def dtype(self, request):
+        return request.param
+
     @staticmethod
     def inject_eigenvalue_error(monkeypatch, error):
         sterf = lapack.sterf
         monkeypatch.setattr(lapack, "sterf", lambda d, e: sterf(d, e) + error)
 
-    def test_diagonal_matrix(self):
-        lam, V = diagonalize(np.diag([3.0, -1.0, 2.0]), [1, 2, 3])
+    def test_diagonal_matrix(self, dtype):
+        lam, V = diagonalize(np.diag([3.0, -1.0, 2.0]).astype(dtype), [1, 2, 3])
         assert np.allclose(lam, [3.0, 2.0, -1.0])
         assert np.allclose(np.abs(V), np.eye(3)[:, [0, 2, 1]])
 
-    def test_two_by_two_swap(self):
-        lam, V = diagonalize(np.array([[0.0, 1.0], [1.0, 0.0]]), [1, 2])
+    def test_two_by_two_swap(self, dtype):
+        lam, V = diagonalize(in_field(SWAP, dtype), [1, 2])
         assert np.allclose(lam, [1.0, -1.0])
         assert np.allclose(np.abs(V), np.full((2, 2), 1.0 / math.sqrt(2.0)))
 
-    def test_two_by_two_swap_each_rank_alone(self):
+    def test_two_by_two_swap_each_rank_alone(self, dtype):
         # The all-ones vector is an exact eigenvector here, so a start
         # vector of ones would never reach the rank-2 eigenvector.
-        M = np.array([[0.0, 1.0], [1.0, 0.0]])
+        M = in_field(SWAP, dtype)
         for rank, sign in ((1, 1.0), (2, -1.0)):
             _, V = diagonalize(M, [rank])
             assert V.shape == (2, 1)
-            assert np.allclose(V[:, 0] * np.sign(V[0, 0]), np.array([1.0, sign]) / math.sqrt(2.0))
+            v = V[:, 0] * np.conj(np.sign(V[0, 0]))  # first entry real and positive
+            assert np.allclose(v, phases(2, dtype) * np.array([1.0, sign]) / math.sqrt(2.0))
 
-    def test_reconstruction(self):
-        rng = np.random.default_rng(8)
-        H = rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50))
-        H = (H + H.conj().T) / 2.0
+    def test_reconstruction(self, dtype):
+        H = random_hermitian(np.random.default_rng(8), 50, dtype) / 2.0
         lam, V = diagonalize(H, range(1, 51))
         assert np.all(np.diff(lam) <= 0.0)
         assert np.linalg.norm(V @ np.diag(lam) @ V.conj().T - H) < 1e-8
         assert np.max(np.abs(V.conj().T @ V - np.eye(50))) < 1e-8
 
-    def test_exactly_singular_shift_on_diagonal_input(self):
+    @pytest.mark.parametrize("n", [1, 2, KD, KD + 1, KD + 2])
+    def test_sizes_around_the_band_width(self, dtype, n):
+        # ?hetrd_he2hb only copies M when n <= kd + 1; past that it reduces.
+        H = random_hermitian(np.random.default_rng(n), n, dtype)
+        ranks = np.random.default_rng(0).permutation(np.arange(1, n + 1))
+        lam, V = diagonalize(H, ranks)
+        w, Z = np.linalg.eigh(H)
+        assert np.max(np.abs(lam - w[::-1])) <= 8 * n * np.finfo(float).eps * np.max(np.abs(w))
+        overlap = np.abs(np.sum(Z[:, ::-1][:, ranks - 1].conj() * V, axis=0))
+        assert np.allclose(overlap, 1.0, atol=1e-10)
+
+    def test_exactly_singular_shift_on_diagonal_input(self, dtype):
         # M - lambda I is exactly singular at every eigenvalue of a diagonal M.
-        lam, V = diagonalize(np.diag([2.0, 0.0, -1.0, 0.5]), [4, 2])
+        lam, V = diagonalize(np.diag([2.0, 0.0, -1.0, 0.5]).astype(dtype), [4, 2])
         assert lam.tolist() == [2.0, 0.5, 0.0, -1.0]
         assert np.allclose(np.abs(V), np.eye(4)[:, [2, 3]], atol=1e-12)
 
-    def test_equal_eigenvalues_span_their_eigenspace(self):
+    def test_exactly_singular_shifts_with_repeats_past_the_band_width(self, dtype):
+        # Every shift is exactly singular, most of them more than once over,
+        # and n > kd + 1, so a complex M goes through the band reduction.
+        n = KD + 24
+        values = (np.random.default_rng(5).permutation(n) % 13).astype(float)
+        lam, V = diagonalize(np.diag(values).astype(dtype), range(1, n + 1))
+        assert lam.tolist() == sorted(values.tolist(), reverse=True)
+        for value in set(values.tolist()):
+            coords = np.flatnonzero(values == value)
+            assert_spans(V[:, lam == value], np.eye(n)[:, coords], 1e-12)
+
+    def test_zero_matrix(self, dtype):
+        # ||M|| = 0: every shift is singular and there is no scale to take eps of.
+        n = KD + 2
+        lam, V = diagonalize(np.zeros((n, n), dtype=dtype), range(1, n + 1))
+        assert lam.tolist() == [0.0] * n
+        assert np.max(np.abs(V.conj().T @ V - np.eye(n))) < 1e-12
+
+    def test_equal_eigenvalues_span_their_eigenspace(self, dtype):
         spec = SpikedModelSpec(
             kind="additive_wigner", nu=DELTA1, spikes=((5.0, 2),), N=6, seed=0, sigma2=1.0
         )
         A, ranks = build_perturbation(spec)
-        lam, V = diagonalize(np.diag(A), ranks[0])
+        lam, V = diagonalize(np.diag(A).astype(dtype), ranks[0])
         assert lam[:2].tolist() == [5.0, 5.0]
-        assert np.max(np.abs(V.T @ V - np.eye(2))) < 1e-12
+        assert np.max(np.abs(V.conj().T @ V - np.eye(2))) < 1e-12
         sample = EnsembleSample(
             eigenvalues=lam, eigenvectors=V, spike_ranks=ranks
         )
         per, summed = overlaps(sample, 0, 0)
         assert per == pytest.approx([1.0, 1.0], abs=1e-12)
         assert summed == pytest.approx(2.0, abs=1e-12)
+
+    def test_equal_and_clustered_eigenvalues_off_the_axes(self, dtype):
+        # A triple eigenvalue, a cluster 1e-9 apart and a pair 1e-6 apart,
+        # rotated by a random unitary Q: each group's vectors span its
+        # eigenspace, also when only some of a group's ranks are asked for.
+        n = KD + 24
+        lam = np.concatenate([
+            [3.0, 3.0, 3.0], 2.0 + 1e-9 * np.arange(3), [1.0, 1.0 + 1e-6],
+            np.linspace(-1.0, 0.5, n - 8),
+        ])
+        Q, _ = np.linalg.qr(random_hermitian(np.random.default_rng(6), n, dtype))
+        H = np.asfortranarray((Q * lam) @ Q.conj().T)
+        H = (H + H.conj().T) / 2.0
+        order = np.argsort(-lam, kind="stable")
+        for group in ([1, 2, 3], [4, 5, 6], [7, 8], [1, 3], [5], [1, 2, 3, 4, 5, 6, 7, 8, 20]):
+            _, V = diagonalize(H, group)
+            for ranks in ([1, 2, 3], [4, 5, 6], [7, 8]):
+                chosen = [i for i, r in enumerate(group) if r in ranks]
+                if chosen:
+                    assert_spans(V[:, chosen], Q[:, order[np.array(ranks) - 1]], 1e-9)
+
+    def test_tiny_scale_gives_the_vectors_of_unit_scale(self, dtype):
+        # The residual bound has an absolute 1e-7, which any unit vector meets
+        # at ||M|| = 1e-200: only a comparison shows a wrong vector there.
+        H = random_hermitian(np.random.default_rng(9), KD + 24, dtype)
+        ranks = [1, 5, KD + 24]
+        _, V = diagonalize(H, ranks)
+        _, W = diagonalize(H * 1e-200, ranks)
+        assert np.allclose(np.abs(np.sum(V.conj() * W, axis=0)), 1.0, atol=1e-10)
 
     @pytest.mark.parametrize(
         "spec",
@@ -486,7 +576,6 @@ class TestDiagonalize:
                 N=200,
                 seed=4,
                 c=0.1,
-                field="real_symmetric",
             ),
             paper_spec(N=200, seed=9),
             SpikedModelSpec(
@@ -499,9 +588,10 @@ class TestDiagonalize:
                 entry_law="rademacher",
             ),
         ],
-        ids=["wishart_real_gap_pair", "additive_complex", "rademacher_multiplicity_nine"],
+        ids=["wishart_gap_pair", "additive", "rademacher_multiplicity_nine"],
     )
-    def test_selected_vectors_match_full_eigh(self, spec):
+    def test_selected_vectors_match_full_eigh(self, spec, dtype):
+        spec = dataclasses.replace(spec, field=FIELD_OF[dtype])
         sample = draw_sample(spec)
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
         A, ranks = build_perturbation(spec)
@@ -526,39 +616,38 @@ class TestDiagonalize:
                 assert per == pytest.approx(ref_per, abs=1e-10)
                 assert summed == pytest.approx(ref_summed, abs=1e-10)
 
-    def test_inaccurate_eigenvalue_fails_residual_check(self, monkeypatch):
+    def test_inaccurate_eigenvalue_fails_residual_check(self, monkeypatch, dtype):
         self.inject_eigenvalue_error(monkeypatch, 1e-3)
         with pytest.raises(NumericalError, match="residual"):
-            diagonalize(np.diag([3.0, -1.0, 2.0]), [2])
+            diagonalize(np.diag([3.0, -1.0, 2.0]).astype(dtype), [2])
 
-    @pytest.mark.parametrize("dtype", [float, complex])
     def test_zero_ranks(self, dtype):
         lam, V = diagonalize(np.diag([3.0, -1.0, 2.0]).astype(dtype), [])
         assert lam.tolist() == [3.0, 2.0, -1.0]
         assert V.shape == (3, 0) and V.dtype == dtype
 
-    def test_non_hermitian_input_detected(self):
+    def test_non_hermitian_input_detected(self, dtype):
         with pytest.raises(NumericalError):
-            diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]]), [1])
+            diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=dtype), [1])
 
-    def test_non_hermitian_block_away_from_returned_vectors_detected(self):
+    def test_non_hermitian_block_away_from_returned_vectors_detected(self, dtype):
         # The rank-1 pair alone passes its residual and Gram checks.
-        M = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        M = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], dtype=dtype)
         with pytest.raises(NumericalError, match="not Hermitian"):
             diagonalize(M, [1])
 
-    def test_non_hermitian_entry_far_from_the_diagonal_detected(self):
+    def test_non_hermitian_entry_far_from_the_diagonal_detected(self, dtype):
         # The check runs tile by tile; this pair of entries lies in tiles
         # off the diagonal.
-        M = np.eye(150)
+        M = np.eye(150, dtype=dtype)
         M[140, 3] = 1e-3
         with pytest.raises(NumericalError, match="not Hermitian"):
             diagonalize(M, [1])
 
     @pytest.mark.parametrize("ranks", [[0], [3], [1, 1]])
-    def test_bad_ranks_rejected(self, ranks):
+    def test_bad_ranks_rejected(self, ranks, dtype):
         with pytest.raises(SpecError):
-            diagonalize(np.eye(2), ranks)
+            diagonalize(np.eye(2, dtype=dtype), ranks)
 
     @pytest.mark.parametrize(
         "M, ranks",
@@ -570,21 +659,20 @@ class TestDiagonalize:
         ],
         ids=["not_square", "one_dimensional", "empty", "three_dimensional"],
     )
-    def test_malformed_matrix_rejected(self, M, ranks):
+    def test_malformed_matrix_rejected(self, M, ranks, dtype):
         with pytest.raises(SpecError, match="^M must be an N x N array"):
-            diagonalize(M, ranks)
+            diagonalize(M.astype(dtype), ranks)
 
     @pytest.mark.parametrize("ranks", [[1.5], [1.0], [True], [1, None]])
-    def test_ranks_that_are_not_integers_rejected(self, ranks):
+    def test_ranks_that_are_not_integers_rejected(self, ranks, dtype):
         with pytest.raises(SpecError, match="^ranks must be distinct integers"):
-            diagonalize(np.eye(3), ranks)
+            diagonalize(np.eye(3, dtype=dtype), ranks)
 
-    def test_integer_ranks_of_any_integer_type_accepted(self):
+    def test_integer_ranks_of_any_integer_type_accepted(self, dtype):
         for ranks in ([2], (2,), range(2, 3), np.array([2], dtype=np.uint8), [np.int32(2)]):
-            lam, V = diagonalize(np.diag([3.0, 2.0, 1.0]), ranks)
+            lam, V = diagonalize(np.diag([3.0, 2.0, 1.0]).astype(dtype), ranks)
             assert np.allclose(np.abs(V[:, 0]), [0.0, 1.0, 0.0])
 
-    @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize(
         "where, value",
         [((0, 3), np.nan), ((3, 0), np.nan), ((2, 2), np.inf)],
@@ -600,22 +688,16 @@ class TestDiagonalize:
         with pytest.raises(NumericalError, match="^M is not finite"):
             diagonalize(M, [1])
 
-    @pytest.mark.parametrize("dtype", [float, complex])
     def test_never_modifies_its_argument(self, dtype):
         # A Fortran-ordered M of the working dtype is the one a reduction
         # could run in without a copy.
-        rng = np.random.default_rng(3)
-        H = rng.standard_normal((30, 30)).astype(dtype)
-        M = np.asfortranarray(H + H.conj().T)
+        M = random_hermitian(np.random.default_rng(3), 30, dtype)
         before = M.copy()
         diagonalize(M, [1, 7])
         assert np.array_equal(M, before)
 
-    @pytest.mark.parametrize("dtype", [float, complex])
     def test_overwrite_leaves_the_diagonal_and_upper_triangle(self, dtype):
-        rng = np.random.default_rng(4)
-        H = rng.standard_normal((30, 30)).astype(dtype)
-        M = np.asfortranarray(H + H.conj().T)
+        M = random_hermitian(np.random.default_rng(4), 30, dtype)
         reference = diagonalize(M, [1, 7])
         work = M.copy(order="F")
         lam, V = diagonalize(work, [1, 7], overwrite=True)
@@ -634,6 +716,18 @@ class TestDiagonalizeEighFallback(TestDiagonalize):
     def inject_eigenvalue_error(monkeypatch, error):
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda M: (eigh(M)[0] + error, eigh(M)[1]))
+
+
+def test_routines_resolve_wherever_numpy_exports_lapack():
+    # routines() is None unless every symbol resolves, and then every replica
+    # quietly takes np.linalg.eigh and every LAPACK-path test skips: a
+    # misspelled name must fail here instead.
+    library = lapack._library()
+    if library is None or not hasattr(library, "scipy_dsytrd_64_"):
+        pytest.skip("numpy's linalg library does not export scipy-openblas LAPACK")
+    missing = [name for name in lapack._SIGNATURES if not hasattr(library, f"scipy_{name}_64_")]
+    assert missing == []
+    assert lapack.routines() is not None
 
 
 @pytest.mark.skipif(lapack.routines() is None, reason="numpy's LAPACK lacks the routines")
@@ -657,6 +751,21 @@ def test_lapack_eigenvalues_match_eigvalsh_bit_for_bit():
     # A C-order copy hands LAPACK the upper triangle: M.T in Fortran order.
     upper = lapack.sterf(*lapack.tridiagonalize(np.array(M.T, order="F"))[1:])[::-1]
     assert not np.array_equal(upper, reference)
+
+
+@pytest.mark.skipif(lapack.routines() is None, reason="numpy's LAPACK lacks the routines")
+@pytest.mark.parametrize("N", [KD + 2, 300, 1000])
+def test_lapack_complex_eigenvalues_match_eigvalsh_to_rounding(N):
+    # A complex M reaches T by a band reduction and bulge chasing, not by
+    # ?hetrd's reflectors, so its eigenvalues match eigvalsh to rounding only.
+    spec = paper_spec(N=N, seed=5)
+    A, _ = build_perturbation(spec)
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    M = assemble(spec, A, math.sqrt(spec.sigma2) * sample_wigner(N, spec.field, spec.entry_law, rng))
+    reference = np.linalg.eigvalsh(M)[::-1]
+    lam, _ = diagonalize(M, [1])
+    bound = 8 * N * np.finfo(float).eps * max(abs(reference[0]), abs(reference[-1]))
+    assert np.max(np.abs(lam - reference)) <= bound
 
 
 @pytest.mark.skipif(lapack.routines() is None, reason="numpy's LAPACK lacks the routines")
