@@ -12,13 +12,15 @@ and field checked even by the commands that do not use them.
 Exit codes: 0 success, 2 invalid spec or domain, 4 numerical accuracy
 failure (3, once fixed-point non-convergence, is retired).  On one
 machine, output is a pure function of the model file bytes, the flags and
-the seed.
+the seed.  ``main(argv)`` returns the exit code and may be called again in
+one process; the argument parser is built once, on the first call, not at import.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -163,6 +165,7 @@ def cmd_simulate(spec: SpikedModelSpec, args: argparse.Namespace) -> str:
 _COMMANDS = {"analyze": cmd_analyze, "density": cmd_density, "simulate": cmd_simulate}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spikelab",

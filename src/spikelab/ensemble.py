@@ -126,7 +126,7 @@ class SpikedModelSpec:
             object.__setattr__(self, "c", c)
             if any(t <= 0.0 for t, _ in spikes):
                 raise SpecError("multiplicative spikes must be positive")
-            if any(loc < 0.0 for loc, _ in self.nu.atoms):
+            if self.nu.atoms[0][0] < 0.0:  # the lowest atom, as atoms ascend
                 raise SpecError("multiplicative model requires nu supported on [0, inf)")
 
     @property
@@ -373,10 +373,13 @@ def diagonalize(M: np.ndarray, ranks, overwrite: bool = False):
     a = (np.asarray if overwrite else np.array)(M, np.result_type(M, float), order="F")
     lam, V = lapack.eigenpairs(a, index)
     MV = lapack.upper_times(a, V)
-    tol = EIGEN_RESIDUAL_TOL * (1.0 + float(max(abs(lam[0]), abs(lam[-1]))))
+    norm = float(max(abs(lam[0]), abs(lam[-1])))
+    tol = EIGEN_RESIDUAL_TOL * (1.0 + norm)
     if not asymmetry <= tol:
         raise NumericalError(f"input is not Hermitian: |M - M*| reaches {asymmetry:.3e}")
-    residual = np.linalg.norm(MV - V * lam[index], axis=0)
+    # Taken at unit scale, by an exact power of two, so that no squared entry overflows.
+    scale = math.ldexp(1.0, -max(math.frexp(norm)[1], -1022))
+    residual = np.linalg.norm((MV - V * lam[index]) * scale, axis=0) / scale
     if not np.all(residual <= tol):
         raise NumericalError(f"eigenpair residual {np.max(residual):.3e} exceeds {tol:.3e}")
     gram = np.abs(V.conj().T @ V - np.eye(index.size))

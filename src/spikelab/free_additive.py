@@ -69,8 +69,7 @@ class AdditiveContext:
 
 
 def _require_off_atoms(ctx: AdditiveContext, u: float) -> None:
-    gap = float(np.min(np.abs(u - ctx._locs)))
-    if gap <= MERGE_TOL:
+    if ctx.nu.distance_to_support(u) <= MERGE_TOL:
         raise DomainError(f"u={u!r} lies within {MERGE_TOL} of an atom of nu")
 
 

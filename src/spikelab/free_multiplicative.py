@@ -38,15 +38,13 @@ class MultiplicativeContext:
 
     nu: AtomicMeasure
     c: float
-    _locs: np.ndarray = field(init=False, repr=False, compare=False)
-    _wts: np.ndarray = field(init=False, repr=False, compare=False)
     _shift: float = field(init=False, repr=False, compare=False)
     _biased: AdditiveContext | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.nu, AtomicMeasure):
             raise SpecError("nu must be an AtomicMeasure")
-        if any(loc < 0.0 for loc, _ in self.nu.atoms):
+        if self.nu.atoms[0][0] < 0.0:  # the lowest atom, as atoms ascend
             raise SpecError("multiplicative model requires all atoms of nu to be >= 0")
         c = float(self.c)
         if not math.isfinite(c) or c <= 0.0:
@@ -63,8 +61,6 @@ class MultiplicativeContext:
         if t.size:
             biased = AdditiveContext(AtomicMeasure(zip(t, beta / sigma2)), sigma2)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "_locs", locs)
-        object.__setattr__(self, "_wts", wts)
         object.__setattr__(self, "_shift", c * float(np.sum(w * t)))
         object.__setattr__(self, "_biased", biased)
 
@@ -75,7 +71,7 @@ def Z(ctx: MultiplicativeContext, x: float) -> float:
     if x == 0.0:
         raise DomainError("Z is undefined at x = 0")
     u = 1.0 / x
-    if ctx._biased is not None and float(np.min(np.abs(u - ctx._biased._locs))) <= MERGE_TOL:
+    if ctx._biased is not None and ctx._biased.nu.distance_to_support(u) <= MERGE_TOL:
         raise DomainError(f"1/x = {u!r} lies in the support of nu")
     return _rho(ctx, u)
 
@@ -85,7 +81,7 @@ def W(ctx: MultiplicativeContext, u: float) -> float:
     u = float(u)
     if abs(u) <= MERGE_TOL:
         raise DomainError("W is undefined at u = 0")
-    if float(np.min(np.abs(u - ctx._locs))) <= MERGE_TOL:
+    if ctx.nu.distance_to_support(u) <= MERGE_TOL:
         raise DomainError(f"u={u!r} lies in the support of nu")
     if ctx._biased is None:
         return 0.0
@@ -95,7 +91,8 @@ def W(ctx: MultiplicativeContext, u: float) -> float:
 def _rho(ctx: MultiplicativeContext, u: float) -> float:
     """Outlier map ``Z(1/u) = s + H~(u)``, summed as ``u (1 + c sum w t / (u - t))``: the
     plain sum cancels where its value is far below s, as at a lower edge close to 0."""
-    return u * (1.0 + ctx.c * float(np.sum(ctx._wts * ctx._locs / (u - ctx._locs))))
+    t, w = ctx.nu.locations, ctx.nu.weights
+    return u * (1.0 + ctx.c * float(np.sum(w * t / (u - t))))
 
 
 def classify_spike(ctx: MultiplicativeContext, theta: float, multiplicity: int = 1) -> SpikeVerdict:
@@ -139,7 +136,7 @@ def support(ctx: MultiplicativeContext) -> SupportIntervals:
         return SupportIntervals(())
     t, c, m = ctx._biased._locs, ctx.c, 1.0 - ctx.nu.weight_at(0.0)
     u = np.array(free_additive.outlier_set_intervals(ctx._biased)).ravel()
-    w = ctx._wts[ctx._locs > MERGE_TOL]
+    w = ctx.nu.weights[ctx.nu.locations > MERGE_TOL]
     u[1:-1] *= 1.0 - c * m + c * u[1:-1] * np.sum(w / (u[1:-1, None] - t), axis=1)
     gaps = uncovered(u.reshape(-1, 2).tolist())
     return SupportIntervals(tuple((max(lo, 0.0), hi) for lo, hi in gaps if hi > 0.0))
@@ -162,7 +159,7 @@ def _g(ctx: MultiplicativeContext, z: np.ndarray) -> np.ndarray:
     omega = z - ctx._shift
     if ctx._biased is not None:
         omega = free_additive.subordination(ctx._biased, omega)
-    return omega / z * np.sum(ctx._wts / (omega[:, None] - ctx._locs), axis=1)
+    return omega / z * np.sum(ctx.nu.weights / (omega[:, None] - ctx.nu.locations), axis=1)
 
 
 def density(ctx: MultiplicativeContext, grid, eps: float = 0.0) -> list[tuple[float, float]]:
@@ -182,6 +179,7 @@ def density(ctx: MultiplicativeContext, grid, eps: float = 0.0) -> list[tuple[fl
         f, pos = np.zeros(xs.shape), xs > 0.0
         if ctx._biased is not None:
             omega = free_additive.subordination(ctx._biased, xs[pos] - ctx._shift)
-            tilt = (ctx._wts * ctx._locs / np.abs(omega[:, None] - ctx._locs) ** 2).sum(axis=1)
+            t, w = ctx.nu.locations, ctx.nu.weights
+            tilt = (w * t / np.abs(omega[:, None] - t) ** 2).sum(axis=1)
             f[pos] = omega.imag / (math.pi * xs[pos]) * tilt
     return [(float(x), float(v)) for x, v in zip(xs, f)]

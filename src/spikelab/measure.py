@@ -8,7 +8,9 @@ against nu, so atoms are the only representation supported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,7 +34,8 @@ class AtomicMeasure:
     increasing locations, strictly positive weights, and total mass one.
     Construction sorts, merges near-duplicate locations (weights summed,
     location averaged by weight), and renormalizes weight sums that are
-    within 1e-9 of one.
+    within 1e-9 of one.  ``locations`` and ``weights`` are the atoms as two
+    read-only arrays, built on first use and shared by every later reader.
     """
 
     atoms: tuple[tuple[float, float], ...]
@@ -45,7 +48,7 @@ class AtomicMeasure:
         if not pairs:
             raise SpecError("a measure needs at least one atom")
         for t, w in pairs:
-            if not (np.isfinite(t) and np.isfinite(w)):
+            if not (math.isfinite(t) and math.isfinite(w)):
                 raise SpecError("atom locations and weights must be finite")
             if w <= 0.0:
                 raise SpecError(f"atom weight {w!r} is not strictly positive")
@@ -65,13 +68,13 @@ class AtomicMeasure:
             self, "atoms", tuple((t, w / total) for t, w in merged)
         )
 
-    @property
+    @cached_property
     def locations(self) -> np.ndarray:
-        return np.array([t for t, _ in self.atoms])
+        return _read_only([t for t, _ in self.atoms])
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.atoms])
+        return _read_only([w for _, w in self.atoms])
 
     def weight_at(self, x: float) -> float:
         """Mass of the atom within MERGE_TOL of x, or 0.0 if there is none."""
@@ -81,7 +84,7 @@ class AtomicMeasure:
         return 0.0
 
     def distance_to_support(self, x: float) -> float:
-        return min(abs(x - t) for t, _ in self.atoms)
+        return float(np.min(np.abs(x - self.locations)))
 
     def to_dict(self) -> dict:
         return {"atoms": [[t, w] for t, w in self.atoms]}
@@ -91,6 +94,12 @@ class AtomicMeasure:
         if not isinstance(data, dict) or "atoms" not in data:
             raise SpecError('a measure spec must be an object with an "atoms" list')
         return cls(data["atoms"])
+
+
+def _read_only(values: list[float]) -> np.ndarray:
+    array = np.array(values)
+    array.flags.writeable = False
+    return array
 
 
 def quantile_discretize(nu: AtomicMeasure, m: int) -> list[float]:

@@ -4,6 +4,7 @@ main() is exercised in-process; exit codes follow the documented map
 (2 spec/domain/theory, 4 numerical accuracy).
 """
 
+import argparse
 import json
 import math
 import os
@@ -322,20 +323,79 @@ def test_readme_density_examples_run(tmp_path, capsys):
     assert len(lines) == 602 and not any(",-" in ln for ln in lines)
 
 
+def package_env():
+    """This process's environment, with the package's source directory first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_python_dash_m_spikelab_runs_the_command_line(tmp_path, capsys):
     # The README's `python -m spikelab` form, on the README model: the same
     # stdout as cli.main and nothing on stderr.
     path = write_model(tmp_path, dict(PAPER_MODEL, N=1000))
     assert cli.main(["analyze", "--spec", path]) == 0
     expected = capsys.readouterr().out
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run(
         [sys.executable, "-m", "spikelab", "analyze", "--spec", path],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=package_env(), timeout=120,
     )
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout == expected
+
+
+# ------------------------------------------------------- one parser per process
+
+
+def count_parsers(monkeypatch):
+    """Record every ArgumentParser constructed from here on."""
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return made
+
+
+def test_calls_in_one_process_share_a_parser_and_leave_it_clean(tmp_path, monkeypatch, capsys):
+    path = write_model(tmp_path, dict(PAPER_MODEL, N=1000))
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    assert cli.main(["analyze", "--spec", path, "--out", str(first)]) == 0
+    made = count_parsers(monkeypatch)
+    assert cli.main(["analyze", "--spec", path, "--format", "xml"]) == 2
+    assert cli.main(["simulate", "--spec", path, "--reps", "0"]) == 2
+    assert cli.main(["--help"]) == 0
+    assert cli.main(["analyze", "--spec", path, "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+    assert made == []
+    assert "usage: spikelab" in capsys.readouterr().out
+
+
+def test_a_flag_does_not_outlive_its_call(tmp_path, capsys):
+    path = write_model(tmp_path, PAPER_MODEL)
+    for argv, n in ((["--N", "150"], 150), ([], PAPER_MODEL["N"])):
+        assert cli.main(["simulate", "--spec", path, "--reps", "1", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["N"] == n
+
+
+def test_importing_spikelab_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *a, **k):\n"
+        "    made.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import spikelab\n"
+        "print(len(made), spikelab.cli._build_parser.cache_info().currsize)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=package_env(), timeout=120
+    )
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", "0 0\n")
 
 
 # ------------------------------------------------------------ simulate

@@ -616,6 +616,16 @@ class TestDiagonalize:
                 assert per == pytest.approx(ref_per, abs=1e-10)
                 assert summed == pytest.approx(ref_summed, abs=1e-10)
 
+    @pytest.mark.parametrize("exponent", [800, -800])
+    def test_scale_by_a_power_of_two_scales_the_pairs(self, dtype, exponent):
+        # Near 2^800 the squares of the residual's entries would overflow.
+        H = random_hermitian(np.random.default_rng(11), 40, dtype)
+        lam, V = diagonalize(H, [1, 5, 40])
+        scaled_lam, scaled_V = diagonalize(H * 2.0**exponent, [1, 5, 40])
+        tol = 64 * np.finfo(float).eps
+        assert np.max(np.abs(scaled_lam / 2.0**exponent - lam)) <= tol * np.max(np.abs(lam))
+        assert np.max(np.abs(scaled_V - V)) <= tol
+
     def test_inaccurate_eigenvalue_fails_residual_check(self, monkeypatch, dtype):
         self.inject_eigenvalue_error(monkeypatch, 1e-3)
         with pytest.raises(NumericalError, match="residual"):

@@ -52,6 +52,31 @@ class TestConstruction:
         with pytest.raises(SpecError):
             AtomicMeasure([(0.0, math.nan)])
 
+    @pytest.mark.parametrize(
+        "atoms",
+        [[(math.inf, 1.0)], [(0.0, math.nan)], [(0.0, 0.5), (-math.inf, 0.5)], [(math.nan, 1.0)]],
+    )
+    def test_nonfinite_rejected_with_one_message(self, atoms):
+        with pytest.raises(SpecError, match="^atom locations and weights must be finite$"):
+            AtomicMeasure(atoms)
+
+    def test_arrays_built_once_and_read_only(self):
+        nu = AtomicMeasure([(2.0, 0.25), (-1.0, 0.75)])
+        assert nu.locations is nu.locations and nu.weights is nu.weights
+        assert nu.locations.tolist() == [-1.0, 2.0] and nu.weights.tolist() == [0.75, 0.25]
+        for array in (nu.locations, nu.weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+            with pytest.raises(ValueError):
+                array += 1.0
+        assert nu.atoms == ((-1.0, 0.75), (2.0, 0.25))
+        assert nu == AtomicMeasure([(-1.0, 0.75), (2.0, 0.25)])
+
+    def test_distance_to_support(self):
+        assert TWO_POINT.distance_to_support(0.25) == 0.75
+        assert TWO_POINT.distance_to_support(-3.0) == 2.0
+        assert TWO_POINT.distance_to_support(1.0) == 0.0
+
     def test_empty_rejected(self):
         with pytest.raises(SpecError):
             AtomicMeasure([])
