@@ -87,15 +87,16 @@ class SpikedModelSpec:
             raise SpecError(
                 f"spikes must be (theta, multiplicity) pairs, got {self.spikes!r}"
             ) from None
+        gaps = np.abs(np.array([t for t, _ in pairs])[:, None] - self.nu.locations).min(axis=1)
         spikes = []
-        for theta, mult in pairs:
+        for (theta, mult), gap in zip(pairs, gaps):
             if not math.isfinite(theta):
                 raise SpecError(f"spike theta must be finite, got {theta!r}")
             if isinstance(mult, float) and mult.is_integer():
                 mult = int(mult)
             if not _is_int(mult) or mult < 1:
                 raise SpecError(f"spike multiplicity must be a positive integer, got {mult!r}")
-            if self.nu.distance_to_support(theta) <= MERGE_TOL:
+            if gap <= MERGE_TOL:
                 raise SpecError(f"spike theta={theta!r} lies in the support of nu")
             spikes.append((theta, mult))
         thetas = [t for t, _ in spikes]

@@ -77,14 +77,14 @@ def H(ctx: AdditiveContext, u: float) -> float:
     """Outlier-location map ``u + sigma2 * sum w_j / (u - t_j)``."""
     u = float(u)
     _require_off_atoms(ctx, u)
-    return u + ctx.sigma2 * float(np.sum(ctx._wts / (u - ctx._locs)))
+    return u + ctx.sigma2 * float((ctx._wts / (u - ctx._locs)).sum())
 
 
 def H_prime(ctx: AdditiveContext, u: float) -> float:
     """Derivative ``1 - sigma2 * sum w_j / (u - t_j)^2``; also the overlap tau."""
     u = float(u)
     _require_off_atoms(ctx, u)
-    return 1.0 - ctx.sigma2 * float(np.sum(ctx._wts / (u - ctx._locs) ** 2))
+    return 1.0 - ctx.sigma2 * float((ctx._wts / (u - ctx._locs) ** 2).sum())
 
 
 def classify_spike(ctx: AdditiveContext, theta: float, multiplicity: int = 1) -> SpikeVerdict:
@@ -92,29 +92,16 @@ def classify_spike(ctx: AdditiveContext, theta: float, multiplicity: int = 1) ->
 
     Raises DomainError when ``theta`` collides with an atom of ``nu``; the
     model would merge the spike into the bulk block and nothing spectral
-    distinguishes it.
+    distinguishes it.  H' checks that once; an outlier's rho is H(theta), summed as in H.
     """
     theta = float(theta)
     if not math.isfinite(theta):
         raise SpecError(f"theta must be finite, got {theta!r}")
     hp = H_prime(ctx, theta)
     if hp > BOUNDARY_TOL:
-        return SpikeVerdict(
-            theta=theta,
-            multiplicity=multiplicity,
-            is_outlier=True,
-            rho=H(ctx, theta),
-            tau=hp,
-            criterion_value=hp,
-        )
-    return SpikeVerdict(
-        theta=theta,
-        multiplicity=multiplicity,
-        is_outlier=False,
-        rho=None,
-        tau=None,
-        criterion_value=hp,
-    )
+        rho = theta + ctx.sigma2 * float((ctx._wts / (theta - ctx._locs)).sum())
+        return SpikeVerdict(theta, multiplicity, True, rho, hp, criterion_value=hp)
+    return SpikeVerdict(theta, multiplicity, False, None, None, criterion_value=hp)
 
 
 def outlier_set_intervals(ctx: AdditiveContext) -> list[tuple[float, float]]:
@@ -123,38 +110,49 @@ def outlier_set_intervals(ctx: AdditiveContext) -> list[tuple[float, float]]:
     ``H'`` is strictly concave on each gap.  On a bounded gap ``(t_l, t_r)`` of length L, its
     two atoms alone give ``H' <= 1 - sigma2 (w_l^(1/3) + w_r^(1/3))^3 / L^2``: a gap where
     that is <= 0 is dropped unsolved.  On the rest the peak of ``H'`` is the root of ``H''``,
-    and a gap counts iff ``H'(peak) > BOUNDARY_TOL``; its ends are the roots of ``H'`` on
-    either side.  The unbounded gaps always count (``H' -> 1``), and as ``H' >= 0`` where
-    all atoms are at least sigma away, their ends lie in ``[t_1 - sigma, t_1)`` and ``(t_k,
-    t_k + sigma]``.  Each of the two solves is one bracketed Newton over all gaps.
+    and a gap counts iff ``H'(peak) > BOUNDARY_TOL``.  The unbounded gaps always count (``H'
+    -> 1``), and as ``H' >= 0`` where all atoms are at least sigma away, their ends lie in
+    ``[t_1 - sigma, t_1)`` and ``(t_k, t_k + sigma]``.  Ends solve ``F(u)^(-1/2) = sigma``,
+    ``F = sum w / (u - t)^2``, as ``(sigma2 F)^(-1/2) = 1`` so that sigma is not rounded.
+    ``F^(-1/2)`` is concave on each gap and at most ``|u - t| / sqrt(w)``, its value for the
+    atom t alone; so Newton from the lone-atom bound ``t -+ sigma sqrt(w)`` of the atom beside
+    an end (the far end where that rounds onto the atom) moves monotonically to it.
     """
     t, w, s2 = ctx._locs, ctx._wts, ctx.sigma2
-    sigma = max(math.sqrt(s2), np.spacing(np.abs(t).max()))  # so that t_1 - sigma < t_1
-
-    def hp(u):
-        r = 1.0 / (u[:, None] - t)
-        return 1.0 - s2 * ((r * r) @ w), 2.0 * s2 * ((r * r * r) @ w)
+    sigma = math.sqrt(s2)
+    reach = max(sigma, np.spacing(np.abs(t).max()))  # so that t_1 - reach < t_1
 
     def hpp(u):
         r = 1.0 / (u[:, None] - t)
         return 2.0 * s2 * ((r * r * r) @ w), -6.0 * s2 * ((r * r * r * r) @ w)
 
-    cube = np.cbrt(w)
-    kept = s2 * (cube[:-1] + cube[1:]) ** 3 < np.diff(t) ** 2
-    tl, tr, cl, cr = t[:-1][kept], t[1:][kept], cube[:-1][kept], cube[1:][kept]
-    # Start at the peak of the two-atom bound, or mid-gap where that rounds onto an atom.
-    start = tl + (tr - tl) * cl / (cl + cr)
-    start = np.where((tl < start) & (start < tr), start, 0.5 * (tl + tr))
-    peak = newton(hpp, start, tl, tr, False, _STEP_RTOL * (np.abs(tl) + np.abs(tr)))
-    up = hp(peak)[0] > BOUNDARY_TOL
-    tl, tr, peak = tl[up], tr[up], peak[up]
+    def phi(u):
+        r = 1.0 / (u[:, None] - t)
+        p = 1.0 / np.sqrt(s2 * ((r * r) @ w))
+        return p, s2 * p * p * p * ((r * r * r) @ w)
 
-    # One root of H' per interval end, in order: beside each peak and in the unbounded gaps.
-    lo = np.concatenate(([t[0] - sigma], np.column_stack((tl, peak)).ravel(), [t[-1]]))
-    hi = np.concatenate(([t[0]], np.column_stack((peak, tr)).ravel(), [t[-1] + sigma]))
-    start = np.concatenate(([lo[0]], np.repeat(peak, 2), [hi[-1]]))
-    rising = np.concatenate(([False], np.tile([True, False], peak.size), [True]))
-    ends = newton(hp, start, lo, hi, rising, _STEP_RTOL * (np.abs(lo) + np.abs(hi)))
+    cube = np.cbrt(w)
+    gap, peak = np.flatnonzero(s2 * (cube[:-1] + cube[1:]) ** 3 < np.diff(t) ** 2), np.empty(0)
+    if gap.size:
+        tl, tr, cl, cr = t[gap], t[gap + 1], cube[gap], cube[gap + 1]
+        # Start at the peak of the two-atom bound, or mid-gap where that rounds onto an atom.
+        start = tl + (tr - tl) * cl / (cl + cr)
+        start = np.where((tl < start) & (start < tr), start, 0.5 * (tl + tr))
+        peak = newton(hpp, start, tl, tr, False, _STEP_RTOL * (np.abs(tl) + np.abs(tr)))
+        r = 1.0 / (peak[:, None] - t)
+        up = 1.0 - s2 * ((r * r) @ w) > BOUNDARY_TOL
+        gap, peak = gap[up], peak[up]
+
+    # Ends 0, 2, ... fall toward the atom j above, ends 1, 3, ... rise from the atom j below.
+    m = 2 * gap.size + 2
+    j, side, lo, hi = np.empty(m, dtype=int), np.ones(m), np.empty(m), np.empty(m)
+    j[0], j[1:-1:2], j[2::2], j[-1] = 0, gap, gap + 1, t.size - 1
+    side[0::2] = -1.0
+    lo[0], lo[1::2], lo[2::2] = t[0] - reach, t[j[1::2]], peak
+    hi[0::2], hi[1:-1:2], hi[-1] = t[j[0::2]], peak, t[-1] + reach
+    start = t[j] + side * sigma * np.sqrt(w[j])
+    start = np.where((lo < start) & (start < hi), start, np.where(side > 0.0, hi, lo))
+    ends = newton(phi, start, lo, hi, side > 0.0, _STEP_RTOL * (np.abs(lo) + np.abs(hi)), 1.0)
     ends = [-math.inf, *ends.tolist(), math.inf]
     return list(zip(ends[::2], ends[1::2]))
 

@@ -59,7 +59,7 @@ class MultiplicativeContext:
             raise SpecError(f"c*w*t^2 overflows at the atom t={big!r} of nu (c={c!r})")
         biased = None
         if t.size:
-            biased = AdditiveContext(AtomicMeasure(zip(t, beta / sigma2)), sigma2)
+            biased = AdditiveContext(AtomicMeasure._ascending(t, beta / sigma2), sigma2)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "_shift", c * float(np.sum(w * t)))
         object.__setattr__(self, "_biased", biased)
@@ -85,18 +85,18 @@ def W(ctx: MultiplicativeContext, u: float) -> float:
         raise DomainError(f"u={u!r} lies in the support of nu")
     if ctx._biased is None:
         return 0.0
-    return ctx._biased.sigma2 * float(np.sum(ctx._biased._wts / (u - ctx._biased._locs) ** 2))
+    return ctx._biased.sigma2 * float((ctx._biased._wts / (u - ctx._biased._locs) ** 2).sum())
 
 
 def _rho(ctx: MultiplicativeContext, u: float) -> float:
     """Outlier map ``Z(1/u) = s + H~(u)``, summed as ``u (1 + c sum w t / (u - t))``: the
     plain sum cancels where its value is far below s, as at a lower edge close to 0."""
     t, w = ctx.nu.locations, ctx.nu.weights
-    return u * (1.0 + ctx.c * float(np.sum(w * t / (u - t))))
+    return u * (1.0 + ctx.c * float((w * t / (u - t)).sum()))
 
 
 def classify_spike(ctx: MultiplicativeContext, theta: float, multiplicity: int = 1) -> SpikeVerdict:
-    """Decide whether a positive population spike detaches from the bulk."""
+    """Decide whether a positive population spike detaches from the bulk; W alone checks theta."""
     theta = float(theta)
     if not math.isfinite(theta):
         raise SpecError(f"theta must be finite, got {theta!r}")

@@ -228,10 +228,12 @@ def _band_vectors(a: np.ndarray, diagonal: np.ndarray, kd: int, w: np.ndarray, n
     dstein, the starts are dlarnv's uniform (-1, 1) draws from a fixed seed
     that runs on from vector to vector, so equal eigenvalues get different
     starts, and after each solve a vector is orthogonalized against those
-    of the lower eigenvalues of its cluster.
+    of the lower eigenvalues of its cluster.  B and w are scaled as in ``_bisect``.
     """
     n = diagonal.size
     kd = min(kd, n - 1)
+    scale = np.ldexp(1.0, -np.frexp(norm)[1])
+    diagonal, w, norm = diagonal * scale, w * scale, norm * scale
     lu = np.zeros((3 * kd + 1, n), dtype=a.dtype, order="F")  # rows 0..kd-1 take the fill-in
     ipiv = np.zeros(n, dtype=np.int64)
     seed = np.ones(4, dtype=np.int64)
@@ -243,8 +245,7 @@ def _band_vectors(a: np.ndarray, diagonal: np.ndarray, kd: int, w: np.ndarray, n
         lu.fill(0.0)
         lu[2 * kd] = diagonal - shift
         for i in range(1, kd + 1):
-            sub = a.diagonal(-i)
-            lu[2 * kd + i, : n - i] = sub
+            sub = np.multiply(a.diagonal(-i), scale, out=lu[2 * kd + i, : n - i])
             lu[2 * kd - i, i:] = sub.conj()
         _call(gbtrf, n, n, kd, kd, lu, 3 * kd + 1, ipiv, singular_ok=True)
         pivots = lu[2 * kd]

@@ -68,6 +68,18 @@ class AtomicMeasure:
             self, "atoms", tuple((t, w / total) for t, w in merged)
         )
 
+    @classmethod
+    def _ascending(cls, ts: np.ndarray, ws: np.ndarray) -> "AtomicMeasure":
+        """The constructor's measure of ascending atoms, with no sort or merge where none is
+        needed; other input goes through the constructor, which raises its own errors."""
+        total, apart = sum(ws.tolist()), (ts[1:] - ts[:-1] > MERGE_TOL).all()
+        if not (apart and 0 < ws.min() <= ws.max() < math.inf and abs(total - 1) <= WEIGHT_SLACK):
+            return cls(zip(ts, ws))
+        nu, ws = object.__new__(cls), ws / total
+        object.__setattr__(nu, "atoms", tuple(zip(ts.tolist(), ws.tolist())))
+        nu.__dict__.update(locations=_read_only(ts), weights=_read_only(ws))
+        return nu
+
     @cached_property
     def locations(self) -> np.ndarray:
         return _read_only([t for t, _ in self.atoms])
@@ -84,7 +96,7 @@ class AtomicMeasure:
         return 0.0
 
     def distance_to_support(self, x: float) -> float:
-        return float(np.min(np.abs(x - self.locations)))
+        return float(np.abs(x - self.locations).min())
 
     def to_dict(self) -> dict:
         return {"atoms": [[t, w] for t, w in self.atoms]}
@@ -96,7 +108,7 @@ class AtomicMeasure:
         return cls(data["atoms"])
 
 
-def _read_only(values: list[float]) -> np.ndarray:
+def _read_only(values) -> np.ndarray:
     array = np.array(values)
     array.flags.writeable = False
     return array

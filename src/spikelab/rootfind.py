@@ -2,7 +2,8 @@
 
 ``newton`` solves many monotone problems ``f(u) = y`` at once, each in its own
 bracket: a Newton step where it stays inside the bracket and at least halves the
-previous step, bisection otherwise.  The scalar ``bisect`` is ``newton`` without
+previous step, bisection otherwise; free_additive starts its outlier-set ends where
+Newton moves monotonically.  The scalar ``bisect`` is ``newton`` without
 slopes.  It, ``creep_to_sign`` and ``march_to_sign`` (bracket hunting toward a
 blow-up and outward) have no caller in the package; the traced benchmark run still
 wraps them by name.
@@ -30,29 +31,36 @@ def newton(f, x, lo, hi, rising, tol, y=0.0) -> np.ndarray:
     increasing where ``rising``.  Each problem starts at ``x`` in its closed bracket; later
     points lie strictly inside, so an end where f blows up is never evaluated.  Each value
     moves one end of the bracket to its point.  A step that would leave the bracket or not
-    halve the previous one (at first the bracket width) bisects instead.  A problem settles
-    once its step is at most ``tol``; NumericalError after MAX_NEWTON steps.
+    halve the previous one (at first the bracket width), or is NaN, bisects instead.  A
+    problem settles once its step is at most ``tol``; NumericalError after MAX_NEWTON steps.
     """
-    x, lo0, hi0, tol, y = (np.array(a, dtype=float) for a in np.broadcast_arrays(x, lo, hi, tol, y))
-    sign = np.where(np.broadcast_to(rising, x.shape), 1.0, -1.0)
-    lo, hi, last = lo0.copy(), hi0.copy(), hi0 - lo0
+    x = np.array(x, dtype=float)
+    lo0, hi0, tol, y, sign = (
+        np.full(x.size, a, dtype=float) for a in (lo, hi, tol, y, np.where(rising, 1.0, -1.0))
+    )
+    u, lo, hi, last = x.copy(), lo0.copy(), hi0.copy(), hi0 - lo0
     active = np.arange(x.size)
-    for _ in range(MAX_NEWTON):
-        if not active.size:
-            return x
-        ua = x[active]
-        value, slope = f(ua)
-        r, slope = sign[active] * (value - y[active]), sign[active] * slope
-        la = lo[active] = np.where(r < 0.0, ua, lo[active])
-        ha = hi[active] = np.where(r > 0.0, ua, hi[active])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = ua - r / slope
-        slow = ~((la <= step) & (step <= ha)) | (2.0 * np.abs(r) > np.abs(last[active] * slope))
-        new = np.where(r == 0.0, ua, np.where(slow, 0.5 * (la + ha), step))
-        new = np.where((lo0[active] < new) & (new < hi0[active]), new, ua)
-        last[active] = np.abs(new - ua)
-        x[active] = new
-        active = active[last[active] > tol[active]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(MAX_NEWTON):
+            if not active.size:
+                return x
+            value, slope = f(u)
+            r = value - y
+            step = u - r / slope
+            r *= sign
+            np.copyto(lo, u, where=r <= 0.0)  # a root at u closes the bracket onto u
+            np.copyto(hi, u, where=r >= 0.0)
+            fast = (lo <= step) & (step <= hi) & ~(np.abs(r + r) > np.abs(last * slope))
+            new = (lo + hi) * 0.5
+            np.copyto(new, step, where=fast)
+            np.copyto(new, u, where=(new <= lo0) | (new >= hi0))
+            last = np.abs(new - u)
+            u = new
+            if np.count_nonzero(keep := last > tol) < keep.size:
+                x[active] = u
+                active, u, lo, hi, lo0, hi0, last, tol, y, sign = (
+                    a[keep] for a in (active, u, lo, hi, lo0, hi0, last, tol, y, sign)
+                )
     raise NumericalError(f"bracketed Newton did not settle on {active.size} of {x.size} problems")
 
 

@@ -616,7 +616,7 @@ class TestDiagonalize:
                 assert per == pytest.approx(ref_per, abs=1e-10)
                 assert summed == pytest.approx(ref_summed, abs=1e-10)
 
-    @pytest.mark.parametrize("exponent", [800, -800])
+    @pytest.mark.parametrize("exponent", [800, -800, 1000, -1000])
     def test_scale_by_a_power_of_two_scales_the_pairs(self, dtype, exponent):
         # Near 2^800 the squares of the residual's entries would overflow.
         H = random_hermitian(np.random.default_rng(11), 40, dtype)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import semicircle_density, semicircle_g
-from spikelab import free_additive
+from spikelab import free_additive, free_multiplicative
 from spikelab.errors import DomainError, NumericalError, SpecError
 from spikelab.free_additive import (
     AdditiveContext,
@@ -18,11 +18,14 @@ from spikelab.free_additive import (
     subordination,
     support,
 )
+from spikelab.free_multiplicative import MultiplicativeContext
 from spikelab.measure import AtomicMeasure
+from spikelab.rootfind import newton
 
 TWO_POINT = AtomicMeasure([(1.0, 0.5), (-1.0, 0.5)])
 PAPER = AdditiveContext(TWO_POINT, 0.5)
 DELTA0 = AtomicMeasure([(0.0, 1.0)])
+DELTA1 = AtomicMeasure([(1.0, 1.0)])
 
 
 def deformed_g(ctx, z):
@@ -189,6 +192,43 @@ class TestSupport:
         sup = support(PAPER)
         assert not sup.contains(7.0 / 3.0)
         assert not sup.contains(0.0)
+
+
+class TestSolverWork:
+    """Evaluations of f in each bracketed Newton that ``support`` runs, on the few-atom models
+    of the benchmark's ``theory`` workload: more steps fail here, not only on the benchmark."""
+
+    MODELS = {
+        "readme": (free_additive, PAPER, [1, 5]),
+        "semicircle": (free_additive, AdditiveContext(DELTA0, 1.0), [1]),
+        "mp_c0.5": (free_multiplicative, MultiplicativeContext(DELTA1, 0.5), [1]),
+        "mp_c2": (free_multiplicative, MultiplicativeContext(DELTA1, 2.0), [1]),
+        "two_atoms_c0.3": (
+            free_multiplicative,
+            MultiplicativeContext(AtomicMeasure([(1.0, 0.5), (4.0, 0.5)]), 0.3),
+            [1, 6],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_evaluations_per_solve(self, monkeypatch, name):
+        # One atom: no bounded gap, so no peak solve, and its ends t -+ sigma are exact
+        # at their lone-atom starts.  Two atoms: one peak evaluation, then the ends.
+        mod, ctx, expected = self.MODELS[name]
+        counts = []
+
+        def counting(f, *args):
+            counts.append(0)
+
+            def g(u):
+                counts[-1] += 1
+                return f(u)
+
+            return newton(g, *args)
+
+        monkeypatch.setattr(free_additive, "newton", counting)
+        mod.support(ctx)
+        assert counts == expected
 
 
 class TestSubordinatedG:

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from spikelab import rootfind
+from spikelab import free_additive, rootfind
+from spikelab.free_additive import AdditiveContext
+from spikelab.measure import AtomicMeasure
 from spikelab.errors import NumericalError
 from spikelab.rootfind import bisect, creep_to_sign, march_to_sign, newton
 
@@ -31,6 +33,47 @@ def test_newton_mixes_rising_and_falling_brackets():
     # u^2 - 2 rises on [0, 2] and falls on [-2, 0].
     roots = newton(lambda u: (u * u - 2.0, 2.0 * u), [2.0, -2.0], [0.0, -2.0], [2.0, 0.0], [True, False], 1e-15)
     assert np.max(np.abs(roots - [math.sqrt(2.0), -math.sqrt(2.0)])) <= 1e-15
+
+
+def test_newton_keeps_each_root_as_the_active_set_shrinks():
+    # The second problem starts on its root and settles on the first step, the others on
+    # later ones; each settled root must stay with its own problem.
+    sizes = []
+
+    def f(u):
+        sizes.append(u.size)
+        return u * u, 2.0 * u
+
+    targets = np.array([2.0, 9.0, 0.5, 7.0, 3.0])
+    roots = newton(f, [3.9, 3.0, 0.1, 1.0, 1.7], 0.0, 4.0, True, 1e-15, targets)
+    assert np.max(np.abs(roots - np.sqrt(targets))) <= 1e-15
+    assert sizes[0] == 5 and sizes[1] == 4 and len(set(sizes)) >= 3
+    assert sizes == sorted(sizes, reverse=True)
+
+
+def test_newton_bisects_a_nan_step_and_never_settles_on_nan():
+    # The first problem's value is NaN at its start, the second's slope: both steps are
+    # NaN, so both bisect, and Newton then lands each on the root 0.25.
+    seen = []
+
+    def f(u):
+        seen.append(u.tolist())
+        return np.where(u > 0.9, math.nan, u - 0.25), np.where(u > 0.6, math.nan, 1.0)
+
+    roots = newton(f, [1.0, 0.8], 0.0, 1.0, True, 1e-15)
+    assert roots.tolist() == [0.25, 0.25]
+    assert seen == [[1.0, 0.8], [0.5, 0.4], [0.25, 0.25]]
+
+
+@pytest.mark.parametrize("atoms", [[(1.0, 1.0)], [(-1.0, 0.5), (1.0, 0.5)]], ids=["one", "two"])
+def test_an_end_whose_lone_atom_start_rounds_onto_the_atom_is_not_evaluated_there(monkeypatch, atoms):
+    # sigma = 1e-17 is below half an ulp of 1, so each start t -+ sigma sqrt(w) rounds to t.
+    seen = []
+    monkeypatch.setattr(free_additive, "newton", lambda f, *args: newton(recording(f, seen), *args))
+    nu = AtomicMeasure(atoms)
+    ends = [e for pair in free_additive.outlier_set_intervals(AdditiveContext(nu, 1e-34)) for e in pair]
+    assert seen and not set(seen) & set(nu.locations.tolist())
+    assert all(math.isfinite(e) and e not in nu.locations for e in ends[1:-1])
 
 
 def test_newton_on_no_problems_evaluates_nothing():
