@@ -24,7 +24,6 @@ import functools
 import json
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -60,7 +59,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 def load_model(path: str) -> SpikedModelSpec:
     """Read a JSON model file into a validated SpikedModelSpec (N may be None)."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
     except FileNotFoundError:
         raise SpecError(f"model file not found: {path}") from None
     except json.JSONDecodeError as exc:

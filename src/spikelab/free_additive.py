@@ -132,7 +132,7 @@ def outlier_set_intervals(ctx: AdditiveContext) -> list[tuple[float, float]]:
         return p, s2 * p * p * p * ((r * r * r) @ w)
 
     cube = np.cbrt(w)
-    gap, peak = np.flatnonzero(s2 * (cube[:-1] + cube[1:]) ** 3 < np.diff(t) ** 2), np.empty(0)
+    gap, peak = (s2 * (cube[:-1] + cube[1:]) ** 3 < (t[1:] - t[:-1]) ** 2).nonzero()[0], np.empty(0)
     if gap.size:
         tl, tr, cl, cr = t[gap], t[gap + 1], cube[gap], cube[gap + 1]
         # Start at the peak of the two-atom bound, or mid-gap where that rounds onto an atom.
@@ -164,7 +164,7 @@ def support(ctx: AdditiveContext) -> SupportIntervals:
     limiting measure; the support is what remains of the line.  H maps all ends at once.
     """
     ends = np.array(outlier_set_intervals(ctx)).ravel()
-    ends[1:-1] += ctx.sigma2 * np.sum(ctx._wts / (ends[1:-1, None] - ctx._locs), axis=1)
+    ends[1:-1] += ctx.sigma2 * (ctx._wts / (ends[1:-1, None] - ctx._locs)).sum(axis=1)
     return SupportIntervals(tuple(uncovered(ends.reshape(-1, 2).tolist())))
 
 

@@ -50,7 +50,7 @@ class MultiplicativeContext:
         if not math.isfinite(c) or c <= 0.0:
             raise SpecError(f"c must be a finite positive number, got {self.c!r}")
         locs, wts = self.nu.locations, self.nu.weights
-        t, w = locs[locs > MERGE_TOL], wts[locs > MERGE_TOL]
+        t, w = locs[pos := locs > MERGE_TOL], wts[pos]
         with np.errstate(over="ignore"):
             beta = c * w * t * t
             sigma2 = float(beta.sum())
@@ -61,7 +61,7 @@ class MultiplicativeContext:
         if t.size:
             biased = AdditiveContext(AtomicMeasure._ascending(t, beta / sigma2), sigma2)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "_shift", c * float(np.sum(w * t)))
+        object.__setattr__(self, "_shift", c * float((w * t).sum()))
         object.__setattr__(self, "_biased", biased)
 
 
@@ -137,7 +137,7 @@ def support(ctx: MultiplicativeContext) -> SupportIntervals:
     t, c, m = ctx._biased._locs, ctx.c, 1.0 - ctx.nu.weight_at(0.0)
     u = np.array(free_additive.outlier_set_intervals(ctx._biased)).ravel()
     w = ctx.nu.weights[ctx.nu.locations > MERGE_TOL]
-    u[1:-1] *= 1.0 - c * m + c * u[1:-1] * np.sum(w / (u[1:-1, None] - t), axis=1)
+    u[1:-1] *= 1.0 - c * m + c * u[1:-1] * (w / (u[1:-1, None] - t)).sum(axis=1)
     gaps = uncovered(u.reshape(-1, 2).tolist())
     return SupportIntervals(tuple((max(lo, 0.0), hi) for lo, hi in gaps if hi > 0.0))
 
