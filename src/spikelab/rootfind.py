@@ -53,7 +53,7 @@ def newton(f, x, lo, hi, rising, tol, y=0.0) -> np.ndarray:
             fast = (lo <= step) & (step <= hi) & ~(np.abs(r + r) > np.abs(last * slope))
             new = (lo + hi) * 0.5
             np.copyto(new, step, where=fast)
-            np.copyto(new, u, where=(new <= lo0) | (new >= hi0))
+            np.copyto(new, u, where=~((lo0 < new) & (new < hi0)))
             last = np.abs(new - u)
             u = new
             if np.count_nonzero(keep := last > tol) < keep.size:
