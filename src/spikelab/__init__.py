@@ -5,7 +5,7 @@ models: which spikes generate outlier eigenvalues, where those outliers land,
 the limiting squared overlap of their eigenvectors with the spike eigenspace,
 and the support and density of the limiting spectral law (free_additive,
 free_multiplicative, on atomic measures from measure), each checked against
-seeded finite-N simulations (ensemble, verify); cli is the command line.
+seeded finite-N simulations (ensemble, verify); cli, the command line, writes every report.
 """
 
 from . import cli, ensemble, free_additive, free_multiplicative, measure, verify
@@ -23,7 +23,7 @@ from .measure import AtomicMeasure, quantile_discretize
 from .verdicts import SpikeVerdict, SupportIntervals
 from .verify import SpikeOutcome, VerificationResult
 
-__version__ = "0.7.1"
+__version__ = "0.8.0"
 
 __all__ = [
     "AdditiveContext",

@@ -3,17 +3,18 @@
 Model files are JSON objects with the keys kind ("additive" or
 "multiplicative"), sigma2 or c, nu = {"atoms": [[location, weight], ...]},
 spikes = [[theta, multiplicity], ...], and optional N, seed, entry_law
-("gaussian" or "rademacher") and field ("complex" or "real").
+("gaussian" or "rademacher") and field ("complex" or "real").  Every command
+validates the whole file by one rule, that of SpikedModelSpec, so N, seed,
+entry_law and field are checked even by the commands that do not use them.
 
-Every command validates the whole model file by one rule, that of
-SpikedModelSpec: spike thetas strictly decreasing, and N, seed, entry_law
-and field checked even by the commands that do not use them.
-
-Exit codes: 0 success, 2 invalid spec or domain, 4 numerical accuracy
-failure (3, once fixed-point non-convergence, is retired).  On one
-machine, output is a pure function of the model file bytes, the flags and
-the seed.  ``main(argv)`` returns the exit code and may be called again in
-one process; the argument parser is built once, on the first call, not at import.
+Only this module knows the output format.  Each command builds its report as
+a JSON document and as CSV rows, and ``_render`` writes the one asked for,
+CSV by one cell rule.  Exit codes: 0 success; 2 invalid spec or domain, or a
+model file or ``--out`` that cannot be read or written; 4 numerical accuracy
+failure or a non-finite output value (3, once fixed-point non-convergence, is
+retired).  On one machine, output is a pure function of the model file bytes,
+the flags and the seed.  ``main(argv)`` returns the exit code and may be called
+again in one process; the argument parser is built once, on the first call.
 """
 
 from __future__ import annotations
@@ -61,10 +62,10 @@ def load_model(path: str) -> SpikedModelSpec:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise SpecError(f"model file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"model file is not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise SpecError(f"cannot read model file {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise SpecError(f"model file {path} is not valid UTF-8 JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise SpecError("model file must hold a JSON object")
     unknown = sorted(set(raw) - MODEL_KEYS)
@@ -89,8 +90,49 @@ def load_model(path: str) -> SpikedModelSpec:
     )
 
 
-def _fmt_float(value: float) -> str:
+# CSV headers; the per-spike keys are also the JSON keys.  simulate writes the one overlap
+# pair of SpikeOutcome under both the overlap_* and the overlap_sum_* keys of its report.
+_ANALYZE_KEYS = ("type", "theta", "multiplicity", "verdict", "criterion", "rho", "tau", "lo", "hi")
+_RUN_KEYS = ("kind", "N", "reps", "seed", "c", "aspect_ratio")
+_SPIKE_KEYS = (
+    "theta", "multiplicity", "verdict", "rho", "tau", "eigenvalue_mean", "eigenvalue_stderr",
+    "overlap_mean", "overlap_stderr", "overlap_sum_mean", "overlap_sum_stderr", "margin_above",
+    "margin_below", "leakage", "edge_distance", "edge_excess", "pass",
+)
+
+
+def _cell(value) -> str:
+    """One CSV cell: empty for None, true/false, integers as str(int), floats as .17g."""
+    if value is None or isinstance(value, str):
+        return value or ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if not math.isfinite(value):
+        raise NumericalError(f"output value {value!r} is not finite")
     return format(float(value), ".17g")
+
+
+def _leaves(node) -> list:
+    if isinstance(node, dict):
+        node = list(node.values())
+    return [x for item in node for x in _leaves(item)] if isinstance(node, list) else [node]
+
+
+def _render(fmt: str, doc: dict, rows, indent: int | None = 2) -> str:
+    """``doc`` as JSON, or ``rows`` (header first) as CSV: '.' decimals, ',' separators, LF.
+
+    Either way a non-finite number raises NumericalError naming it.
+    """
+    if fmt == "csv":
+        return "".join(",".join(map(_cell, row)) + "\n" for row in rows)
+    try:
+        return json.dumps(doc, indent=indent, allow_nan=False) + "\n"
+    except ValueError:  # a non-finite number: the cell rule raises, naming it
+        for value in _leaves(doc):
+            _cell(value)
+        raise
 
 
 def cmd_analyze(spec: SpikedModelSpec, args: argparse.Namespace) -> str:
@@ -98,54 +140,52 @@ def cmd_analyze(spec: SpikedModelSpec, args: argparse.Namespace) -> str:
     verdicts = [mod.classify_spike(ctx, theta, mult) for theta, mult in spec.spikes]
     sup = mod.support(ctx)
     additive = spec.kind == "additive_wigner"
-    # Only the multiplicative limit can hold an atom, at 0, outside its support.
-    at_zero = {} if additive else {"mass_at_zero": mod.mass_at_zero(ctx)}
-    if args.format == "json":
-        doc = {
-            "kind": spec.kind,
-            "sigma2" if additive else "c": spec.sigma2 if additive else spec.c,
-            "support": [[lo, hi] for lo, hi in sup.intervals],
-            **at_zero,
-            "spikes": [
-                {
-                    "theta": v.theta,
-                    "multiplicity": v.multiplicity,
-                    "verdict": "outlier" if v.is_outlier else "sticking",
-                    "criterion": v.criterion_value,
-                    "rho": v.rho,
-                    "tau": v.tau,
-                }
-                for v in verdicts
-            ],
-        }
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    lines = ["type,theta,multiplicity,verdict,criterion,rho,tau,lo,hi"]
-    for v in verdicts:
-        verdict = "outlier" if v.is_outlier else "sticking"
-        rho = "" if v.rho is None else _fmt_float(v.rho)
-        tau = "" if v.tau is None else _fmt_float(v.tau)
-        lines.append(
-            f"spike,{_fmt_float(v.theta)},{v.multiplicity},{verdict},"
-            f"{_fmt_float(v.criterion_value)},{rho},{tau},,"
-        )
-    for lo, hi in sup.intervals:
-        lines.append(f"support,,,,,,,{_fmt_float(lo)},{_fmt_float(hi)}")
+    spikes = [
+        (v.theta, v.multiplicity, "outlier" if v.is_outlier else "sticking", v.criterion_value,
+         v.rho, v.tau) for v in verdicts
+    ]
+    rows = [_ANALYZE_KEYS, *(("spike", *s, None, None) for s in spikes)]
+    rows += [("support", *[None] * 6, lo, hi) for lo, hi in sup.intervals]
+    doc = {
+        "kind": spec.kind,
+        "sigma2" if additive else "c": spec.sigma2 if additive else spec.c,
+        "support": [[lo, hi] for lo, hi in sup.intervals],
+    }
+    # Only the multiplicative limit can hold an atom, at 0, outside its support: in CSV
+    # the interval [0, 0], with its mass in the multiplicity column.
     if not additive:
-        # The atom at 0 as the interval [0, 0], with its mass in the multiplicity column.
-        lines.append(f"mass_at_zero,,{_fmt_float(at_zero['mass_at_zero'])},,,,,0,0")
-    return "\n".join(lines) + "\n"
+        doc["mass_at_zero"] = mass = mod.mass_at_zero(ctx)
+        rows.append(("mass_at_zero", None, mass, *[None] * 4, 0, 0))
+    doc["spikes"] = [dict(zip(_ANALYZE_KEYS[1:], s)) for s in spikes]
+    return _render(args.format, doc, rows)
 
 
 def cmd_density(spec: SpikedModelSpec, args: argparse.Namespace) -> str:
     lo, hi, n = _parse_grid(args.grid)
     ctx, mod = verify.limit(spec, spec.c)
     points = mod.density(ctx, np.linspace(lo, hi, n), eps=args.eps)
-    if args.format == "json":
-        doc = {"x": [x for x, _ in points], "density": [f for _, f in points]}
-        return json.dumps(doc, allow_nan=False) + "\n"
-    lines = ["x,density"]
-    lines.extend(f"{_fmt_float(x)},{_fmt_float(f)}" for x, f in points)
-    return "\n".join(lines) + "\n"
+    doc = {"x": [x for x, _ in points], "density": [f for _, f in points]}
+    return _render(args.format, doc, [("x", "density"), *points], indent=None)
+
+
+def simulate_report(result: verify.VerificationResult, fmt: str) -> str:
+    """The ``simulate`` report of ``result`` in ``fmt``, "json" or "csv" (one row per spike)."""
+    head = [getattr(result, key) for key in _RUN_KEYS]
+    spikes = [
+        (o.theta, o.multiplicity, "outlier" if o.is_outlier else "sticking", o.rho, o.tau,
+         o.eigenvalue_mean, o.eigenvalue_stderr, *(o.overlap_mean, o.overlap_stderr) * 2,
+         o.margin_above, o.margin_below, o.leakage, o.edge_distance, o.edge_excess,
+         verify.outcome_passes(o))
+        for o in result.spikes
+    ]
+    doc = {
+        **dict(zip(_RUN_KEYS, head)),
+        "support": [[lo, hi] for lo, hi in result.support.intervals],
+        "spikes": [dict(zip(_SPIKE_KEYS, s)) for s in spikes],
+        "pass": all(s[-1] for s in spikes),
+    }
+    rows = [(*_RUN_KEYS, "spike", *_SPIKE_KEYS), *((*head, j, *s) for j, s in enumerate(spikes))]
+    return _render(fmt, doc, rows)
 
 
 def cmd_simulate(spec: SpikedModelSpec, args: argparse.Namespace) -> str:
@@ -156,10 +196,15 @@ def cmd_simulate(spec: SpikedModelSpec, args: argparse.Namespace) -> str:
     )
     if spec.N is None:
         raise SpecError("simulate requires N (in the model file or via --N)")
-    result = verify.run(spec, args.reps)
-    if args.format == "json":
-        return json.dumps(verify.to_json_dict(result), indent=2, allow_nan=False) + "\n"
-    return verify.to_csv_text(result)
+    return simulate_report(verify.run(spec, args.reps), args.format)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SpecError(f"cannot write output file {path}: {exc.strerror or exc}") from None
 
 
 _COMMANDS = {"analyze": cmd_analyze, "density": cmd_density, "simulate": cmd_simulate}
@@ -194,6 +239,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         text = _COMMANDS[args.command](load_model(args.spec), args)
+        if args.out is not None:
+            _write(args.out, text)
     except (SpecError, DomainError, DegenerateOutlierError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -202,9 +249,6 @@ def main(argv=None) -> int:
         return 4
     if args.out is None:
         sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
     return 0
 
 

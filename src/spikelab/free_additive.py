@@ -26,7 +26,7 @@ serve both families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,8 +54,6 @@ class AdditiveContext:
 
     nu: AtomicMeasure
     sigma2: float
-    _locs: np.ndarray = field(init=False, repr=False, compare=False)
-    _wts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.nu, AtomicMeasure):
@@ -64,8 +62,6 @@ class AdditiveContext:
         if not math.isfinite(s2) or s2 <= 0.0:
             raise SpecError(f"sigma2 must be a finite positive number, got {self.sigma2!r}")
         object.__setattr__(self, "sigma2", s2)
-        object.__setattr__(self, "_locs", self.nu.locations)
-        object.__setattr__(self, "_wts", self.nu.weights)
 
 
 def _require_off_atoms(ctx: AdditiveContext, u: float) -> None:
@@ -77,14 +73,14 @@ def H(ctx: AdditiveContext, u: float) -> float:
     """Outlier-location map ``u + sigma2 * sum w_j / (u - t_j)``."""
     u = float(u)
     _require_off_atoms(ctx, u)
-    return u + ctx.sigma2 * float((ctx._wts / (u - ctx._locs)).sum())
+    return u + ctx.sigma2 * float((ctx.nu.weights / (u - ctx.nu.locations)).sum())
 
 
 def H_prime(ctx: AdditiveContext, u: float) -> float:
     """Derivative ``1 - sigma2 * sum w_j / (u - t_j)^2``; also the overlap tau."""
     u = float(u)
     _require_off_atoms(ctx, u)
-    return 1.0 - ctx.sigma2 * float((ctx._wts / (u - ctx._locs) ** 2).sum())
+    return 1.0 - ctx.sigma2 * float((ctx.nu.weights / (u - ctx.nu.locations) ** 2).sum())
 
 
 def classify_spike(ctx: AdditiveContext, theta: float, multiplicity: int = 1) -> SpikeVerdict:
@@ -99,7 +95,7 @@ def classify_spike(ctx: AdditiveContext, theta: float, multiplicity: int = 1) ->
         raise SpecError(f"theta must be finite, got {theta!r}")
     hp = H_prime(ctx, theta)
     if hp > BOUNDARY_TOL:
-        rho = theta + ctx.sigma2 * float((ctx._wts / (theta - ctx._locs)).sum())
+        rho = theta + ctx.sigma2 * float((ctx.nu.weights / (theta - ctx.nu.locations)).sum())
         return SpikeVerdict(theta, multiplicity, True, rho, hp, criterion_value=hp)
     return SpikeVerdict(theta, multiplicity, False, None, None, criterion_value=hp)
 
@@ -118,7 +114,7 @@ def outlier_set_intervals(ctx: AdditiveContext) -> list[tuple[float, float]]:
     atom t alone; so Newton from the lone-atom bound ``t -+ sigma sqrt(w)`` of the atom beside
     an end (the far end where that rounds onto the atom) moves monotonically to it.
     """
-    t, w, s2 = ctx._locs, ctx._wts, ctx.sigma2
+    t, w, s2 = ctx.nu.locations, ctx.nu.weights, ctx.sigma2
     sigma = math.sqrt(s2)
     reach = max(sigma, np.spacing(np.abs(t).max()))  # so that t_1 - reach < t_1
 
@@ -164,7 +160,7 @@ def support(ctx: AdditiveContext) -> SupportIntervals:
     limiting measure; the support is what remains of the line.  H maps all ends at once.
     """
     ends = np.array(outlier_set_intervals(ctx)).ravel()
-    ends[1:-1] += ctx.sigma2 * (ctx._wts / (ends[1:-1, None] - ctx._locs)).sum(axis=1)
+    ends[1:-1] += ctx.sigma2 * (ctx.nu.weights / (ends[1:-1, None] - ctx.nu.locations)).sum(axis=1)
     return SupportIntervals(tuple(uncovered(ends.reshape(-1, 2).tolist())))
 
 
@@ -191,15 +187,16 @@ def _v_squared(w: np.ndarray, s2: float, d2: np.ndarray) -> np.ndarray:
 
 def _psi(ctx: AdditiveContext, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``psi(u) = Re H(u + i v(u))`` and its derivative, an increasing bijection of the line."""
-    d = u[:, None] - ctx._locs
+    w = ctx.nu.weights
+    d = u[:, None] - ctx.nu.locations
     d2 = d * d
-    s = _v_squared(ctx._wts, ctx.sigma2, d2)
+    s = _v_squared(w, ctx.sigma2, d2)
     q = 1.0 / (d2 + s[:, None])
-    F = q @ ctx._wts
-    psi = u + ctx.sigma2 * ((q * d) @ ctx._wts)
+    F = q @ w
+    psi = u + ctx.sigma2 * ((q * d) @ w)
     # Off the support v = 0 and psi = H; on it v^2 moves with u by -2A/G.
     q2 = q * q
-    A, B, G = (q2 * d) @ ctx._wts, (q2 * d2) @ ctx._wts, q2 @ ctx._wts
+    A, B, G = (q2 * d) @ w, (q2 * d2) @ w, q2 @ w
     slope = np.where(s > 0.0, 1.0 + ctx.sigma2 * (F - 2.0 * B + 2.0 * A * A / G), 1.0 - ctx.sigma2 * F)
     return psi, slope
 
@@ -213,7 +210,8 @@ def _on_axis(ctx: AdditiveContext, xs: np.ndarray) -> np.ndarray:
     sigma = math.sqrt(ctx.sigma2)
     settled = _STEP_RTOL * (np.abs(xs) + sigma)
     u = newton(lambda u: _psi(ctx, u), xs, xs - sigma, xs + sigma, True, settled, xs)
-    return u + 1j * np.sqrt(_v_squared(ctx._wts, ctx.sigma2, (u[:, None] - ctx._locs) ** 2))
+    d2 = (u[:, None] - ctx.nu.locations) ** 2
+    return u + 1j * np.sqrt(_v_squared(ctx.nu.weights, ctx.sigma2, d2))
 
 
 def subordination(ctx: AdditiveContext, zs) -> np.ndarray:
@@ -224,7 +222,7 @@ def subordination(ctx: AdditiveContext, zs) -> np.ndarray:
     ``Im omega >= Im z``; a residual above ``RESIDUAL_TOL (1 + |z|)`` is a NumericalError.
     """
     zs = np.asarray(zs, dtype=complex).ravel()
-    sigma = math.sqrt(ctx.sigma2)
+    sigma, t, w = math.sqrt(ctx.sigma2), ctx.nu.locations, ctx.nu.weights
     omega = _on_axis(ctx, zs.real.copy())
     off = np.flatnonzero(zs.imag > 0.0)
     if not off.size:
@@ -236,13 +234,13 @@ def subordination(ctx: AdditiveContext, zs) -> np.ndarray:
         if not active.size:
             break
         oa, za = om[active], z[active]
-        r = 1.0 / (oa[:, None] - ctx._locs)
-        step = (oa + ctx.sigma2 * (r @ ctx._wts) - za) / (1.0 - ctx.sigma2 * ((r * r) @ ctx._wts))
+        r = 1.0 / (oa[:, None] - t)
+        step = (oa + ctx.sigma2 * (r @ w) - za) / (1.0 - ctx.sigma2 * ((r * r) @ w))
         while np.any(low := (oa - step).imag < za.imag):  # ends once step underflows, at worst
             step[low] *= 0.5
         om[active] = oa - step
         active = active[np.abs(step) > _STEP_RTOL * (np.abs(oa) + sigma)]
-    residual = np.abs(om + ctx.sigma2 * (1.0 / (om[:, None] - ctx._locs) @ ctx._wts) - z)
+    residual = np.abs(om + ctx.sigma2 * (1.0 / (om[:, None] - t) @ w) - z)
     i = np.argmax(residual / (1.0 + np.abs(z)))
     if residual[i] > RESIDUAL_TOL * (1.0 + abs(z[i])):
         raise NumericalError(f"subordination residual {residual[i]:.3e} at z={complex(z[i])!r}")
@@ -267,5 +265,6 @@ def density(ctx: AdditiveContext, grid, eps: float = 0.0) -> list[tuple[float, f
     """
     xs = _grid(grid, eps)
     omega = subordination(ctx, xs + 1j * eps)
-    f = omega.imag / math.pi * (ctx._wts / np.abs(omega[:, None] - ctx._locs) ** 2).sum(axis=1)
+    t, w = ctx.nu.locations, ctx.nu.weights
+    f = omega.imag / math.pi * (w / np.abs(omega[:, None] - t) ** 2).sum(axis=1)
     return [(float(x), float(v)) for x, v in zip(xs, f)]

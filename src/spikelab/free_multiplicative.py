@@ -59,7 +59,7 @@ class MultiplicativeContext:
             raise SpecError(f"c*w*t^2 overflows at the atom t={big!r} of nu (c={c!r})")
         biased = None
         if t.size:
-            biased = AdditiveContext(AtomicMeasure._ascending(t, beta / sigma2), sigma2)
+            biased = AdditiveContext(AtomicMeasure(zip(t, beta / sigma2)), sigma2)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "_shift", c * float((w * t).sum()))
         object.__setattr__(self, "_biased", biased)
@@ -83,9 +83,9 @@ def W(ctx: MultiplicativeContext, u: float) -> float:
         raise DomainError("W is undefined at u = 0")
     if ctx.nu.distance_to_support(u) <= MERGE_TOL:
         raise DomainError(f"u={u!r} lies in the support of nu")
-    if ctx._biased is None:
+    if (biased := ctx._biased) is None:
         return 0.0
-    return ctx._biased.sigma2 * float((ctx._biased._wts / (u - ctx._biased._locs) ** 2).sum())
+    return biased.sigma2 * float((biased.nu.weights / (u - biased.nu.locations) ** 2).sum())
 
 
 def _rho(ctx: MultiplicativeContext, u: float) -> float:
@@ -134,7 +134,7 @@ def support(ctx: MultiplicativeContext) -> SupportIntervals:
     small and no term cancels."""
     if ctx._biased is None:
         return SupportIntervals(())
-    t, c, m = ctx._biased._locs, ctx.c, 1.0 - ctx.nu.weight_at(0.0)
+    t, c, m = ctx._biased.nu.locations, ctx.c, 1.0 - ctx.nu.weight_at(0.0)
     u = np.array(free_additive.outlier_set_intervals(ctx._biased)).ravel()
     w = ctx.nu.weights[ctx.nu.locations > MERGE_TOL]
     u[1:-1] *= 1.0 - c * m + c * u[1:-1] * (w / (u[1:-1, None] - t)).sum(axis=1)

@@ -68,18 +68,6 @@ class AtomicMeasure:
             self, "atoms", tuple((t, w / total) for t, w in merged)
         )
 
-    @classmethod
-    def _ascending(cls, ts: np.ndarray, ws: np.ndarray) -> "AtomicMeasure":
-        """The constructor's measure of ascending atoms, with no sort or merge where none is
-        needed; other input goes through the constructor, which raises its own errors."""
-        total, apart = sum(ws.tolist()), (ts[1:] - ts[:-1] > MERGE_TOL).all()
-        if not (apart and 0 < ws.min() <= ws.max() < math.inf and abs(total - 1) <= WEIGHT_SLACK):
-            return cls(zip(ts, ws))
-        nu, ws = object.__new__(cls), ws / total
-        object.__setattr__(nu, "atoms", tuple(zip(ts.tolist(), ws.tolist())))
-        nu.__dict__.update(locations=_read_only(ts), weights=_read_only(ws))
-        return nu
-
     @cached_property
     def locations(self) -> np.ndarray:
         return _read_only([t for t, _ in self.atoms])

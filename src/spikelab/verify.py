@@ -10,6 +10,7 @@ from child i of one ``SeedSequence(seed)``, so the result is byte-identical
 from run to run on one machine, and a failing replica is named by its index
 and spawn key so that it can be redrawn alone.  A pool of worker threads, one
 per usable CPU, draws every replica.  ``run`` is ``aggregate`` over ``replicas``.
+The output format is not kept here: ``cli`` renders the result as JSON or CSV.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import itertools
 import math
 import os
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,11 +52,11 @@ class SpikeOutcome:
     excursion outside the support seen in any replica).  ``margin_above``
     and ``margin_below`` are the mean gaps between rho and the nearest
     eigenvalues ranked outside the block; a missing side means no
-    eigenvalue is ranked there.  ``overlap_mean`` and ``overlap_sum_mean``
-    are one statistic, the mean over replicas of sum_n ||P_j xi_n||^2 / k,
-    kept under both names so the report keeps its columns; so are their
-    stderrs.  ``leakage`` is the mean over replicas of the largest
-    normalized summed overlap onto any other spike block.
+    eigenvalue is ranked there.  ``overlap_mean`` is the mean over replicas
+    of sum_n ||P_j xi_n||^2 / k, the finite-N estimate of tau, and
+    ``overlap_stderr`` its standard error.  ``leakage`` is the mean over
+    replicas of the largest normalized summed overlap onto any other spike
+    block.
     """
 
     theta: float
@@ -67,8 +68,6 @@ class SpikeOutcome:
     eigenvalue_stderr: float
     overlap_mean: float
     overlap_stderr: float
-    overlap_sum_mean: float
-    overlap_sum_stderr: float
     margin_above: float | None
     margin_below: float | None
     leakage: float
@@ -76,10 +75,10 @@ class SpikeOutcome:
     edge_excess: float | None
 
     def __post_init__(self):
-        for name in ("eigenvalue_stderr", "overlap_stderr", "overlap_sum_stderr"):
+        for name in ("eigenvalue_stderr", "overlap_stderr"):
             if getattr(self, name) < 0.0:
                 raise SpecError(f"{name} must be nonnegative")
-        for name in ("overlap_mean", "overlap_sum_mean", "leakage"):
+        for name in ("overlap_mean", "leakage"):
             value = getattr(self, name)
             if not -1e-12 <= value <= 1.0 + UNIT_SLACK:
                 raise SpecError(f"{name}={value!r} is outside [0, 1]")
@@ -93,7 +92,7 @@ class SpikeOutcome:
 
 @dataclass(frozen=True)
 class VerificationResult:
-    """Cross-replica aggregate for one model size, ready to serialize.
+    """Cross-replica aggregate for one model size; ``cli`` renders it as a report.
 
     ``c`` is the aspect ratio the model requests and ``aspect_ratio`` the
     realized N/p the theory is evaluated at; both are None for an additive
@@ -288,8 +287,6 @@ def aggregate(spec: SpikedModelSpec, samples) -> VerificationResult:
                 eigenvalue_stderr=eig_err,
                 overlap_mean=overlap_mean,
                 overlap_stderr=overlap_err,
-                overlap_sum_mean=overlap_mean,
-                overlap_sum_stderr=overlap_err,
                 margin_above=_mean(above),
                 margin_below=_mean(below),
                 leakage=float(np.mean(leak)),
@@ -333,58 +330,6 @@ def outcome_passes(outcome: SpikeOutcome) -> bool:
     if outcome.is_outlier:
         return (
             abs(outcome.eigenvalue_mean - outcome.rho) <= RHO_TOL
-            and abs(outcome.overlap_sum_mean - outcome.tau) <= TAU_TOL
+            and abs(outcome.overlap_mean - outcome.tau) <= TAU_TOL
         )
     return outcome.edge_excess <= EDGE_TOL
-
-
-# Report columns: the scalar fields of VerificationResult, then per spike the
-# fields of SpikeOutcome in declaration order, is_outlier rendered as verdict,
-# and the report-level pass flag.
-_RESULT_KEYS = tuple(
-    f.name for f in fields(VerificationResult) if f.name not in ("support", "spikes")
-)
-_SPIKE_KEYS = tuple(
-    "verdict" if f.name == "is_outlier" else f.name for f in fields(SpikeOutcome)
-) + ("pass",)
-CSV_HEADER = _RESULT_KEYS + ("spike",) + _SPIKE_KEYS
-
-
-def _spike_row(outcome: SpikeOutcome) -> dict:
-    row = dict(zip(_SPIKE_KEYS, (getattr(outcome, f.name) for f in fields(SpikeOutcome))))
-    row["verdict"] = "outlier" if outcome.is_outlier else "sticking"
-    row["pass"] = outcome_passes(outcome)
-    return row
-
-
-def to_json_dict(result: VerificationResult) -> dict:
-    """JSON-ready dict mirroring the result, with per-spike pass flags."""
-    spikes = [_spike_row(outcome) for outcome in result.spikes]
-    return {
-        **{name: getattr(result, name) for name in _RESULT_KEYS},
-        "support": [[lo, hi] for lo, hi in result.support.intervals],
-        "spikes": spikes,
-        "pass": all(row["pass"] for row in spikes),
-    }
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-def to_csv_text(result: VerificationResult) -> str:
-    """Flat table, one row per spike: '.' decimals, ',' separators, LF."""
-    head = [getattr(result, name) for name in _RESULT_KEYS]
-    lines = [",".join(CSV_HEADER)]
-    for j, outcome in enumerate(result.spikes):
-        cells = [*head, j, *_spike_row(outcome).values()]
-        lines.append(",".join(_csv_cell(cell) for cell in cells))
-    return "\n".join(lines) + "\n"

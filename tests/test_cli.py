@@ -127,8 +127,43 @@ def test_rejects_unknown_keys_and_kind(tmp_path):
     assert cli.main(["analyze", "--spec", path]) == 2
 
 
-def test_missing_spec_file_exits_2(tmp_path):
-    assert cli.main(["analyze", "--spec", str(tmp_path / "nope.json")]) == 2
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(PAPER_MODEL).encode().replace(b"additive", b"additiv\xe9"))
+    return str(path), None
+
+
+# Each case gives the model path and the --out path (None for stdout) of one call.
+UNREADABLE = {
+    "spec_missing": lambda tmp: (str(tmp / "nope.json"), None),
+    "spec_is_a_directory": lambda tmp: (str(tmp), None),
+    "spec_not_utf8": _not_utf8,
+    "out_in_a_missing_directory": lambda tmp: (write_model(tmp, PAPER_MODEL), str(tmp / "no" / "a.json")),
+    "out_is_a_directory": lambda tmp: (write_model(tmp, PAPER_MODEL), str(tmp)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_missing_spec_file_exits_2(tmp_path, capsys, case):
+    # A path that cannot be read or written is named in one error line, not a traceback.
+    spec, out = UNREADABLE[case](tmp_path)
+    argv = ["analyze", "--spec", spec] + ([] if out is None else ["--out", out])
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert (spec if out is None else out) in captured.err
+
+
+def test_a_non_finite_output_value_exits_4(tmp_path, capsys):
+    # H'(1e-5) = 1 - 1e308 / 1e-10 overflows: the criterion is -inf, in either format.
+    model = {"kind": "additive", "sigma2": 1e308, "nu": {"atoms": [[0, 1]]}, "spikes": [[1e-5, 1]]}
+    path = write_model(tmp_path, model)
+    for fmt in ("json", "csv"):
+        assert cli.main(["analyze", "--spec", path, "--format", fmt]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: output value -inf is not finite\n"
 
 
 # Each file breaks one rule of the model file.  The first five were accepted
@@ -341,6 +376,61 @@ def test_python_dash_m_spikelab_runs_the_command_line(tmp_path, capsys):
     )
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout == expected
+
+
+# ------------------------------------------------------------ one writer
+
+# A real Wishart model whose nu has an atom at 0: analyze writes its mass_at_zero row.
+WISHART_ATOM_AT_ZERO = {
+    "kind": "multiplicative",
+    "c": 0.5,
+    "nu": {"atoms": [[0.0, 0.25], [1.0, 0.5], [3.0, 0.25]]},
+    "spikes": [[8.0, 1], [2.0, 1]],
+    "N": 80,
+    "field": "real",
+    "seed": 5,
+}
+
+
+def csv_cell_is(cell, value):
+    """Whether one CSV cell parses to its JSON value: "" for null, true/false, exact numbers."""
+    if value is None or isinstance(value, (bool, str)):
+        return cell == {None: "", True: "true", False: "false"}.get(value, value)
+    return type(value)(cell) == value
+
+
+def expected_rows(command, header, doc):
+    """The JSON values that each CSV row of one report should hold, in column order."""
+    if command == "density":
+        return [dict(zip(header, xf)) for xf in zip(doc["x"], doc["density"])]
+    if command == "simulate":
+        run = {key: doc[key] for key in header[: header.index("spike")]}
+        return [{**run, "spike": j, **spike} for j, spike in enumerate(doc["spikes"])]
+    empty = dict.fromkeys(header)
+    rows = [{**empty, "type": "spike", **spike} for spike in doc["spikes"]]
+    rows += [{**empty, "type": "support", "lo": lo, "hi": hi} for lo, hi in doc["support"]]
+    if "mass_at_zero" in doc:
+        mass = doc["mass_at_zero"]
+        rows.append({**empty, "type": "mass_at_zero", "multiplicity": mass, "lo": 0, "hi": 0})
+    return rows
+
+
+@pytest.mark.parametrize("model", [dict(PAPER_MODEL, N=200), WISHART_ATOM_AT_ZERO], ids=["readme", "wishart"])
+@pytest.mark.parametrize(
+    "argv", [["analyze"], ["density", "--grid=-1:6:15"], ["simulate", "--reps", "2"]], ids=lambda a: a[0]
+)
+def test_every_csv_cell_parses_to_its_json_value(tmp_path, capsys, model, argv):
+    path = write_model(tmp_path, model)
+    text = {}
+    for fmt in ("json", "csv"):
+        assert cli.main([*argv, "--spec", path, "--format", fmt]) == 0
+        text[fmt] = capsys.readouterr().out
+    header, *rows = (line.split(",") for line in text["csv"].splitlines())
+    expected = expected_rows(argv[0], header, json.loads(text["json"]))
+    assert len(rows) == len(expected) > 1
+    for row, want in zip(rows, expected):
+        assert list(want) == header
+        assert all(csv_cell_is(cell, value) for cell, value in zip(row, want.values(), strict=True))
 
 
 # ------------------------------------------------------- one parser per process

@@ -73,3 +73,23 @@ def test_only_lapack_asks_whether_numpy_exports_the_routines():
                 if name == "routines":
                     callers.add(path.name)
     assert callers == {"lapack.py"}
+
+
+
+def _knows_the_format(node: ast.AST) -> bool:
+    """Whether ``node`` imports json or holds a .17g format spec."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "json" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "json"
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and ".17g" in node.value
+
+
+def test_only_cli_knows_the_output_format():
+    # cli renders every report, so JSON and the .17g CSV cells stay out of every other module.
+    writers = {
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if any(map(_knows_the_format, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+    }
+    assert writers == {"cli.py"}

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from spikelab import lapack, verify
+from spikelab import cli, lapack, verify
 from spikelab.ensemble import SpikedModelSpec, draw_sample, workspace
 from spikelab.errors import NumericalError
 from spikelab.measure import AtomicMeasure
@@ -71,8 +71,8 @@ def arrays(samples):
 
 @pytest.mark.parametrize("spec", [additive(120), wishart(120, field="real_symmetric")])
 def test_same_seed_and_reps_repeat_byte_for_byte(workers, spec):
-    first = verify.to_json_dict(verify.run(spec, 4))
-    assert verify.to_json_dict(verify.run(spec, 4)) == first
+    first = cli.simulate_report(verify.run(spec, 4), "json")
+    assert cli.simulate_report(verify.run(spec, 4), "json") == first
     assert arrays(verify.replicas(spec, 4)) == arrays(verify.replicas(spec, 4))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import empirical_density, mp_density, separation_check
-from spikelab import ensemble, verify
+from spikelab import cli, ensemble, verify
 from spikelab.ensemble import SpikedModelSpec, draw_sample
 from spikelab.errors import NumericalError, SpecError
 from spikelab.free_multiplicative import MultiplicativeContext, classify_spike
@@ -79,16 +79,18 @@ def test_run_rejects_bad_reps():
 
 def test_single_rep_has_zero_stderr():
     res = run_paper(80, 1)
-    for outcome in res.spikes:
+    report = json.loads(cli.simulate_report(res, "json"))
+    for outcome, row in zip(res.spikes, report["spikes"], strict=True):
         assert outcome.eigenvalue_stderr == 0.0
         assert outcome.overlap_stderr == 0.0
-        assert outcome.overlap_sum_stderr == 0.0
+        assert row["overlap_sum_stderr"] == 0.0
 
 
 def test_overlap_statistics_within_unit_interval():
     res = run_paper(120, 3)
-    for outcome in res.spikes:
-        for val in (outcome.overlap_mean, outcome.overlap_sum_mean, outcome.leakage):
+    report = json.loads(cli.simulate_report(res, "json"))
+    for outcome, row in zip(res.spikes, report["spikes"], strict=True):
+        for val in (outcome.overlap_mean, row["overlap_sum_mean"], outcome.leakage):
             assert -1e-12 <= val <= 1.0 + 1e-8
         assert outcome.eigenvalue_stderr >= 0.0
 
@@ -175,18 +177,23 @@ def test_overlap_mean_and_overlap_sum_mean_are_one_statistic():
         sigma2=0.5,
         entry_law="rademacher",
     )
-    for outcome in verify.run(spec, 4).spikes:
-        assert outcome.overlap_mean == outcome.overlap_sum_mean
-        assert outcome.overlap_stderr == outcome.overlap_sum_stderr
+    # SpikeOutcome holds the statistic once; the report writes it under both key pairs.
+    res = verify.run(spec, 4)
+    report = json.loads(cli.simulate_report(res, "json"))
+    header, *rows = (line.split(",") for line in cli.simulate_report(res, "csv").splitlines())
+    assert len(rows) == len(report["spikes"]) == 2
+    for spike in report["spikes"] + [dict(zip(header, row, strict=True)) for row in rows]:
+        assert spike["overlap_mean"] == spike["overlap_sum_mean"]
+        assert spike["overlap_stderr"] == spike["overlap_sum_stderr"]
 
 
 def test_paper_example_accuracy_small_N():
     res = run_paper(300, 6, seed=21)
     top, _, zero = res.spikes
     assert abs(top.eigenvalue_mean - RHO_TOP) < 0.1
-    assert abs(top.overlap_sum_mean - TAU_TOP) < 0.1
+    assert abs(top.overlap_mean - TAU_TOP) < 0.1
     assert abs(zero.eigenvalue_mean) < 0.1
-    assert abs(zero.overlap_sum_mean - 0.5) < 0.1
+    assert abs(zero.overlap_mean - 0.5) < 0.1
     assert top.leakage < 0.1 and zero.leakage < 0.1
 
 
@@ -222,7 +229,7 @@ def test_bbp_small_simulation():
     assert out.rho == pytest.approx(4.5, abs=1e-12)
     assert out.tau == pytest.approx(0.5, abs=1e-12)
     assert abs(out.eigenvalue_mean - 4.5) < 0.25
-    assert abs(out.overlap_sum_mean - 0.5) < 0.12
+    assert abs(out.overlap_mean - 0.5) < 0.12
 
 
 # ---------------------------------------------------- separation_check
@@ -345,9 +352,7 @@ def test_leakage_and_rho_error_shrink_with_N():
 
 def test_json_dict_round_trips():
     res = run_paper(120, 2)
-    doc = verify.to_json_dict(res)
-    text = json.dumps(doc, allow_nan=False)
-    back = json.loads(text)
+    back = json.loads(cli.simulate_report(res, "json"))
     assert back["kind"] == "additive_wigner"
     assert back["N"] == 120 and back["reps"] == 2
     assert back["c"] is None and back["aspect_ratio"] is None
@@ -372,8 +377,8 @@ def test_json_dict_round_trips():
 
 def test_csv_shape_and_byte_determinism():
     res = run_paper(120, 2)
-    text = verify.to_csv_text(res)
-    assert text == verify.to_csv_text(run_paper(120, 2))
+    text = cli.simulate_report(res, "csv")
+    assert text == cli.simulate_report(run_paper(120, 2), "csv")
     assert "\r" not in text and text.endswith("\n")
     lines = text.strip("\n").split("\n")
     assert len(lines) == 4  # header plus one row per spike
@@ -392,7 +397,7 @@ def test_csv_shape_and_byte_determinism():
 
 def test_csv_sticking_row_leaves_theory_cells_empty():
     res = run_paper(120, 2)
-    lines = verify.to_csv_text(res).strip("\n").split("\n")
+    lines = cli.simulate_report(res, "csv").strip("\n").split("\n")
     header = lines[0].split(",")
     sticking = lines[2].split(",")
     assert sticking[header.index("verdict")] == "sticking"
@@ -406,7 +411,7 @@ def test_outcome_passes_rule():
     good_top = res.spikes[0]
     assert verify.outcome_passes(good_top) == (
         abs(good_top.eigenvalue_mean - good_top.rho) <= verify.RHO_TOL
-        and abs(good_top.overlap_sum_mean - good_top.tau) <= verify.TAU_TOL
+        and abs(good_top.overlap_mean - good_top.tau) <= verify.TAU_TOL
     )
     sticky = res.spikes[1]
     assert verify.outcome_passes(sticky) == (sticky.edge_excess <= verify.EDGE_TOL)
