@@ -23,7 +23,7 @@ from .measure import AtomicMeasure, quantile_discretize
 from .verdicts import SpikeVerdict, SupportIntervals
 from .verify import SpikeOutcome, VerificationResult
 
-__version__ = "0.8.0"
+__version__ = "0.8.1"
 
 __all__ = [
     "AdditiveContext",

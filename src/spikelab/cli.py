@@ -10,11 +10,12 @@ entry_law and field are checked even by the commands that do not use them.
 Only this module knows the output format.  Each command builds its report as
 a JSON document and as CSV rows, and ``_render`` writes the one asked for,
 CSV by one cell rule.  Exit codes: 0 success; 2 invalid spec or domain, or a
-model file or ``--out`` that cannot be read or written; 4 numerical accuracy
-failure or a non-finite output value (3, once fixed-point non-convergence, is
-retired).  On one machine, output is a pure function of the model file bytes,
-the flags and the seed.  ``main(argv)`` returns the exit code and may be called
-again in one process; the argument parser is built once, on the first call.
+model file or ``--out`` that cannot be read or written (``--out`` is tried
+first, and a failed run leaves it as it was); 4 numerical accuracy failure or
+a non-finite output value (3, once fixed-point non-convergence, is retired).
+On one machine, output is a pure function of the model file bytes, the flags
+and the seed.  ``main(argv)`` returns the exit code and may be called again
+in one process; the argument parser is built once, on the first call.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -199,9 +201,9 @@ def cmd_simulate(spec: SpikedModelSpec, args: argparse.Namespace) -> str:
     return simulate_report(verify.run(spec, args.reps), args.format)
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, text: str, mode: str = "w") -> None:
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(path, mode, encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
         raise SpecError(f"cannot write output file {path}: {exc.strerror or exc}") from None
@@ -238,16 +240,23 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        # --out is tried before the work, creating and truncating nothing: a file
+        # is opened to append nothing, and a new path needs a writable directory.
+        out = args.out
+        if out is not None and os.path.lexists(out):
+            _write(out, "", "a")
+        elif out is not None and not os.access(os.path.dirname(out) or ".", os.W_OK | os.X_OK):
+            raise SpecError(f"cannot write output file {out}: no writable directory")
         text = _COMMANDS[args.command](load_model(args.spec), args)
-        if args.out is not None:
-            _write(args.out, text)
+        if out is not None:
+            _write(out, text)
     except (SpecError, DomainError, DegenerateOutlierError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    if args.out is None:
+    if out is None:
         sys.stdout.write(text)
     return 0
 

@@ -9,9 +9,9 @@ Wishart noise enters only through B B*, so Gaussian entries are drawn as the
 upper-triangular N x N Bartlett factor of B rather than B itself.
 A replica computes every eigenvalue of M but only the r eigenvectors at the
 spike ranks, from one unitary reduction of M to a band and a real
-tridiagonal, and checks exactly what it returns.  It draws the noise,
-assembles M and reduces it in one N x N buffer, which a caller drawing many
-replicas can reuse.
+tridiagonal, and checks what it returns relative to ||M||.  It draws the
+noise, assembles M and reduces it in one N x N buffer, which a caller
+drawing many replicas can reuse.
 """
 
 from __future__ import annotations
@@ -342,15 +342,15 @@ def diagonalize(M: np.ndarray, ranks, overwrite: bool = False):
     reduction of M's lower triangle to a Hermitian band B and a real
     tridiagonal T is the only O(N^3) step: every eigenvalue of T then comes
     from ?sterf, as in ``np.linalg.eigvalsh`` (bit for bit for a real M, to
-    rounding for a complex one, which takes a two-stage reduction), the
-    selected ones from bisection on T and their vectors from inverse
-    iteration on B (see ``lapack``, which takes the pairs from
-    ``np.linalg.eigh`` where numpy's library does not export those
-    routines).  Raises SpecError unless M is N x N, N >= 1, and
-    the ranks are distinct integers in [1, N], and NumericalError unless M
-    is finite, |M - M*| <= 1e-7 (1 + ||M||) entrywise, every returned pair
-    has residual ||Mv - lambda v|| <= 1e-7 (1 + ||M||) and the Gram
-    deviation is <= 1e-8.
+    rounding for a complex one, which takes a two-stage reduction), in one
+    call on T scaled to about unit norm by a power of two.  The selected
+    ones are the shifts of inverse iteration on B, which gives their vectors
+    (see ``lapack``, which takes the pairs from ``np.linalg.eigh`` where
+    numpy's library does not export those routines).  Raises SpecError unless M is
+    N x N, N >= 1, and the ranks are distinct integers in [1, N], and
+    NumericalError unless M is finite, |M - M*| <= 1e-7 ||M|| entrywise,
+    every returned pair has residual ||Mv - lambda v|| <= 1e-7 ||M|| and
+    the Gram deviation is <= 1e-8.
 
     M is never modified, unless ``overwrite`` is set and M is an N x N
     Fortran-ordered float64 or complex128 array: the reduction then runs in
@@ -375,7 +375,7 @@ def diagonalize(M: np.ndarray, ranks, overwrite: bool = False):
     lam, V = lapack.eigenpairs(a, index)
     MV = lapack.upper_times(a, V)
     norm = float(max(abs(lam[0]), abs(lam[-1])))
-    tol = EIGEN_RESIDUAL_TOL * (1.0 + norm)
+    tol = EIGEN_RESIDUAL_TOL * norm
     if not asymmetry <= tol:
         raise NumericalError(f"input is not Hermitian: |M - M*| reaches {asymmetry:.3e}")
     # Taken at unit scale, by an exact power of two, so that no squared entry overflows.

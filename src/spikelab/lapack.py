@@ -6,15 +6,15 @@ a Hermitian band B of half-bandwidth kd, which then goes down to a real
 tridiagonal T.  A real M is reduced by ?sytrd, so B is T itself (kd = 1).
 A complex M is reduced in two stages (Bischof, Lang & Sun 2000): full to
 band by ?hetrd_he2hb with BLAS-3 kernels, then band to tridiagonal by
-bulge chasing in ?hetrd_hb2st, which keeps no vectors.  All eigenvalues of
-T come from ?sterf and the selected ones from bisection (dstebz); their
-vectors come from inverse iteration on B (?gbtrf, ?gbtrs), and one
-?ormqr/?unmqr over the reflectors below B maps them back to M.  Every
-routine here works in the caller's N x N buffer: the reduction overwrites
-M's lower triangle with B and the reflectors and leaves its strict upper
-triangle, so M is still there for the residual check (?symm/?hemm), and
-the Wishart product F F* is formed in place by ?lauum or accumulated by
-?syrk/?herk.
+bulge chasing in ?hetrd_hb2st, which keeps no vectors.  T and B are
+scaled once, by a power of two near 1/||T||; one ?sterf call at that scale
+gives every eigenvalue, and the selected ones are the shifts of inverse
+iteration on B (?gbtrf, ?gbtrs).  One ?ormqr/?unmqr over the reflectors
+below B maps the vectors back to M.  Every routine here works in the
+caller's N x N buffer: the reduction overwrites M's lower triangle with
+the reflectors and leaves its strict upper triangle, so M is still there
+for the residual check (?symm/?hemm), and the Wishart product F F* is
+formed in place by ?lauum or accumulated by ?syrk/?herk.
 
 numpy.linalg wraps only whole eigensolves, but numpy's wheels bundle
 scipy-openblas, which exports each LAPACK and BLAS routine with 64-bit
@@ -45,7 +45,6 @@ _SIGNATURES = {
     "zhetrd_he2hb": (11, 1),
     "zhetrd_hb2st": (14, 3),
     "dsterf": (4, 0),
-    "dstebz": (18, 2),
     "dlarnv": (4, 0),
     "dgbtrf": (8, 0),
     "zgbtrf": (8, 0),
@@ -65,13 +64,11 @@ _SIGNATURES = {
 # ?hetrd_he2hb's BLAS-3 kernels, but costs memory: at kd = 32 a replica
 # peaked at 1.37 buffers, against 1.21 at 16.
 _KD = 16
-# dstebz's ABSTOL: twice the safe minimum, LAPACK's most accurate setting.
-_ABSTOL = 2.0 * np.finfo(float).tiny
 # Inverse iteration: solves per vector, and the gap, relative to ||M||,
 # below which neighbouring eigenvalues form a cluster whose vectors are
 # orthogonalized against each other.  Both are dstein's: from an eigenvalue
-# found by bisection, its first solve already meets its stopping test, and
-# it then takes two more.
+# accurate to O(eps ||T||), as ?sterf's are, its first solve already meets
+# its stopping test, and it then takes two more.
 _SOLVES = 3
 _CLUSTER_GAP = 1e-3
 
@@ -147,17 +144,17 @@ def _with_workspace(name: str, dtype, *args) -> None:
 
 
 def tridiagonalize(a: np.ndarray):
-    """Unitary reduction of the lower triangle of ``a`` to a real tridiagonal T, in place: (tau, d, e).
+    """Reduce the lower triangle of ``a`` in place to a real tridiagonal T: (tau, band, d, e).
 
     ``a`` is N x N, Fortran-ordered, float64 or complex128.  LAPACK reads
     its lower triangle, as ``np.linalg.eigvalsh`` does, and leaves the
     strict upper triangle as it was.  Q* M Q is a Hermitian band B of
     half-bandwidth kd, 1 for a real M (B = T, by ?sytrd) and ``_KD`` for a
     complex one (by ?hetrd_he2hb, whose output band ?hetrd_hb2st then
-    reduces to T).  B's diagonal and first kd subdiagonals overwrite those
-    of ``a``; Q = H(1) ... H(N - kd) is kept in the reflectors below them
-    and their scalars ``tau``, which is zero where ?hetrd_he2hb, at
-    N <= kd + 1, only copies M.
+    reduces to T), in LAPACK's lower band storage: ``band[i, j]`` is
+    B[j + i, j].  Q = H(1) ... H(N - kd) is kept in the reflectors below
+    the kd-th subdiagonal of ``a`` and their scalars ``tau``, which is zero
+    where ?hetrd_he2hb, at N <= kd + 1, only copies M.
     """
     n = a.shape[0]
     d = np.zeros(n)
@@ -165,22 +162,17 @@ def tridiagonalize(a: np.ndarray):
     if not np.iscomplexobj(a):
         tau = np.zeros(max(1, n - 1))
         _with_workspace("dsytrd", a.dtype, b"L", n, a, max(1, n), d, e, tau)
-        return tau, d, e
+        return tau, np.stack([d, np.append(e[: n - 1], 0.0)]), d, e
     band = np.zeros((_KD + 1, n), dtype=a.dtype, order="F")
     tau = np.zeros(max(1, n - _KD), dtype=a.dtype)
     _with_workspace("zhetrd_he2hb", a.dtype, b"L", n, _KD, a, max(1, n), band, _KD + 1, tau)
-    # ?hetrd_he2hb returns B in ``band`` but leaves other values in the last
-    # subdiagonals of ``a``, which ?unmqr does not read: put B there.
-    j = np.arange(n)
-    for i in range(min(_KD, n - 1) + 1):
-        a[j[i:], j[: n - i]] = band[i, : n - i]
     # ?hetrd_hb2st overwrites the band; it sizes two workspaces, HOUS and WORK.
-    args = (b"N", b"N", b"L", n, _KD, band, _KD + 1, d, e)
+    args = (b"N", b"N", b"L", n, _KD, band.copy(order="F"), _KD + 1, d, e)
     hous, work = np.zeros(1, dtype=a.dtype), np.zeros(1, dtype=a.dtype)
     _call("zhetrd_hb2st", *args, hous, -1, work, -1)
     hous, work = (np.zeros(max(1, int(q[0].real)), dtype=a.dtype) for q in (hous, work))
     _call("zhetrd_hb2st", *args, hous, hous.size, work, work.size)
-    return tau, d, e
+    return tau, band, d, e
 
 
 def sterf(d: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -190,63 +182,33 @@ def sterf(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _bisect(d: np.ndarray, e: np.ndarray, asc: np.ndarray, norm: float) -> np.ndarray:
-    """The eigenvalues of the tridiagonal (d, e) at the ascending 0-based positions ``asc``.
-
-    One dstebz call per contiguous run of positions.  Its Sturm counts
-    square e, so d and e are first scaled, exactly, by a power of two near
-    1/``norm``: unscaled, at ||T|| = 1e-200 the squares underflow and the
-    counts are those of the diagonal alone.
-    """
-    n = d.size
-    scale = np.ldexp(1.0, -np.frexp(norm)[1])
-    d, e = d * scale, e * scale
-    counts = np.zeros(2, dtype=np.int64)  # dstebz's M and NSPLIT
-    vals = np.zeros(n)
-    iblock, isplit = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    work, iwork = np.zeros(4 * n), np.zeros(3 * n, dtype=np.int64)
-    w = []
-    for run in np.split(asc, np.flatnonzero(np.diff(asc) > 1) + 1):
-        _call(
-            "dstebz", b"I", b"B", n, 0.0, 0.0, int(run[0]) + 1, int(run[-1]) + 1, _ABSTOL,
-            d, e, counts[:1], counts[1:], vals, iblock, isplit, work, iwork,
-        )
-        if counts[0] != run.size:
-            raise NumericalError(f"dstebz found {counts[0]} of {run.size} eigenvalues")
-        # dstebz orders by split block; within the run, ascending value is position.
-        w.append(np.sort(vals[: run.size]))
-    return np.concatenate(w) / scale
-
-
-def _band_vectors(a: np.ndarray, diagonal: np.ndarray, kd: int, w: np.ndarray, norm: float):
+def _band_vectors(band: np.ndarray, w: np.ndarray, norm: float):
     """Eigenvectors, N x len(w), of the Hermitian band B at its ascending eigenvalues ``w``.
 
-    B has the real ``diagonal`` and, below it, the first ``kd`` subdiagonals
-    of ``a``; ``norm`` is ||B|| > 0.  Each vector is _SOLVES steps of inverse
+    ``band`` is B in lower band storage (see ``tridiagonalize``), and
+    ``norm`` is ||B|| > 0.  Each vector is _SOLVES steps of inverse
     iteration with B - w I, factored by ?gbtrf in one buffer that every
     eigenvalue reuses; an exactly zero pivot becomes eps ||B||.  As in
     dstein, the starts are dlarnv's uniform (-1, 1) draws from a fixed seed
     that runs on from vector to vector, so equal eigenvalues get different
     starts, and after each solve a vector is orthogonalized against those
-    of the lower eigenvalues of its cluster.  B and w are scaled as in ``_bisect``.
+    of the lower eigenvalues of its cluster.
     """
-    n = diagonal.size
-    kd = min(kd, n - 1)
-    scale = np.ldexp(1.0, -np.frexp(norm)[1])
-    diagonal, w, norm = diagonal * scale, w * scale, norm * scale
-    lu = np.zeros((3 * kd + 1, n), dtype=a.dtype, order="F")  # rows 0..kd-1 take the fill-in
+    n = band.shape[1]
+    kd = min(band.shape[0] - 1, n - 1)
+    lu = np.zeros((3 * kd + 1, n), dtype=band.dtype, order="F")  # rows 0..kd-1 take the fill-in
     ipiv = np.zeros(n, dtype=np.int64)
     seed = np.ones(4, dtype=np.int64)
     start = np.zeros(n)
-    Y = np.zeros((n, w.size), dtype=a.dtype, order="F")
-    gbtrf, gbtrs = ("zgbtrf", "zgbtrs") if np.iscomplexobj(a) else ("dgbtrf", "dgbtrs")
+    Y = np.zeros((n, w.size), dtype=band.dtype, order="F")
+    gbtrf, gbtrs = ("zgbtrf", "zgbtrs") if np.iscomplexobj(band) else ("dgbtrf", "dgbtrs")
     first = 0  # the lowest eigenvalue of the current cluster
     for k, shift in enumerate(w):
         lu.fill(0.0)
-        lu[2 * kd] = diagonal - shift
+        lu[2 * kd] = band[0].real - shift
         for i in range(1, kd + 1):
-            sub = np.multiply(a.diagonal(-i), scale, out=lu[2 * kd + i, : n - i])
-            lu[2 * kd - i, i:] = sub.conj()
+            lu[2 * kd + i, : n - i] = band[i, : n - i]
+            lu[2 * kd - i, i:] = band[i, : n - i].conj()
         _call(gbtrf, n, n, kd, kd, lu, 3 * kd + 1, ipiv, singular_ok=True)
         pivots = lu[2 * kd]
         pivots[pivots == 0.0] = np.finfo(float).eps * norm
@@ -268,36 +230,36 @@ def eigenpairs(a: np.ndarray, index: np.ndarray):
     """Descending eigenvalues of Hermitian M and its eigenvectors at 0-based ``index``.
 
     ``a`` holds M, N x N, Fortran-ordered, float64 or complex128.  It is
-    reduced in place to the band B (see ``tridiagonalize``); its diagonal,
-    which ?ormqr/?unmqr do not read, is put back at once, so that its
-    diagonal and strict upper triangle still hold M.  Positions count from
-    the largest eigenvalue.  Bisection on T finds the selected eigenvalues,
-    inverse iteration on B their vectors, and one ?ormqr/?unmqr applies Q.
+    reduced in place (see ``tridiagonalize``); its diagonal, which
+    ?ormqr/?unmqr do not read, is put back at once, so that its diagonal
+    and strict upper triangle still hold M.  Positions count from the
+    largest eigenvalue.  One ?sterf call on the scaled T gives every
+    eigenvalue, inverse iteration on the scaled B at the selected ones
+    their vectors, and one ?ormqr/?unmqr applies Q.
     """
     if routines() is None:
         w, vectors = np.linalg.eigh(a)
         return w[::-1].copy(), vectors[:, ::-1][:, index]
     diagonal = a.diagonal().copy()
-    tau, d, e = tridiagonalize(a)
-    band_diagonal = a.diagonal().real.copy()
+    tau, band, d, e = tridiagonalize(a)
     np.fill_diagonal(a, diagonal)
     n = d.size
-    lam = sterf(d, e)[::-1].copy()
-    if index.size == 0:
-        return lam, np.zeros((n, 0), dtype=a.dtype)
-
-    kd = _KD if np.iscomplexobj(a) else 1
+    # The one scale: an even power of two near 1/||T|| from T's largest entry (within
+    # a factor 3 of ||T||; at most 2^1020 for a subnormal T).  Even, so that ?sterf's
+    # square roots stay exact: lam is bit for bit ?sterf's wherever it does not rescale T.
+    bound = max(np.max(np.abs(d)), np.max(np.abs(e)))
+    scale = np.ldexp(1.0, -2 * (max(np.frexp(bound)[1], -1020) // 2))
+    w = sterf(d * scale, e * scale)
     asc = np.sort(n - 1 - index)
-    norm = max(abs(lam[0]), abs(lam[-1])) or 1.0
-    w = _bisect(d, e, asc, norm)
-    Y = _band_vectors(a, band_diagonal, kd, w, norm)
+    Y = _band_vectors(band * scale, w[asc], max(abs(w[0]), abs(w[-1])) or 1.0)
     V = np.asfortranarray(Y[:, np.searchsorted(asc, n - 1 - index)])
+    kd = band.shape[0] - 1
     if n > kd:
         name = "zunmqr" if np.iscomplexobj(a) else "dormqr"
         _with_workspace(
             name, a.dtype, b"L", b"N", n - kd, index.size, n - kd, a[kd:], n, tau, V[kd:], n
         )
-    return lam, V
+    return w[::-1] / scale, V
 
 
 def upper_product(a: np.ndarray) -> None:

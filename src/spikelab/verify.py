@@ -9,16 +9,16 @@ outlier location.  ``replicas`` holds the seeding rule: replica i is drawn
 from child i of one ``SeedSequence(seed)``, so the result is byte-identical
 from run to run on one machine, and a failing replica is named by its index
 and spawn key so that it can be redrawn alone.  A pool of worker threads, one
-per usable CPU, draws every replica.  ``run`` is ``aggregate`` over ``replicas``.
+per usable CPU, draws every replica, each thread in one N x N buffer of its
+own.  ``run`` is ``aggregate`` over ``replicas``.
 The output format is not kept here: ``cli`` renders the result as JSON or CSV.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
-from collections import deque
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,10 +171,12 @@ def _drawn(spec, children):
     control = lapack.threads()
     workers = min(len(children), _usable_cpus()) if control else 1
     get_threads, set_threads = control or (lambda: 1, lambda n: None)
-    # Replica i is submitted once replica i - workers has returned, so no two
-    # replicas in flight share buffers[i % workers].
-    buffers = [workspace(spec) for _ in range(workers)]
-    jobs = ((spec, i, child, buffers[i % workers]) for i, child in enumerate(children))
+    local = threading.local()
+
+    def draw(i, child):
+        if not hasattr(local, "work"):
+            local.work = workspace(spec)
+        return _replica(spec, i, child, local.work)
 
     # Imported here, so that the commands that draw no replica never load it.
     from concurrent.futures import ThreadPoolExecutor
@@ -183,11 +185,7 @@ def _drawn(spec, children):
     set_threads(max(1, total // workers))
     pool = ThreadPoolExecutor(workers)
     try:
-        pending = deque(pool.submit(_replica, *job) for job in itertools.islice(jobs, workers))
-        while pending:
-            sample = pending.popleft().result()
-            pending.extend(pool.submit(_replica, *job) for job in itertools.islice(jobs, 1))
-            yield sample
+        yield from pool.map(draw, range(len(children)), children)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
         set_threads(total)
@@ -201,11 +199,11 @@ def replicas(spec: SpikedModelSpec, reps: int):
     of its child stream: ``SeedSequence(seed, spawn_key=key)`` redraws that
     replica alone.  The arguments are checked before any replica is drawn.
 
-    Replicas are drawn on ``min(reps, usable CPUs)`` worker threads, up to
-    one per worker ahead of the consumer; replica i reuses N x N buffer
-    i mod workers.  While they run, OpenBLAS is held at its thread count on
-    entry divided by the number of workers (at least 1), and it is restored
-    once every worker has finished, also when the iterator is closed early.
+    Replicas are drawn on ``min(reps, usable CPUs)`` worker threads; each
+    thread reuses one N x N buffer, made on its first replica.  While they
+    run, OpenBLAS is held at its thread count on entry divided by the number
+    of workers (at least 1), and it is restored once every worker has
+    finished, also when the iterator is closed early.
     A failing replica ends the iteration: no later replica is yielded.  A
     lone replica, a single usable CPU (restrict it with ``taskset``), or an
     OpenBLAS thread control that numpy's library does not export gives one

@@ -155,10 +155,12 @@ def test_missing_spec_file_exits_2(tmp_path, capsys, case):
     assert (spec if out is None else out) in captured.err
 
 
+# H'(1e-5) = 1 - 1e308 / 1e-10 overflows: the criterion is -inf, in either format.
+NON_FINITE_MODEL = {"kind": "additive", "sigma2": 1e308, "nu": {"atoms": [[0, 1]]}, "spikes": [[1e-5, 1]]}
+
+
 def test_a_non_finite_output_value_exits_4(tmp_path, capsys):
-    # H'(1e-5) = 1 - 1e308 / 1e-10 overflows: the criterion is -inf, in either format.
-    model = {"kind": "additive", "sigma2": 1e308, "nu": {"atoms": [[0, 1]]}, "spikes": [[1e-5, 1]]}
-    path = write_model(tmp_path, model)
+    path = write_model(tmp_path, NON_FINITE_MODEL)
     for fmt in ("json", "csv"):
         assert cli.main(["analyze", "--spec", path, "--format", fmt]) == 4
         captured = capsys.readouterr()
@@ -582,3 +584,37 @@ def test_simulate_exit_4_on_numerical_failure(tmp_path, monkeypatch):
 
     monkeypatch.setattr("spikelab.verify.run", boom)
     assert cli.main(["simulate", "--spec", path, "--reps", "1"]) == 4
+
+
+def test_an_unwritable_out_fails_before_any_replica_is_drawn(tmp_path, monkeypatch, capsys):
+    path = write_model(tmp_path, PAPER_MODEL)
+    draws = []
+    draw = cli.verify.draw_sample
+
+    def counting(*args):
+        draws.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(cli.verify, "draw_sample", counting)
+    out = str(tmp_path / "nodir" / "r.json")
+    assert cli.main(["simulate", "--spec", path, "--reps", "3", "--out", out]) == 2
+    assert draws == []
+    assert out in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing_file", "new_path"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["simulate", "--reps", "0"], 2), (["analyze"], 4)],
+    ids=["bad_reps", "non_finite_output"],
+)
+def test_a_failed_run_leaves_out_as_it_was(tmp_path, existing, argv, code):
+    path = write_model(tmp_path, PAPER_MODEL if code == 2 else NON_FINITE_MODEL)
+    out = tmp_path / "out.json"
+    if existing:
+        out.write_text("earlier output\n")
+    assert cli.main([argv[0], "--spec", path, *argv[1:], "--out", str(out)]) == code
+    if existing:
+        assert out.read_text() == "earlier output\n"
+    else:
+        assert not out.exists()

@@ -558,8 +558,8 @@ class TestDiagonalize:
                     assert_spans(V[:, chosen], Q[:, order[np.array(ranks) - 1]], 1e-9)
 
     def test_tiny_scale_gives_the_vectors_of_unit_scale(self, dtype):
-        # The residual bound has an absolute 1e-7, which any unit vector meets
-        # at ||M|| = 1e-200: only a comparison shows a wrong vector there.
+        # At ||M|| = 1e-200 the squares of T's entries underflow, unless the
+        # solve runs at unit scale.
         H = random_hermitian(np.random.default_rng(9), KD + 24, dtype)
         ranks = [1, 5, KD + 24]
         _, V = diagonalize(H, ranks)
@@ -626,6 +626,19 @@ class TestDiagonalize:
         assert np.max(np.abs(scaled_lam / 2.0**exponent - lam)) <= tol * np.max(np.abs(lam))
         assert np.max(np.abs(scaled_V - V)) <= tol
 
+    def test_a_wrong_vector_fails_the_residual_check_at_a_tiny_scale(self, monkeypatch, dtype):
+        # A bound with an absolute term, 1e-7 (1 + ||M||), passes any unit
+        # vector below ||M|| = 1e-7.
+        eigenpairs = lapack.eigenpairs
+
+        def second_axis(a, index):
+            lam, V = eigenpairs(a, index)
+            return lam, np.eye(3, dtype=V.dtype)[:, [1]]
+
+        monkeypatch.setattr(lapack, "eigenpairs", second_axis)
+        with pytest.raises(NumericalError, match="residual"):
+            diagonalize(1e-9 * np.diag([3.0, -1.0, 2.0]).astype(dtype), [1])
+
     def test_inaccurate_eigenvalue_fails_residual_check(self, monkeypatch, dtype):
         self.inject_eigenvalue_error(monkeypatch, 1e-3)
         with pytest.raises(NumericalError, match="residual"):
@@ -636,9 +649,10 @@ class TestDiagonalize:
         assert lam.tolist() == [3.0, 2.0, -1.0]
         assert V.shape == (3, 0) and V.dtype == dtype
 
-    def test_non_hermitian_input_detected(self, dtype):
+    @pytest.mark.parametrize("scale", [1.0, 1e-9])
+    def test_non_hermitian_input_detected(self, dtype, scale):
         with pytest.raises(NumericalError):
-            diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=dtype), [1])
+            diagonalize(scale * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=dtype), [1])
 
     def test_non_hermitian_block_away_from_returned_vectors_detected(self, dtype):
         # The rank-1 pair alone passes its residual and Gram checks.
@@ -759,7 +773,8 @@ def test_lapack_eigenvalues_match_eigvalsh_bit_for_bit():
     reference = np.linalg.eigvalsh(M)[::-1]
     assert np.array_equal(diagonalize(M, ranks[0])[0], reference)
     # A C-order copy hands LAPACK the upper triangle: M.T in Fortran order.
-    upper = lapack.sterf(*lapack.tridiagonalize(np.array(M.T, order="F"))[1:])[::-1]
+    _, _, d, e = lapack.tridiagonalize(np.array(M.T, order="F"))
+    upper = lapack.sterf(d, e)[::-1]
     assert not np.array_equal(upper, reference)
 
 
@@ -776,6 +791,29 @@ def test_lapack_complex_eigenvalues_match_eigvalsh_to_rounding(N):
     lam, _ = diagonalize(M, [1])
     bound = 8 * N * np.finfo(float).eps * max(abs(reference[0]), abs(reference[-1]))
     assert np.max(np.abs(lam - reference)) <= bound
+
+
+@pytest.mark.parametrize("field", FIELD_IDS)
+def test_wishart_replica_with_a_block_across_the_null_space(field):
+    # c = 2: M has rank p = 12 < N = 24.  Spike 2.5 sits at ranks 12, 13 and
+    # 14, so its block holds the smallest nonzero eigenvalue and two
+    # eigenvalues of the exactly degenerate null space.
+    spec = SpikedModelSpec(
+        kind="multiplicative_wishart", nu=AtomicMeasure(((1.0, 0.5), (4.0, 0.5))),
+        spikes=((6.0, 1), (2.5, 3)), N=24, seed=3, c=2.0, field=field,
+    )
+    A, ranks = build_perturbation(spec)
+    p = wishart_p(spec.N, spec.c)
+    assert (p, ranks) == (12, ((1,), (12, 13, 14)))
+    sample = draw_sample(spec)
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    M = assemble(spec, A, sample_wishart_factor(spec.N, p, spec.field, spec.entry_law, rng))
+    reference = np.linalg.eigvalsh(M)[::-1]
+    bound = 8 * spec.N * np.finfo(float).eps * reference[0]
+    assert np.max(np.abs(sample.eigenvalues - reference)) <= bound
+    assert np.all(np.abs(reference[p:]) <= bound) and reference[p - 1] > 1e3 * bound
+    flat = [r - 1 for block in ranks for r in block]
+    assert np.all(np.sum(np.abs(sample.eigenvectors[flat]) ** 2, axis=0) <= 1.0 + 1e-12)
 
 
 @pytest.mark.skipif(lapack.routines() is None, reason="numpy's LAPACK lacks the routines")

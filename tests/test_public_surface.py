@@ -93,3 +93,18 @@ def test_only_cli_knows_the_output_format():
         if any(map(_knows_the_format, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
     }
     assert writers == {"cli.py"}
+
+
+def test_every_lapack_signature_names_a_routine_that_is_called():
+    # A routine dropped from lapack.py must take its entry in _SIGNATURES with it.
+    tree = ast.parse((PACKAGE / "lapack.py").read_text(encoding="utf-8"))
+    table = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_SIGNATURES"
+    )
+    keys = set(table.keys)
+    named = {
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node not in keys
+    }
+    assert sorted({key.value for key in keys} - named) == []
