@@ -23,7 +23,7 @@ import numpy as np
 
 from . import lapack
 from .errors import NumericalError, SpecError
-from .measure import MERGE_TOL, AtomicMeasure, quantile_discretize
+from .measure import MERGE_TOL, AtomicMeasure, quantile_discretize, real_number
 
 KINDS = ("additive_wigner", "multiplicative_wishart")
 ENTRY_LAWS = ("gaussian", "rademacher")
@@ -82,7 +82,7 @@ class SpikedModelSpec:
             raise SpecError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
         try:
-            pairs = [(float(theta), mult) for theta, mult in self.spikes]
+            pairs = [(real_number(theta, "spike theta"), mult) for theta, mult in self.spikes]
         except (TypeError, ValueError):
             raise SpecError(
                 f"spikes must be (theta, multiplicity) pairs, got {self.spikes!r}"
@@ -90,8 +90,6 @@ class SpikedModelSpec:
         gaps = np.abs(np.array([t for t, _ in pairs])[:, None] - self.nu.locations).min(axis=1)
         spikes = []
         for (theta, mult), gap in zip(pairs, gaps):
-            if not math.isfinite(theta):
-                raise SpecError(f"spike theta must be finite, got {theta!r}")
             if isinstance(mult, float) and mult.is_integer():
                 mult = int(mult)
             if not _is_int(mult) or mult < 1:
@@ -112,19 +110,13 @@ class SpikedModelSpec:
                 raise SpecError("additive model requires sigma2")
             if self.c is not None:
                 raise SpecError("additive model does not take an aspect ratio c")
-            s2 = float(self.sigma2)
-            if not math.isfinite(s2) or s2 <= 0.0:
-                raise SpecError(f"sigma2 must be a finite positive number, got {self.sigma2!r}")
-            object.__setattr__(self, "sigma2", s2)
+            object.__setattr__(self, "sigma2", real_number(self.sigma2, "sigma2", positive=True))
         else:
             if self.c is None:
                 raise SpecError("multiplicative model requires an aspect ratio c")
             if self.sigma2 is not None:
                 raise SpecError("multiplicative model does not take sigma2")
-            c = float(self.c)
-            if not math.isfinite(c) or c <= 0.0:
-                raise SpecError(f"c must be a finite positive number, got {self.c!r}")
-            object.__setattr__(self, "c", c)
+            object.__setattr__(self, "c", real_number(self.c, "c", positive=True))
             if any(t <= 0.0 for t, _ in spikes):
                 raise SpecError("multiplicative spikes must be positive")
             if self.nu.atoms[0][0] < 0.0:  # the lowest atom, as atoms ascend

@@ -12,10 +12,11 @@ subordination function.  A spike ``theta`` produces an outlier exactly when
 the squared eigenvector overlap converges to ``tau = H'(theta)``.
 
 The density is ``-Im g_nu(omega) / pi`` with ``omega(z)`` the subordination
-function, the root of ``H(omega) = z`` above z.  On the real axis it is exact
-(Biane 1997): ``omega(x) = u + i v(u)`` with u the root of an increasing map
-``psi(u) = x`` within sigma of x, and on the support the density is
-``v / (pi sigma2)``.  Above the axis, Newton starts from ``omega(Re z) + i Im z``.
+function, the root of ``H(omega) = z`` above z.  One solve serves every z with
+``Im z = eps >= 0``, exact on the real axis (Biane 1997): ``omega = u + i v(u)``
+with ``v^2`` the root of ``sum w/((u - t)^2 + v^2) + eps/(sigma2 v) = 1/sigma2``
+and u the root of an increasing map ``psi(u) = Re z`` within sigma of Re z.  At
+eps = 0 the density on the support is ``v / (pi sigma2)``.
 
 The sample-covariance model reuses all of this: its criterion ``W(theta) < 1``
 is ``H'(theta) > 0`` for the size-biased measure ``nu~`` (see
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, SpecError
-from .measure import MERGE_TOL, AtomicMeasure
+from .measure import MERGE_TOL, AtomicMeasure, real_number
 # Not called here: a traced run patches these names on every theory module.
 from .rootfind import bisect, creep_to_sign, march_to_sign  # noqa: F401
 from .rootfind import newton
@@ -44,7 +45,7 @@ BOUNDARY_TOL = 1e-12
 RESIDUAL_TOL = 1e-12
 # Newton stops once its step falls below this fraction of the scale of its unknown.
 _STEP_RTOL = 1e-15
-# Each Newton loop is cut after this many steps; only a defect in the solver reaches it.
+# The v^2 loop is cut after this many steps; only a defect in the solver reaches it.
 _MAX_STEPS = 200
 
 
@@ -58,10 +59,7 @@ class AdditiveContext:
     def __post_init__(self):
         if not isinstance(self.nu, AtomicMeasure):
             raise SpecError("nu must be an AtomicMeasure")
-        s2 = float(self.sigma2)
-        if not math.isfinite(s2) or s2 <= 0.0:
-            raise SpecError(f"sigma2 must be a finite positive number, got {self.sigma2!r}")
-        object.__setattr__(self, "sigma2", s2)
+        object.__setattr__(self, "sigma2", real_number(self.sigma2, "sigma2", positive=True))
 
 
 def _require_off_atoms(ctx: AdditiveContext, u: float) -> None:
@@ -90,9 +88,7 @@ def classify_spike(ctx: AdditiveContext, theta: float, multiplicity: int = 1) ->
     model would merge the spike into the bulk block and nothing spectral
     distinguishes it.  H' checks that once; an outlier's rho is H(theta), summed as in H.
     """
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise SpecError(f"theta must be finite, got {theta!r}")
+    theta = real_number(theta, "theta")
     hp = H_prime(ctx, theta)
     if hp > BOUNDARY_TOL:
         rho = theta + ctx.sigma2 * float((ctx.nu.weights / (theta - ctx.nu.locations)).sum())
@@ -164,87 +160,81 @@ def support(ctx: AdditiveContext) -> SupportIntervals:
     return SupportIntervals(tuple(uncovered(ends.reshape(-1, 2).tolist())))
 
 
-def _v_squared(w: np.ndarray, s2: float, d2: np.ndarray) -> np.ndarray:
-    """``v(u)^2`` for each row of squared distances ``d2 = (u - t_j)^2`` (Biane 1997).
+def _v_squared(w: np.ndarray, s2: float, d2: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """``v^2`` for each row of squared distances ``d2 = (u - t_j)^2``, from ``Im H(u + i v) = eps``.
 
-    ``v = 0`` where ``sum w/d2 <= 1/sigma2``; elsewhere ``v^2`` is the root s of
-    ``sum w/(d2 + s) = 1/sigma2``.  Newton on the concave increasing ``1/sum w/(d2 + s)``
-    from the left start ``max_j (w_j sigma2 - d2_j)`` rises monotonically to it.
-    """
+    With s = v^2 that reads ``F + e = 1/sigma2``, ``F = sum w/(d2 + s)``, ``e = eps/(sigma2 v)``;
+    at eps = 0, v = 0 where ``sum w/d2 <= 1/sigma2`` (Biane 1997).  ``1/(F + e)``, the parallel
+    sum of ``(d2 + s)/w`` and ``sigma2 v/eps``, is concave and increasing in s, so Newton on it
+    rises monotonically from the left starts ``max_j (w_j sigma2 - d2_j)``, and for eps > 0 ``eps^2``
+    and ``y^2`` with ``sigma2 G0 y^3 + (1 - sigma2 F0) y <= eps`` (F >= F0 - G0 s)."""
     s = np.maximum(np.max(w * s2 - d2, axis=1), 0.0)
-    with np.errstate(divide="ignore"):
-        active = np.flatnonzero((w / d2).sum(axis=1) > 1.0 / s2)
+    above = eps > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        F0 = (w / d2).sum(axis=1)
+        if tilted := above.any():
+            gap, G0 = 1.0 - s2 * F0, (w / (d2 * d2)).sum(axis=1)
+            y = np.fmin(np.where(gap > 0.0, eps / (gap + gap), np.inf), np.cbrt(eps / (2.0 * s2 * G0)))
+            y = np.fmax(np.sqrt(-gap / (s2 * G0)), y)  # the root is NaN where gap > 0 or u is an atom
+            s = np.where(above, np.fmax(s, np.fmax(eps * eps, y * y)), s)
+    active = np.flatnonzero((F0 > 1.0 / s2) | above)
     for _ in range(_MAX_STEPS):
         if not active.size:
             return s
-        q = 1.0 / (d2[active] + s[active, None])
-        F = q @ w
-        step = F * (s2 * F - 1.0) / ((q * q) @ w)
+        sa = s[active]
+        q = 1.0 / (d2[active] + sa[:, None])
+        F, G = q @ w, (q * q) @ w
+        if tilted:  # F + e and G + e/(2s), the slope of F + e in -s; e = 0 where s = 0
+            e = np.divide(eps[active], s2 * np.sqrt(sa), out=np.zeros(sa.size), where=sa > 0.0)
+            with np.errstate(over="ignore"):  # where s nears underflow, at eps below 1e-150
+                F, G = F + e, G + np.divide(e, sa + sa, out=np.zeros(sa.size), where=sa > 0.0)
+        step = F * (s2 * F - 1.0) / G
         s[active] += np.maximum(step, 0.0)
         active = active[step > _STEP_RTOL * s[active]]
     raise NumericalError("the Newton solve for v^2 did not settle")
 
 
-def _psi(ctx: AdditiveContext, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``psi(u) = Re H(u + i v(u))`` and its derivative, an increasing bijection of the line."""
-    w = ctx.nu.weights
+def _psi(ctx: AdditiveContext, u: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``psi(u) = Re H(u + i v(u))`` at ``Im z = eps`` and its slope ``2 sigma2 v^2 G + eps/v
+    + 2 sigma2 A^2/G_eps > 0`` where v > 0, ``G_eps = G + e/(2 v^2)`` the slope of F + e in -v^2."""
+    w, s2 = ctx.nu.weights, ctx.sigma2
     d = u[:, None] - ctx.nu.locations
     d2 = d * d
-    s = _v_squared(w, ctx.sigma2, d2)
+    s = _v_squared(w, s2, d2, eps)
     q = 1.0 / (d2 + s[:, None])
     F = q @ w
-    psi = u + ctx.sigma2 * ((q * d) @ w)
-    # Off the support v = 0 and psi = H; on it v^2 moves with u by -2A/G.
+    psi = u + s2 * ((q * d) @ w)
+    # v = 0 and psi = H off the support at eps = 0; else v^2 moves with u by -2A/G_eps.
     q2 = q * q
     A, B, G = (q2 * d) @ w, (q2 * d2) @ w, q2 @ w
-    slope = np.where(s > 0.0, 1.0 + ctx.sigma2 * (F - 2.0 * B + 2.0 * A * A / G), 1.0 - ctx.sigma2 * F)
+    with np.errstate(divide="ignore", over="ignore"):  # where v^3 underflows, at eps below 1e-100
+        G = G + np.divide(eps, 2.0 * s2 * s * np.sqrt(s), out=np.zeros(s.size), where=s > 0.0)
+    slope = np.where(s > 0.0, 1.0 + s2 * (F - 2.0 * B + 2.0 * A * A / G), 1.0 - s2 * F)
     return psi, slope
-
-
-def _on_axis(ctx: AdditiveContext, xs: np.ndarray) -> np.ndarray:
-    """``omega(x) = u + i v`` on the real axis: the root u of ``psi(u) = x``, then ``v(u)``.
-
-    By Cauchy-Schwarz ``|psi(u) - u| <= sigma``, so ``[x - sigma, x + sigma]`` brackets u;
-    bracketed Newton (rootfind.newton) finds it from x.
-    """
-    sigma = math.sqrt(ctx.sigma2)
-    settled = _STEP_RTOL * (np.abs(xs) + sigma)
-    u = newton(lambda u: _psi(ctx, u), xs, xs - sigma, xs + sigma, True, settled, xs)
-    d2 = (u[:, None] - ctx.nu.locations) ** 2
-    return u + 1j * np.sqrt(_v_squared(ctx.nu.weights, ctx.sigma2, d2))
 
 
 def subordination(ctx: AdditiveContext, zs) -> np.ndarray:
     """Subordination function ``omega(z)``, the root of ``omega + sigma2 g_nu(omega) = z``.
 
-    ``zs`` is flat with ``Im z >= 0``.  On the real axis omega is exact (_on_axis).  Above
-    it, Newton starts at ``omega(Re z) + i Im z`` and halves any step that would leave
-    ``Im omega >= Im z``; a residual above ``RESIDUAL_TOL (1 + |z|)`` is a NumericalError.
+    ``zs`` is flat, finite (else SpecError) and has ``Im z = eps >= 0`` (else DomainError).
+    ``omega = u + i v`` with ``v^2`` from _v_squared and u the root of the increasing ``psi(u)
+    = Re z`` (_psi), within sigma of Re z by Cauchy-Schwarz; bracketed Newton finds it there.
+    Above the axis a residual above ``RESIDUAL_TOL (1 + |z|)`` is a NumericalError.
     """
     zs = np.asarray(zs, dtype=complex).ravel()
+    if (bad := np.flatnonzero(~np.isfinite(zs))).size:
+        raise SpecError(f"point {bad[0]} is {complex(zs[bad[0]])!r}, not a finite number")
+    if (bad := np.flatnonzero(zs.imag < 0.0)).size:
+        raise DomainError(f"point {bad[0]} is {complex(zs[bad[0]])!r}, below the real axis")
     sigma, t, w = math.sqrt(ctx.sigma2), ctx.nu.locations, ctx.nu.weights
-    omega = _on_axis(ctx, zs.real.copy())
-    off = np.flatnonzero(zs.imag > 0.0)
-    if not off.size:
-        return omega
-    z = zs[off]
-    om = omega[off] + 1j * z.imag
-    active = np.arange(off.size)
-    for _ in range(_MAX_STEPS):
-        if not active.size:
-            break
-        oa, za = om[active], z[active]
-        r = 1.0 / (oa[:, None] - t)
-        step = (oa + ctx.sigma2 * (r @ w) - za) / (1.0 - ctx.sigma2 * ((r * r) @ w))
-        while np.any(low := (oa - step).imag < za.imag):  # ends once step underflows, at worst
-            step[low] *= 0.5
-        om[active] = oa - step
-        active = active[np.abs(step) > _STEP_RTOL * (np.abs(oa) + sigma)]
+    xs, eps = zs.real, zs.imag
+    settled = _STEP_RTOL * (np.abs(xs) + sigma)
+    u = newton(lambda u, e: _psi(ctx, u, e), xs, xs - sigma, xs + sigma, True, settled, xs, (eps,))
+    omega = u + 1j * np.sqrt(_v_squared(w, ctx.sigma2, (u[:, None] - t) ** 2, eps))
+    z, om = zs[eps > 0.0], omega[eps > 0.0]
     residual = np.abs(om + ctx.sigma2 * (1.0 / (om[:, None] - t) @ w) - z)
-    i = np.argmax(residual / (1.0 + np.abs(z)))
-    if residual[i] > RESIDUAL_TOL * (1.0 + abs(z[i])):
-        raise NumericalError(f"subordination residual {residual[i]:.3e} at z={complex(z[i])!r}")
-    omega[off] = om
+    if (bad := np.flatnonzero(residual > RESIDUAL_TOL * (1.0 + np.abs(z)))).size:
+        raise NumericalError(f"subordination residual {residual[bad[0]]:.3e} at z={complex(z[bad[0]])!r}")
     return omega
 
 

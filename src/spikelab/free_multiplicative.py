@@ -26,7 +26,7 @@ import numpy as np
 from . import free_additive
 from .errors import DegenerateOutlierError, DomainError, SpecError
 from .free_additive import BOUNDARY_TOL, AdditiveContext
-from .measure import MERGE_TOL, AtomicMeasure
+from .measure import MERGE_TOL, AtomicMeasure, real_number
 # Not called here: a traced run patches these names on every theory module.
 from .rootfind import bisect, creep_to_sign, march_to_sign  # noqa: F401
 from .verdicts import SpikeVerdict, SupportIntervals, uncovered
@@ -46,9 +46,7 @@ class MultiplicativeContext:
             raise SpecError("nu must be an AtomicMeasure")
         if self.nu.atoms[0][0] < 0.0:  # the lowest atom, as atoms ascend
             raise SpecError("multiplicative model requires all atoms of nu to be >= 0")
-        c = float(self.c)
-        if not math.isfinite(c) or c <= 0.0:
-            raise SpecError(f"c must be a finite positive number, got {self.c!r}")
+        c = real_number(self.c, "c", positive=True)
         locs, wts = self.nu.locations, self.nu.weights
         t, w = locs[pos := locs > MERGE_TOL], wts[pos]
         with np.errstate(over="ignore"):
@@ -97,9 +95,7 @@ def _rho(ctx: MultiplicativeContext, u: float) -> float:
 
 def classify_spike(ctx: MultiplicativeContext, theta: float, multiplicity: int = 1) -> SpikeVerdict:
     """Decide whether a positive population spike detaches from the bulk; W alone checks theta."""
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise SpecError(f"theta must be finite, got {theta!r}")
+    theta = real_number(theta, "theta")
     if theta <= 0.0:
         raise DomainError(f"spike classification requires theta > 0, got {theta!r}")
     w_val = W(ctx, theta)

@@ -9,6 +9,7 @@ against nu, so atoms are the only representation supported.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -26,6 +27,24 @@ MERGE_TOL = 1e-12
 WEIGHT_SLACK = 1e-9
 
 
+def real_number(value, name: str, positive: bool = False) -> float:
+    """``value`` as a float if it is a finite real number, not a bool, str or None, and > 0
+    where ``positive``; anything else is a SpecError naming ``name``."""
+    # type() first: an isinstance check against numbers.Real takes about half a microsecond.
+    fast = type(value) in (float, int, np.float64)
+    if not fast and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise SpecError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the largest float
+        number = math.inf
+    if not math.isfinite(number):
+        raise SpecError(f"{name} must be finite")
+    if positive and not number > 0.0:
+        raise SpecError(f"{name} must be a positive number, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class AtomicMeasure:
     """Compactly supported probability measure given by weighted atoms.
@@ -41,15 +60,14 @@ class AtomicMeasure:
     atoms: tuple[tuple[float, float], ...]
 
     def __init__(self, atoms: Iterable[Sequence[float]]):
+        name = "atom locations and weights"
         try:
-            pairs = [(float(t), float(w)) for t, w in atoms]
+            pairs = [(real_number(t, name), real_number(w, name)) for t, w in atoms]
         except (TypeError, ValueError):
             raise SpecError(f"atoms must be (location, weight) pairs, got {atoms!r}") from None
         if not pairs:
             raise SpecError("a measure needs at least one atom")
         for t, w in pairs:
-            if not (math.isfinite(t) and math.isfinite(w)):
-                raise SpecError("atom locations and weights must be finite")
             if w <= 0.0:
                 raise SpecError(f"atom weight {w!r} is not strictly positive")
         pairs.sort()

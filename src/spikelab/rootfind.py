@@ -1,12 +1,11 @@
 """Root finding: one vectorized bracketed Newton.
 
-``newton`` solves many monotone problems ``f(u) = y`` at once, each in its own
-bracket: a Newton step where it stays inside the bracket and at least halves the
-previous step, bisection otherwise; free_additive starts its outlier-set ends where
-Newton moves monotonically.  The scalar ``bisect`` is ``newton`` without
-slopes.  It, ``creep_to_sign`` and ``march_to_sign`` (bracket hunting toward a
-blow-up and outward) have no caller in the package; the traced benchmark run still
-wraps them by name.
+``newton`` solves many monotone problems ``f(u) = y`` at once, each in its own bracket
+and with its own parameters: a Newton step where it stays inside the bracket and at
+least halves the previous step, bisection otherwise.  free_additive finds every root
+but ``v^2`` with it.  The scalar ``bisect`` is ``newton`` without slopes.  It,
+``creep_to_sign`` and ``march_to_sign`` (bracket hunting toward a blow-up and outward)
+have no caller in the package; the traced benchmark run still wraps them by name.
 """
 
 from __future__ import annotations
@@ -24,10 +23,11 @@ MAX_MARCH = 200
 MAX_NEWTON = 200
 
 
-def newton(f, x, lo, hi, rising, tol, y=0.0) -> np.ndarray:
+def newton(f, x, lo, hi, rising, tol, y=0.0, args=()) -> np.ndarray:
     """Roots of ``f(u) = y`` in the brackets ``[lo, hi]``, elementwise, by bracketed Newton.
 
-    ``f`` maps a 1-D array of points to ``(values, slopes)`` and is monotone on each bracket,
+    ``f`` maps a 1-D array of points, then the entries of the per-problem arrays ``args`` of
+    the problems still open, to ``(values, slopes)``; it is monotone on each bracket,
     increasing where ``rising``.  Each problem starts at ``x`` in its closed bracket; later
     points lie strictly inside, so an end where f blows up is never evaluated.  Each value
     moves one end of the bracket to its point.  A step that would leave the bracket or not
@@ -44,7 +44,7 @@ def newton(f, x, lo, hi, rising, tol, y=0.0) -> np.ndarray:
         for _ in range(MAX_NEWTON):
             if not active.size:
                 return x
-            value, slope = f(u)
+            value, slope = f(u, *args)
             r = value - y
             step = u - r / slope
             r *= sign
@@ -58,8 +58,8 @@ def newton(f, x, lo, hi, rising, tol, y=0.0) -> np.ndarray:
             u = new
             if np.count_nonzero(keep := last > tol) < keep.size:
                 x[active] = u
-                active, u, lo, hi, lo0, hi0, last, tol, y, sign = (
-                    a[keep] for a in (active, u, lo, hi, lo0, hi0, last, tol, y, sign)
+                active, u, lo, hi, lo0, hi0, last, tol, y, sign, *args = (
+                    a[keep] for a in (active, u, lo, hi, lo0, hi0, last, tol, y, sign, *args)
                 )
     raise NumericalError(f"bracketed Newton did not settle on {active.size} of {x.size} problems")
 

@@ -188,6 +188,16 @@ MALFORMED = {
     "theta_not_a_number": dict(PAPER_MODEL, spikes=[["two", 1]]),
     "sigma2_and_c": dict(PAPER_MODEL, c=0.5),
     "unknown_key": dict(PAPER_MODEL, bogus=1),
+    "sigma2_bool": dict(PAPER_MODEL, sigma2=True),
+    "sigma2_string": dict(PAPER_MODEL, sigma2="0.5"),
+    "sigma2_int_past_the_floats": dict(PAPER_MODEL, sigma2=10**400),
+    "atom_location_bool": dict(PAPER_MODEL, nu={"atoms": [[True, 0.5], [-1.0, 0.5]]}),
+    "atom_weight_string": dict(PAPER_MODEL, nu={"atoms": [[1.0, "0.5"], [-1.0, 0.5]]}),
+    "atom_weight_null": dict(PAPER_MODEL, nu={"atoms": [[1.0, None], [-1.0, 0.5]]}),
+    "theta_numeric_string": dict(PAPER_MODEL, spikes=[["3", 1]]),
+    "theta_bool": dict(SEMICIRCLE_MODEL, spikes=[[True, 1]]),
+    "c_string": dict(MP_FREE_MODEL, c="0.25"),
+    "c_bool": dict(MP_FREE_MODEL, c=True),
 }
 
 
@@ -200,6 +210,25 @@ def test_every_command_rejects_a_malformed_model_alike(tmp_path, capsys, name):
         errors.add(capsys.readouterr().err)
     (err,) = errors
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text, field", [
+    pytest.param('{"kind":"additive","sigma2":true,"nu":{"atoms":[[true,"1"]]},"spikes":[["3",1]]}',
+                 "atom", id="atom"),
+    pytest.param('{"kind":"additive","sigma2":true,"nu":{"atoms":[[1,1]]},"spikes":[["3",1]]}',
+                 "spike theta", id="theta"),
+    pytest.param('{"kind":"additive","sigma2":true,"nu":{"atoms":[[1,1]]},"spikes":[[3,1]]}',
+                 "sigma2", id="sigma2"),
+    pytest.param('{"kind":"multiplicative","c":"0.5","nu":{"atoms":[[1,1]]}}', "c", id="c"),
+])
+def test_a_model_number_must_be_a_number(tmp_path, capsys, text, field):
+    # float() would read true as 1 and "3" as 3; the file is refused, naming the field.
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert cli.main(["analyze", "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {field}")
 
 
 def test_analyze_uses_c_and_simulate_the_realized_aspect_ratio(tmp_path, capsys):

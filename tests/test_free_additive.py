@@ -50,6 +50,13 @@ class TestContext:
         with pytest.raises(SpecError):
             AdditiveContext(TWO_POINT, -1.0)
 
+    @pytest.mark.parametrize("value", [True, "0.5", None, math.inf])
+    def test_sigma2_and_c_must_be_finite_numbers(self, value):
+        with pytest.raises(SpecError, match="^sigma2 must be "):
+            AdditiveContext(TWO_POINT, value)
+        with pytest.raises(SpecError, match="^c must be "):
+            MultiplicativeContext(DELTA1, value)
+
 
 class TestH:
     def test_paper_value_at_two(self):
@@ -271,6 +278,23 @@ class TestSubordinatedG:
         monkeypatch.setattr(free_additive, "RESIDUAL_TOL", -1.0)
         with pytest.raises(NumericalError, match="residual"):
             subordination(PAPER, [0.3 + 1e-9j])
+
+
+    def test_points_outside_the_domain_are_named(self):
+        with pytest.raises(DomainError, match=r"^point 1 is \(0\.3-0\.1j\), below the real axis$"):
+            subordination(PAPER, [0.3, 0.3 - 0.1j, 0.2 - 1j])
+        for z in (complex(math.nan, 0.0), complex(0.3, math.inf), complex(-math.inf, 1.0)):
+            with pytest.raises(SpecError, match=r"^point 2 is .*, not a finite number$"):
+                subordination(PAPER, [0.3, 0.3 + 0.1j, z, -1.0j])
+
+    @pytest.mark.filterwarnings("error")
+    def test_each_point_of_a_mixed_array_gets_its_own_omega(self):
+        # On and above the axis in one call: in the gap at 0 and beyond the support v = 0 on
+        # the axis, and the atoms at -+1 are hit exactly.
+        zs = [complex(x, eps) for x in (-3.0, -1.0, -0.45, 0.0, 0.7, 1.5) for eps in (0.0, 1e-12, 1e-3, 2.0)]
+        together = subordination(PAPER, zs)
+        assert together.tolist() == [subordination(PAPER, [z])[0] for z in zs]
+        assert np.all(together.imag >= np.imag(zs))
 
 
 class TestDensity:

@@ -60,6 +60,19 @@ class TestConstruction:
         with pytest.raises(SpecError, match="^atom locations and weights must be finite$"):
             AtomicMeasure(atoms)
 
+    @pytest.mark.parametrize("atoms", [[(True, 1.0)], [(1.0, True)], [("1", 1.0)], [(0.0, None)]])
+    def test_a_location_or_weight_must_be_a_number(self, atoms):
+        # float() would read True as 1 and "1" as 1.
+        with pytest.raises(SpecError, match="^atom locations and weights must be a real number, got "):
+            AtomicMeasure(atoms)
+
+    def test_numpy_and_fraction_numbers_are_numbers(self):
+        from fractions import Fraction
+
+        nu = AtomicMeasure([(np.float64(1.0), Fraction(1, 4)), (np.int64(-1), np.float32(0.75))])
+        assert nu.atoms == ((-1.0, 0.75), (1.0, 0.25))
+        assert all(type(v) is float for atom in nu.atoms for v in atom)
+
     def test_arrays_built_once_and_read_only(self):
         nu = AtomicMeasure([(2.0, 0.25), (-1.0, 0.75)])
         assert nu.locations is nu.locations and nu.weights is nu.weights

@@ -149,6 +149,47 @@ def test_support_and_density_match_the_oracle(data, wishart):
         assert abs(f - want) <= bound * want, (x, f, float(want), float(dist))
 
 
+@ORACLE
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(data=st.data(), wishart=st.booleans())
+def test_density_above_the_axis_matches_the_oracle(data, wishart):
+    # Above the axis the density is smooth on the scale eps, so an argument error moves it
+    # by that over |x - edge + i eps| instead of over the distance to the edge.
+    _, ctx, mod, oracle = data.draw(models(wishart))
+    assume(all(abs(peak) > PEAK_MARGIN for peak in oracle.gap_peaks()))
+    edges = [float(e) for e in oracle.edges()]
+    sigma = math.sqrt(ctx.sigma2) if not wishart else 0.0
+    scale = max(abs(e) for e in edges) + sigma
+    eps = 10.0 ** data.draw(st.floats(-12.0, 0.0)) * scale
+    # One point anywhere around the support, and one 1e-9 to 1e-6 x scale on each side of each edge.
+    lo, hi = edges[0], edges[-1]
+    xs = [lo + data.draw(st.floats(-0.1, 1.1)) * (hi - lo)]
+    for e in edges:
+        xs += [e + side * 10.0 ** data.draw(st.floats(-9.0, -6.0)) * scale for side in (-1, 1)]
+    shift = float(oracle.shift()) if wishart else None
+    for x, f in mod.density(ctx, xs, eps):
+        if wishart and x < shift / 8:
+            continue
+        want = oracle.density(x, eps)
+        dist = math.hypot(min(abs(x - e) for e in edges), eps)
+        bound = density_bound(x if wishart else abs(x) + sigma, dist)
+        assert abs(f - want) <= bound * want, (x, eps, f, float(want))
+
+
+def test_density_near_an_edge_above_the_axis_matches_the_oracle():
+    # 4.5e-11 inside an edge at eps = 4.5e-6: a damped complex Newton left a residual of 1.3e-3.
+    nu = AtomicMeasure([
+        (-0.06918446025852634, 0.4198547540153876), (-0.048804927059277865, 0.31154511704250704),
+        (0.0570156841209113, 0.16415628865040865), (0.11210397125689713, 0.10444384029169683),
+    ])
+    sigma2, x, eps = 0.0035898389601507646, 0.031020387567125933, 4.541656759329934e-06
+    (_, f), = free_additive.density(free_additive.AdditiveContext(nu, sigma2), [x], eps)
+    oracle = Oracle(nu.atoms, sigma2=sigma2)
+    dist = math.hypot(min(abs(x - e) for e in oracle.edges()), eps)
+    want = oracle.density(x, eps)
+    assert abs(f - want) <= density_bound(abs(x) + math.sqrt(sigma2), dist) * want
+
+
 # Wishart densities near x = 0, which the solver at x - s gets wrong.
 ITEM_5 = [
     pytest.param(0.999999, 2.502501251394704e-13, 0.0, id="c=0.999999-eps=0"),

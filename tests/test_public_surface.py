@@ -108,3 +108,17 @@ def test_every_lapack_signature_names_a_routine_that_is_called():
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and node not in keys
     }
     assert sorted({key.value for key in keys} - named) == []
+
+
+def test_the_theory_modules_loop_only_in_the_v_squared_solve():
+    # Every root but v^2 comes from rootfind.newton: no while loop, and one range loop.
+    loops = []
+    for name in ("free_additive.py", "free_multiplicative.py"):
+        for func in ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                ranged = isinstance(node, ast.For) and getattr(node.iter, "func", None)
+                if isinstance(node, ast.While) or getattr(ranged, "id", None) == "range":
+                    loops.append((name, func.name, type(node).__name__))
+    assert loops == [("free_additive.py", "_v_squared", "For")]

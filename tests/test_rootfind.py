@@ -51,6 +51,22 @@ def test_newton_keeps_each_root_as_the_active_set_shrinks():
     assert sizes == sorted(sizes, reverse=True)
 
 
+def test_newton_passes_each_problem_its_own_args_as_problems_settle():
+    # u^3 = a on [0, 4]: the problem starting on its root settles at once, the others at
+    # later steps, and each evaluation must see the parameters of the problems still open.
+    a = np.array([8.0, 1.0, 27.0, 0.001, 50.0])
+    seen = []
+
+    def f(u, a_open, tag):
+        assert a_open.shape == u.shape and np.array_equal(a[tag.astype(int)], a_open)
+        seen.append(tag.tolist())
+        return u**3 - a_open, 3.0 * u * u
+
+    roots = newton(f, [3.9, 1.0, 0.5, 2.0, 3.0], 0.0, 4.0, True, 1e-15, 0.0, (a, np.arange(5.0)))
+    assert np.max(np.abs(roots - np.cbrt(a))) <= 1e-15
+    assert seen[0] == [0, 1, 2, 3, 4] and 1 not in seen[1] and len(set(map(len, seen))) >= 3
+
+
 def test_newton_bisects_a_nan_step_and_never_settles_on_nan():
     # The first problem's value is NaN at its start, the second's slope: both steps are
     # NaN, so both bisect, and Newton then lands each on the root 0.25.
