@@ -9,7 +9,8 @@ Wigner matrix of variance ``sigma2``) is the free additive convolution of
 whose restriction to each component of the outlier set is the inverse of the
 subordination function.  A spike ``theta`` produces an outlier exactly when
 ``H'(theta) > 0``, in which case the outlier sits at ``rho = H(theta)`` and
-the squared eigenvector overlap converges to ``tau = H'(theta)``.
+the squared eigenvector overlap converges to ``tau = H'(theta)``; classify_spike
+evaluates both at the spike, over one array of distances ``theta - t_j``.
 
 The density is ``-Im g_nu(omega) / pi`` with ``omega(z)`` the subordination
 function, the root of ``H(omega) = z`` above z.  One solve serves every z with
@@ -62,36 +63,19 @@ class AdditiveContext:
         object.__setattr__(self, "sigma2", real_number(self.sigma2, "sigma2", positive=True))
 
 
-def _require_off_atoms(ctx: AdditiveContext, u: float) -> None:
-    if ctx.nu.distance_to_support(u) <= MERGE_TOL:
-        raise DomainError(f"u={u!r} lies within {MERGE_TOL} of an atom of nu")
-
-
-def H(ctx: AdditiveContext, u: float) -> float:
-    """Outlier-location map ``u + sigma2 * sum w_j / (u - t_j)``."""
-    u = float(u)
-    _require_off_atoms(ctx, u)
-    return u + ctx.sigma2 * float((ctx.nu.weights / (u - ctx.nu.locations)).sum())
-
-
-def H_prime(ctx: AdditiveContext, u: float) -> float:
-    """Derivative ``1 - sigma2 * sum w_j / (u - t_j)^2``; also the overlap tau."""
-    u = float(u)
-    _require_off_atoms(ctx, u)
-    return 1.0 - ctx.sigma2 * float((ctx.nu.weights / (u - ctx.nu.locations) ** 2).sum())
-
-
 def classify_spike(ctx: AdditiveContext, theta: float, multiplicity: int = 1) -> SpikeVerdict:
-    """Decide whether the spike separates from the bulk.
+    """Decide whether the spike separates from the bulk: ``H'(theta) > 0``.
 
-    Raises DomainError when ``theta`` collides with an atom of ``nu``; the
-    model would merge the spike into the bulk block and nothing spectral
-    distinguishes it.  H' checks that once; an outlier's rho is H(theta), summed as in H.
+    Raises DomainError when ``theta`` is within MERGE_TOL of an atom of ``nu``; the model
+    would merge the spike into the bulk block and nothing spectral distinguishes it.
     """
     theta = real_number(theta, "theta")
-    hp = H_prime(ctx, theta)
+    d = theta - ctx.nu.locations
+    if float(np.abs(d).min()) <= MERGE_TOL:
+        raise DomainError(f"theta={theta!r} lies within {MERGE_TOL} of an atom of nu")
+    hp = 1.0 - ctx.sigma2 * float((ctx.nu.weights / d**2).sum())
     if hp > BOUNDARY_TOL:
-        rho = theta + ctx.sigma2 * float((ctx.nu.weights / (theta - ctx.nu.locations)).sum())
+        rho = theta + ctx.sigma2 * float((ctx.nu.weights / d).sum())
         return SpikeVerdict(theta, multiplicity, True, rho, hp, criterion_value=hp)
     return SpikeVerdict(theta, multiplicity, False, None, None, criterion_value=hp)
 
@@ -219,7 +203,8 @@ def subordination(ctx: AdditiveContext, zs) -> np.ndarray:
     ``zs`` is flat, finite (else SpecError) and has ``Im z = eps >= 0`` (else DomainError).
     ``omega = u + i v`` with ``v^2`` from _v_squared and u the root of the increasing ``psi(u)
     = Re z`` (_psi), within sigma of Re z by Cauchy-Schwarz; bracketed Newton finds it there.
-    Above the axis a residual above ``RESIDUAL_TOL (1 + |z|)`` is a NumericalError.
+    A non-finite omega, or above the axis a residual not within ``RESIDUAL_TOL (1 + |z|)``,
+    is a NumericalError naming sigma2 and the first such z, so the solve runs silent.
     """
     zs = np.asarray(zs, dtype=complex).ravel()
     if (bad := np.flatnonzero(~np.isfinite(zs))).size:
@@ -229,12 +214,18 @@ def subordination(ctx: AdditiveContext, zs) -> np.ndarray:
     sigma, t, w = math.sqrt(ctx.sigma2), ctx.nu.locations, ctx.nu.weights
     xs, eps = zs.real, zs.imag
     settled = _STEP_RTOL * (np.abs(xs) + sigma)
-    u = newton(lambda u, e: _psi(ctx, u, e), xs, xs - sigma, xs + sigma, True, settled, xs, (eps,))
-    omega = u + 1j * np.sqrt(_v_squared(w, ctx.sigma2, (u[:, None] - t) ** 2, eps))
-    z, om = zs[eps > 0.0], omega[eps > 0.0]
-    residual = np.abs(om + ctx.sigma2 * (1.0 / (om[:, None] - t) @ w) - z)
-    if (bad := np.flatnonzero(residual > RESIDUAL_TOL * (1.0 + np.abs(z)))).size:
-        raise NumericalError(f"subordination residual {residual[bad[0]]:.3e} at z={complex(z[bad[0]])!r}")
+    with np.errstate(all="ignore"):
+        u = newton(lambda u, e: _psi(ctx, u, e), xs, xs - sigma, xs + sigma, True, settled, xs, (eps,))
+        omega = u + 1j * np.sqrt(_v_squared(w, ctx.sigma2, (u[:, None] - t) ** 2, eps))
+        residual, above = np.zeros(zs.size), eps > 0.0
+        om = omega[above]
+        residual[above] = np.abs(om + ctx.sigma2 * (1.0 / (om[:, None] - t) @ w) - zs[above])
+    fails = ~np.isfinite(omega) | ~(residual <= RESIDUAL_TOL * (1.0 + np.abs(zs)))  # so NaN fails
+    if fails.any():
+        i = int(np.argmax(fails))
+        z, om = complex(zs[i]), complex(omega[i])
+        found = f"residual {residual[i]:.3e}" if np.isfinite(om) else f"omega={om!r}"
+        raise NumericalError(f"subordination at sigma2={ctx.sigma2!r} fails at z={z!r}: {found}")
     return omega
 
 

@@ -9,7 +9,8 @@ map H of free_additive for ``(nu~, sigma2~)``, the outlier map and the criterion
 are ``Z(1/u) = s + H~(u)`` and ``W(u) = c sum w_j t_j^2 / (u - t_j)^2 = 1 - H~'(u)``
 (Silverstein & Choi 1995).  So the Wishart criterion ``W(theta) < 1`` is
 ``H~'(theta) > 0``; a detached spike sits at ``rho = s + H~(theta)`` with squared
-overlap ``tau = H~'(theta) theta / rho``.  The support is what the images of the
+overlap ``tau = H~'(theta) theta / rho``; classify_spike evaluates W and rho at the
+spike, over one array of distances ``theta - t_j``.  The support is what the images of the
 outlier set of ``(nu~, sigma2~)`` under ``Z(1/u)`` leave uncovered.  The density uses
 the additive subordination function ``omega`` of ``(nu~, sigma2~)`` at x - s:
 ``g(x) = (omega/x) g_nu(omega)``, so at eps = 0 the density is ``(Im omega / (pi x))
@@ -34,11 +35,13 @@ from .verdicts import SpikeVerdict, SupportIntervals, uncovered
 
 @dataclass(frozen=True)
 class MultiplicativeContext:
-    """Population limit ``nu`` on [0, inf), aspect ratio ``c``, and ``s`` and ``(nu~, sigma2~)``."""
+    """Population limit ``nu`` on [0, inf), aspect ratio ``c``, and ``s``, ``(nu~, sigma2~)``
+    and ``W(0) = c m``, ``m = 1 - nu({0})``."""
 
     nu: AtomicMeasure
     c: float
     _shift: float = field(init=False, repr=False, compare=False)
+    _cm: float = field(init=False, repr=False, compare=False)
     _biased: AdditiveContext | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -60,52 +63,34 @@ class MultiplicativeContext:
             biased = AdditiveContext(AtomicMeasure(zip(t, beta / sigma2)), sigma2)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "_shift", c * float((w * t).sum()))
+        object.__setattr__(self, "_cm", c * (1.0 - self.nu.weight_at(0.0)))
         object.__setattr__(self, "_biased", biased)
 
 
-def Z(ctx: MultiplicativeContext, x: float) -> float:
-    """Outlier map ``s + H~(1/x)``, that is ``_rho`` at ``u = 1/x``."""
-    x = float(x)
-    if x == 0.0:
-        raise DomainError("Z is undefined at x = 0")
-    u = 1.0 / x
-    if ctx._biased is not None and ctx._biased.nu.distance_to_support(u) <= MERGE_TOL:
-        raise DomainError(f"1/x = {u!r} lies in the support of nu")
-    return _rho(ctx, u)
-
-
-def W(ctx: MultiplicativeContext, u: float) -> float:
-    """Detachment criterion ``sigma2~ * sum w~_j / (u - t_j)^2``; spikes with W < 1 detach."""
-    u = float(u)
-    if abs(u) <= MERGE_TOL:
-        raise DomainError("W is undefined at u = 0")
-    if ctx.nu.distance_to_support(u) <= MERGE_TOL:
-        raise DomainError(f"u={u!r} lies in the support of nu")
-    if (biased := ctx._biased) is None:
-        return 0.0
-    return biased.sigma2 * float((biased.nu.weights / (u - biased.nu.locations) ** 2).sum())
-
-
-def _rho(ctx: MultiplicativeContext, u: float) -> float:
-    """Outlier map ``Z(1/u) = s + H~(u)``, summed as ``u (1 + c sum w t / (u - t))``: the
-    plain sum cancels where its value is far below s, as at a lower edge close to 0."""
-    t, w = ctx.nu.locations, ctx.nu.weights
-    return u * (1.0 + ctx.c * float((w * t / (u - t)).sum()))
-
-
 def classify_spike(ctx: MultiplicativeContext, theta: float, multiplicity: int = 1) -> SpikeVerdict:
-    """Decide whether a positive population spike detaches from the bulk; W alone checks theta."""
+    """Decide whether a positive population spike detaches from the bulk: ``W(theta) < 1``.
+
+    Raises DomainError unless ``theta > 0`` is more than MERGE_TOL from every atom of nu.
+    An outlier sits at ``rho = Z(1/theta) = s + H~(theta)``, summed as ``theta (1 + c sum w t
+    / (theta - t))``: the plain sum cancels where its value is far below s, as at a lower
+    edge close to 0.
+    """
     theta = real_number(theta, "theta")
     if theta <= 0.0:
         raise DomainError(f"spike classification requires theta > 0, got {theta!r}")
-    w_val = W(ctx, theta)
+    t, w = ctx.nu.locations, ctx.nu.weights
+    d = theta - t
+    if float(np.abs(d).min()) <= MERGE_TOL:
+        raise DomainError(f"theta={theta!r} lies in the support of nu")
+    w_val = 0.0
+    if (biased := ctx._biased) is not None:  # nu~ holds the last atoms of nu, those above 0
+        tilted = biased.nu.weights
+        w_val = biased.sigma2 * float((tilted / d[t.size - tilted.size :] ** 2).sum())
     rho = tau = None
     if w_val < 1.0 - BOUNDARY_TOL:
-        rho = _rho(ctx, theta)
+        rho = theta * (1.0 + ctx.c * float((w * t / d).sum()))
         if rho == 0.0:
-            raise DegenerateOutlierError(
-                f"outlier location Z(1/theta) vanishes for theta={theta!r}"
-            )
+            raise DegenerateOutlierError(f"outlier location Z(1/theta) vanishes for theta={theta!r}")
         tau = (1.0 - w_val) * theta / rho
     return SpikeVerdict(theta, multiplicity, rho is not None, rho, tau, criterion_value=w_val)
 
@@ -118,31 +103,30 @@ def outlier_set_intervals(ctx: MultiplicativeContext) -> list[tuple[float, float
     if ctx._biased is None:
         return [(0.0, math.inf)]
     (_, b), *rest = free_additive.outlier_set_intervals(ctx._biased)
-    return ([(0.0, b)] if ctx.c * (1.0 - ctx.nu.weight_at(0.0)) < 1.0 else []) + rest
+    return ([(0.0, b)] if ctx._cm < 1.0 else []) + rest
 
 
 def support(ctx: MultiplicativeContext) -> SupportIntervals:
     """Support of the continuous part: what the images under Z(1/u) of the outlier set of
     ``(nu~, sigma2~)`` leave uncovered, cut at 0.
 
-    All finite endpoints are mapped at once, by ``_rho`` summed as ``u (1 - c m + c u
+    All finite endpoints are mapped at once, by ``Z(1/u)`` summed as ``u (1 - c m + c u
     sum_{t>0} w / (u - t))`` with m = 1 - nu({0}): where a lower edge is close to 0, u is
     small and no term cancels."""
     if ctx._biased is None:
         return SupportIntervals(())
-    t, c, m = ctx._biased.nu.locations, ctx.c, 1.0 - ctx.nu.weight_at(0.0)
+    t, c = ctx._biased.nu.locations, ctx.c
     u = np.array(free_additive.outlier_set_intervals(ctx._biased)).ravel()
     w = ctx.nu.weights[ctx.nu.locations > MERGE_TOL]
-    u[1:-1] *= 1.0 - c * m + c * u[1:-1] * (w / (u[1:-1, None] - t)).sum(axis=1)
+    u[1:-1] *= 1.0 - ctx._cm + c * u[1:-1] * (w / (u[1:-1, None] - t)).sum(axis=1)
     gaps = uncovered(u.reshape(-1, 2).tolist())
     return SupportIntervals(tuple((max(lo, 0.0), hi) for lo, hi in gaps if hi > 0.0))
 
 
 def mass_at_zero(ctx: MultiplicativeContext) -> float:
     """Point mass of the limit at 0: nu({0}) if c*(1-nu({0})) <= 1, else 1 - 1/c."""
-    nu0 = ctx.nu.weight_at(0.0)
-    if ctx.c * (1.0 - nu0) <= 1.0:
-        return nu0
+    if ctx._cm <= 1.0:
+        return ctx.nu.weight_at(0.0)
     return 1.0 - 1.0 / ctx.c
 
 
@@ -169,7 +153,7 @@ def density(ctx: MultiplicativeContext, grid, eps: float = 0.0) -> list[tuple[fl
     xs = free_additive._grid(grid, eps)
     if eps > 0.0:
         f = -_g(ctx, xs + 1j * eps).imag / math.pi
-    elif np.any(xs == 0.0) and ctx.c * (1.0 - ctx.nu.weight_at(0.0)) == 1.0:
+    elif np.any(xs == 0.0) and ctx._cm == 1.0:
         raise DomainError("the density is unbounded at x=0, where c (1 - nu({0})) = 1")
     else:
         f, pos = np.zeros(xs.shape), xs > 0.0

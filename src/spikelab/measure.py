@@ -101,12 +101,6 @@ class AtomicMeasure:
                 return w
         return 0.0
 
-    def distance_to_support(self, x: float) -> float:
-        return float(np.abs(x - self.locations).min())
-
-    def to_dict(self) -> dict:
-        return {"atoms": [[t, w] for t, w in self.atoms]}
-
     @classmethod
     def from_dict(cls, data: dict) -> "AtomicMeasure":
         if not isinstance(data, dict) or "atoms" not in data:

@@ -15,8 +15,6 @@ from spikelab import verify
 from spikelab.ensemble import wishart_p
 from spikelab.free_additive import (
     AdditiveContext,
-    H,
-    H_prime,
     classify_spike as classify_additive,
     density as additive_density,
     support as additive_support,
@@ -42,18 +40,19 @@ def _check(num, label, ok, detail=""):
 
 def test_criterion_1_paper_example_analytics():
     ctx = AdditiveContext(TWO_POINT, 0.5)
+    top, middle, zero = (classify_additive(ctx, theta) for theta in (2.0, 1.5, 0.0))
     errs = (
-        abs(H(ctx, 2.0) - RHO_TOP),
-        abs(H_prime(ctx, 2.0) - TAU_TOP),
-        abs(H_prime(ctx, 0.0) - 0.5),
-        abs(H(ctx, 0.0)),
+        abs(top.rho - RHO_TOP),
+        abs(top.criterion_value - TAU_TOP),
+        abs(zero.criterion_value - 0.5),
+        abs(zero.rho),
     )
-    ok = max(errs) <= 1e-12 and H_prime(ctx, 1.5) < 0.0
+    ok = max(errs) <= 1e-12 and middle.criterion_value < 0.0
     _check(
         1,
         "paper example analytics exact to 1e-12",
         ok,
-        f"max err {max(errs):.2e}, H'(3/2) = {H_prime(ctx, 1.5):.4f} < 0",
+        f"max err {max(errs):.2e}, H'(3/2) = {middle.criterion_value:.4f} < 0",
     )
 
 

@@ -168,6 +168,29 @@ def test_a_non_finite_output_value_exits_4(tmp_path, capsys):
         assert captured.err == "error: output value -inf is not finite\n"
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_non_finite_omega_exits_4_without_a_warning(tmp_path, capsys):
+    # At sigma2 = 1e308 the v^2 solve overflows to NaN, on and above the axis: subordination
+    # refuses it, where a NaN density used to reach the writer after a RuntimeWarning.
+    path = write_model(tmp_path, NON_FINITE_MODEL)
+    for eps in ("0", "0.01"):
+        assert cli.main(["density", "--spec", path, "--grid", "0:1:3", "--eps", eps]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        z = "0j" if eps == "0" else "0.01j"
+        assert captured.err == f"error: subordination at sigma2=1e+308 fails at z={z}: omega=(nan+nanj)\n"
+
+
+def test_analyze_classifies_a_wishart_spike_below_merge_tol(tmp_path, capsys):
+    # theta = 5e-13 lies within 1e-12 of 0 but not of the atom at 1: W = 0.5 / (1 - theta)^2.
+    path = write_model(tmp_path, dict(MP_FREE_MODEL, c=0.5, spikes=[[5e-13, 1]]))
+    assert cli.main(["analyze", "--spec", path]) == 0
+    spike, = json.loads(capsys.readouterr().out)["spikes"]
+    assert spike["verdict"] == "outlier"
+    assert spike["rho"] == pytest.approx(2.5e-13, rel=1e-12)
+    assert spike["tau"] == pytest.approx(1.0, abs=1e-12)
+
+
 # Each file breaks one rule of the model file.  The first five were accepted
 # by analyze and density when only simulate built a SpikedModelSpec; a
 # non-list spikes value or a non-numeric theta used to escape as a traceback.

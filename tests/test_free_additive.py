@@ -1,17 +1,16 @@
 """Oracle tests for the deformed-Wigner (additive) analytics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from oracles import semicircle_density, semicircle_g
+from oracles import Oracle, semicircle_density, semicircle_g
 from spikelab import free_additive, free_multiplicative
 from spikelab.errors import DomainError, NumericalError, SpecError
 from spikelab.free_additive import (
     AdditiveContext,
-    H,
-    H_prime,
     classify_spike,
     density,
     outlier_set_intervals,
@@ -59,43 +58,47 @@ class TestContext:
 
 
 class TestH:
+    # rho = H(theta) = theta + sigma2 sum w / (theta - t), reported where the spike detaches.
     def test_paper_value_at_two(self):
-        assert H(PAPER, 2.0) == pytest.approx(7.0 / 3.0, abs=1e-12)
+        assert classify_spike(PAPER, 2.0).rho == pytest.approx(7.0 / 3.0, abs=1e-12)
 
     def test_paper_value_at_zero(self):
-        assert H(PAPER, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert classify_spike(PAPER, 0.0).rho == pytest.approx(0.0, abs=1e-12)
 
     def test_delta0_is_theta_plus_sigma2_over_theta(self):
         ctx = AdditiveContext(DELTA0, 1.0)
-        for theta in (2.0, -1.5, 0.1):
-            assert H(ctx, theta) == pytest.approx(theta + 1.0 / theta, abs=1e-12)
+        for theta in (2.0, -1.5):
+            assert classify_spike(ctx, theta).rho == pytest.approx(theta + 1.0 / theta, abs=1e-12)
+        # theta = 0.1 sticks (H' = -99), so only the oracle's H is left to give 0.1 + 10.
+        assert classify_spike(ctx, 0.1).rho is None
+        assert float(Oracle(DELTA0.atoms, sigma2=1.0).F(0.1)) == pytest.approx(10.1, abs=1e-12)
 
     def test_atom_rejected(self):
-        with pytest.raises(DomainError):
-            H(PAPER, 1.0)
-        with pytest.raises(DomainError):
-            H(PAPER, -1.0 + 1e-13)
+        with pytest.raises(DomainError, match="within 1e-12 of an atom"):
+            classify_spike(PAPER, 1.0)
+        with pytest.raises(DomainError, match="within 1e-12 of an atom"):
+            classify_spike(PAPER, -1.0 + 1e-13)
 
 
 class TestHPrime:
+    # criterion_value = H'(theta) = 1 - sigma2 sum w / (theta - t)^2, outlier or not.
     def test_paper_value_at_two(self):
-        assert H_prime(PAPER, 2.0) == pytest.approx(13.0 / 18.0, abs=1e-12)
+        assert classify_spike(PAPER, 2.0).criterion_value == pytest.approx(13.0 / 18.0, abs=1e-12)
 
     def test_paper_value_at_zero(self):
-        assert H_prime(PAPER, 0.0) == pytest.approx(0.5, abs=1e-12)
+        assert classify_spike(PAPER, 0.0).criterion_value == pytest.approx(0.5, abs=1e-12)
 
     def test_derived_value_at_three_halves(self):
-        assert H_prime(PAPER, 1.5) == pytest.approx(-1.0 / 25.0, abs=1e-12)
+        assert classify_spike(PAPER, 1.5).criterion_value == pytest.approx(-1.0 / 25.0, abs=1e-12)
 
     def test_atom_rejected(self):
         with pytest.raises(DomainError):
-            H_prime(PAPER, -1.0)
+            classify_spike(PAPER, -1.0)
 
     def test_concavity_second_difference_in_gap(self):
         # H' is strictly concave between consecutive atoms.
-        a, b, c = 0.2, 0.35, 0.5
-        second = H_prime(PAPER, a) - 2.0 * H_prime(PAPER, b) + H_prime(PAPER, c)
-        assert second < 0.0
+        a, b, c = (classify_spike(PAPER, u).criterion_value for u in (0.2, 0.35, 0.5))
+        assert a - 2.0 * b + c < 0.0
 
 
 class TestClassifySpike:
@@ -278,6 +281,20 @@ class TestSubordinatedG:
         monkeypatch.setattr(free_additive, "RESIDUAL_TOL", -1.0)
         with pytest.raises(NumericalError, match="residual"):
             subordination(PAPER, [0.3 + 1e-9j])
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_non_finite_omega_is_refused_on_and_above_the_axis(self):
+        # At sigma2 = 1e300 the v^2 solve gives NaN; NaN > tol is False, so a residual test
+        # alone let it through above the axis, and on the axis there was none.
+        ctx = AdditiveContext(DELTA0, 1e300)
+        for zs, bad in (([0.5 + 1e-3j, 0.5], "0.5+0.001j"), ([0.5, 0.5 + 1e-3j], "0.5+0j")):
+            want = f"subordination at sigma2=1e+300 fails at z=({bad}): omega=(nan+nanj)"
+            with pytest.raises(NumericalError, match=f"^{re.escape(want)}$"):
+                subordination(ctx, zs)
+        # At sigma2 = 1e160 the solve still holds: the semicircle density at 0.5.
+        big = AdditiveContext(DELTA0, 1e160)
+        (_, f), = density(big, [0.5])
+        assert f == pytest.approx(semicircle_density(0.5, 1e160), rel=1e-12)
 
 
     def test_points_outside_the_domain_are_named(self):

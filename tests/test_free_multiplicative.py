@@ -6,12 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import mp_density
+from oracles import Oracle, mp_density
 from spikelab.errors import DomainError, SpecError
 from spikelab.free_multiplicative import (
     MultiplicativeContext,
-    W,
-    Z,
     _g,
     classify_spike,
     density,
@@ -101,59 +99,73 @@ class TestMpDensity:
             assert abs(np.trapezoid(f, xs) - target) < 1e-3
 
 
+def criterion(context, u):
+    """``W(u)``: the criterion_value of a spike at u > 0, else ``1 - F'(u)`` of the oracle."""
+    if u > 0.0:
+        return classify_spike(context, u).criterion_value
+    return 1.0 - float(Oracle(context.nu.atoms, c=context.c).F_prime(u))
+
+
 class TestZ:
+    # rho = Z(1/theta) = s + H~(theta), reported where the spike detaches.
     def test_single_atom_spike_location(self):
         # theta=3, c=1: Z(1/3) = 3*(1 + 1/(3-1)) = 4.5
-        assert Z(ctx(DELTA1, 1.0), 1.0 / 3.0) == pytest.approx(4.5, abs=1e-12)
+        assert classify_spike(ctx(DELTA1, 1.0), 3.0).rho == pytest.approx(4.5, abs=1e-12)
 
     def test_upper_edge_algebra(self):
+        # At theta = 1 + sqrt(c), W = 1: the spike sticks, and the oracle's Z gives the edge.
         c = 0.3
         theta = 1.0 + math.sqrt(c)
-        assert Z(ctx(DELTA1, c), 1.0 / theta) == pytest.approx((1.0 + math.sqrt(c)) ** 2, abs=1e-12)
+        assert classify_spike(ctx(DELTA1, c), theta).rho is None
+        edge = float(Oracle(DELTA1.atoms, c=c).F(theta))
+        assert edge == pytest.approx((1.0 + math.sqrt(c)) ** 2, abs=1e-12)
 
     def test_vanishing_c_leaves_spike_in_place(self):
-        assert Z(ctx(DELTA2, 1e-9), 0.2) == pytest.approx(5.0, abs=1e-7)
+        assert classify_spike(ctx(DELTA2, 1e-9), 1.0 / 0.2).rho == pytest.approx(5.0, abs=1e-7)
 
     def test_pole_at_zero_argument(self):
-        with pytest.raises(DomainError):
-            Z(ctx(DELTA1, 1.0), 0.0)
+        # Z(x) at x = 0 is a spike at theta = 1/x = inf: not a finite number.
+        with pytest.raises(SpecError, match="^theta must be finite$"):
+            classify_spike(ctx(DELTA1, 1.0), math.inf)
 
     def test_pole_when_inverse_hits_atom(self):
         with pytest.raises(DomainError):
-            Z(ctx(DELTA2, 1.0), 0.5)
+            classify_spike(ctx(DELTA2, 1.0), 1.0 / 0.5)
         with pytest.raises(DomainError):
-            Z(ctx(DELTA2, 1.0), 0.5 + 1e-14)
+            classify_spike(ctx(DELTA2, 1.0), 1.0 / (0.5 + 1e-14))
 
     def test_atom_at_zero_is_not_a_pole(self):
-        val = Z(ctx(HALF01, 1.0), 1e6)
+        val = classify_spike(ctx(HALF01, 1.0), 1.0 / 1e6).rho
         assert val == pytest.approx(1e-6 + 0.5 / (1.0 - 1e6), rel=1e-12)
 
 
 class TestW:
+    # criterion_value = W(theta) = sigma2~ sum w~ / (theta - t)^2, outlier or not.
     def test_single_atom_value(self):
-        assert W(ctx(DELTA1, 1.0), 3.0) == pytest.approx(0.25, abs=1e-15)
+        assert criterion(ctx(DELTA1, 1.0), 3.0) == pytest.approx(0.25, abs=1e-15)
 
     def test_boundary_equals_one(self):
         c = 0.49
-        assert W(ctx(DELTA1, c), 1.7) == pytest.approx(1.0, abs=1e-12)
-        assert W(ctx(DELTA1, c), 0.3) == pytest.approx(1.0, abs=1e-12)
+        assert criterion(ctx(DELTA1, c), 1.7) == pytest.approx(1.0, abs=1e-12)
+        assert criterion(ctx(DELTA1, c), 0.3) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_measure_gives_zero(self):
-        assert W(ctx(DELTA0, 7.0), 5.0) == 0.0
+        assert criterion(ctx(DELTA0, 7.0), 5.0) == 0.0
 
     def test_atom_at_zero_contributes_nothing(self):
-        assert W(ctx(HALF01, 0.3), 0.5) == pytest.approx(0.6, abs=1e-15)
+        assert criterion(ctx(HALF01, 0.3), 0.5) == pytest.approx(0.6, abs=1e-15)
 
     def test_negative_argument_allowed(self):
-        assert W(ctx(DELTA1, 4.0), -1.0) == pytest.approx(1.0, abs=1e-15)
+        # No spike sits at u < 0, so W(-1) comes from the oracle.
+        assert criterion(ctx(DELTA1, 4.0), -1.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_rejected_points(self):
         with pytest.raises(DomainError):
-            W(ctx(DELTA1, 1.0), 0.0)
+            classify_spike(ctx(DELTA1, 1.0), 0.0)
         with pytest.raises(DomainError):
-            W(ctx(DELTA1, 1.0), 1.0)
+            classify_spike(ctx(DELTA1, 1.0), 1.0)
         with pytest.raises(DomainError):
-            W(ctx(HALF01, 1.0), 0.0)
+            classify_spike(ctx(HALF01, 1.0), 0.0)
 
     def test_derivative_identity_of_Z(self):
         # -u^2 + c*sum w t^2 u^2/(u-t)^2 must equal u^2*(W(u)-1)
@@ -165,7 +177,7 @@ class TestW:
                 if any(abs(u - t) < 1e-9 for t, _ in nu.atoms):
                     continue
                 lhs = -u * u + c * sum(w * t * t * u * u / (u - t) ** 2 for t, w in nu.atoms)
-                rhs = u * u * (W(context, u) - 1.0)
+                rhs = u * u * (criterion(context, u) - 1.0)
                 assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
 
@@ -208,6 +220,15 @@ class TestClassifySpike:
     def test_theta_on_atom_rejected(self):
         with pytest.raises(DomainError):
             classify_spike(ctx(DELTA1, 1.0), 1.0)
+
+    def test_spike_within_merge_tol_of_zero_detaches(self):
+        # theta = 5e-13 is off the one atom of nu = delta_1: W = 0.5 / (1 - theta)^2 < 1.
+        v = classify_spike(ctx(DELTA1, 0.5), 5e-13)
+        assert v.is_outlier
+        want = Oracle(DELTA1.atoms, c=0.5).spike(5e-13)
+        for name, got in (("criterion", v.criterion_value), ("rho", v.rho), ("tau", v.tau)):
+            value, terms = want[name]
+            assert abs(got - float(value)) <= 8 * 2.0**-53 * float(terms), name
 
     def test_multiplicity_carried_and_validated(self):
         assert classify_spike(ctx(DELTA1, 1.0), 3.0, multiplicity=4).multiplicity == 4
@@ -344,7 +365,7 @@ class TestCompanionG:
     def test_inverts_outlier_map(self):
         # at x = Z(1/u) the companion transform returns 1/u
         context = ctx(DELTA1, 1.0)
-        x = Z(context, 1.0 / 3.0)
+        x = classify_spike(context, 3.0).rho
         assert abs(companion_g(context, x + 1e-7j) - 1.0 / 3.0) < 1e-3
 
     def test_vanishing_c_limit(self):

@@ -1,8 +1,9 @@
 """Randomized invariant suites over the analytic and sampling layers.
 
 Each property runs 100 derandomized examples: monotonicity of the outlier
-location maps, the derivative identity tying Z' to W, the two composition
-identities between the fixed-point transforms and their real inverses,
+locations on the outlier set, the derivative identity tying Z' to W there,
+the two composition identities between the fixed-point transforms and
+their real inverses,
 the scaled Marchenko-Pastur law of a two-atom nu with an atom at 0, the
 spike values against plain sums, the outlier set of nu with up to 30 atoms
 against a per-gap scan and bisection, the sign, support and mass of the
@@ -28,15 +29,12 @@ from spikelab.ensemble import (
 from spikelab.free_additive import (
     BOUNDARY_TOL,
     AdditiveContext,
-    H,
-    H_prime,
+    classify_spike as classify_add,
     outlier_set_intervals as additive_intervals,
     subordination,
 )
 from spikelab.free_multiplicative import (
     MultiplicativeContext,
-    W,
-    Z,
     _g,
     classify_spike as classify_mult,
     mass_at_zero,
@@ -101,10 +99,10 @@ def test_H_strictly_increasing_on_outlier_set(data):
     u1 = _point_in(data, interval)
     u2 = _point_in(data, interval)
     assume(abs(u2 - u1) > 1e-6)
-    a, b = sorted((u1, u2))
-    assert H_prime(ctx, a) > 0.0
-    assert H_prime(ctx, b) > 0.0
-    assert H(ctx, a) < H(ctx, b)
+    a, b = (classify_add(ctx, u) for u in sorted((u1, u2)))
+    assert a.criterion_value > 0.0
+    assert b.criterion_value > 0.0
+    assert a.rho < b.rho
 
 
 @COMMON
@@ -117,26 +115,29 @@ def test_Z_of_inverse_increasing_on_outlier_set(data):
     u1 = _point_in(data, interval, lo_frac=0.1, hi_frac=0.9)
     u2 = _point_in(data, interval, lo_frac=0.1, hi_frac=0.9)
     assume(min(u1, u2) > 1e-3 and abs(u2 - u1) > 1e-6)
-    a, b = sorted((u1, u2))
-    assert W(ctx, a) < 1.0
-    assert W(ctx, b) < 1.0
-    assert Z(ctx, 1.0 / a) < Z(ctx, 1.0 / b)
+    a, b = (classify_mult(ctx, u) for u in sorted((u1, u2)))
+    assert a.criterion_value < 1.0
+    assert b.criterion_value < 1.0
+    assert a.rho < b.rho
 
 
 @COMMON
 @given(data=st.data())
 def test_Z_derivative_identity_with_W(data):
+    # Z'(1/u) = u^2 (W(u) - 1) on the outlier set, where classify_spike gives Z(1/u) and W(u).
     nu = data.draw(measures(positive=True))
     c = data.draw(st.floats(0.05, 4.0))
     ctx = MultiplicativeContext(nu, c)
-    mag = data.draw(st.floats(0.2, 8.0))
-    u = mag if data.draw(st.booleans()) else -mag
+    u = _point_in(data, _pick_interval(data, mult_intervals(ctx)), lo_frac=0.1, hi_frac=0.9)
+    assume(0.2 <= u <= 8.0)
     assume(min(abs(u - t) for t, _ in nu.atoms) > 0.05)
     x = 1.0 / u
     assume(min(abs(x - 1.0 / t) for t, _ in nu.atoms) > 0.05)
     h = 1e-6 * max(1.0, abs(x))
-    z_prime = (Z(ctx, x + h) - Z(ctx, x - h)) / (2.0 * h)
-    expected = u * u * (W(ctx, u) - 1.0)
+    above, below = (classify_mult(ctx, 1.0 / (x + sign * h)) for sign in (1.0, -1.0))
+    assume(above.is_outlier and below.is_outlier)
+    z_prime = (above.rho - below.rho) / (2.0 * h)
+    expected = u * u * (classify_mult(ctx, u).criterion_value - 1.0)
     assert abs(z_prime - expected) <= 1e-4 * max(1.0, abs(expected))
 
 
@@ -148,8 +149,9 @@ def test_subordination_inverts_H(data):
     ctx = AdditiveContext(nu, sigma2)
     interval = _pick_interval(data, additive_intervals(ctx))
     u = _point_in(data, interval)
-    assume(H_prime(ctx, u) > 5e-3)
-    z = H(ctx, u)
+    verdict = classify_add(ctx, u)
+    assume(verdict.criterion_value > 5e-3)
+    z = verdict.rho
     omega = subordination(ctx, [complex(z, 1e-9)])[0]
     g = sum(w / (omega - t) for t, w in nu.atoms)
     assert abs((z - sigma2 * g) - u) < 1e-6
@@ -164,9 +166,10 @@ def test_companion_transform_inverts_Z(data):
     interval = _pick_interval(data, mult_intervals(ctx))
     u = _point_in(data, interval, lo_frac=0.1, hi_frac=0.9)
     assume(u > 1e-2)
-    assume(W(ctx, u) < 1.0 - 5e-3)
+    verdict = classify_mult(ctx, u)
+    assume(verdict.criterion_value < 1.0 - 5e-3)
     x = 1.0 / u
-    z = Z(ctx, x)
+    z = verdict.rho
     assume(abs(z) > 1e-6)
     g = (1.0 - c) / complex(z, 1e-9) + c * _g(ctx, np.array([complex(z, 1e-9)]))[0]
     # The tiny upper-half-plane shift leaks into Im g with an O(1/Z')
@@ -198,7 +201,7 @@ def test_spike_values_equal_plain_sums(data):
     nu = data.draw(measures(positive=True))
     c = data.draw(st.floats(0.05, 4.0))
     theta = data.draw(st.floats(0.01, 12.0))
-    assume(nu.distance_to_support(theta) > 1e-6)
+    assume(np.abs(theta - nu.locations).min() > 1e-6)
     t, w = nu.locations, nu.weights
     crit = c * np.sum(w * t**2 / (theta - t) ** 2)
     verdict = classify_mult(MultiplicativeContext(nu, c), theta)
@@ -219,7 +222,7 @@ def _spike_list(draw, nu, positive):
         draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n, unique=True)), reverse=True
     )
     assume(all(a - b > 1e-3 for a, b in zip(thetas, thetas[1:])))
-    assume(all(nu.distance_to_support(t) > 0.1 for t in thetas))
+    assume(all(np.abs(t - nu.locations).min() > 0.1 for t in thetas))
     mults = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
     return tuple(zip(thetas, mults))
 
