@@ -154,13 +154,12 @@ def _v_squared(w: np.ndarray, s2: float, d2: np.ndarray, eps: np.ndarray) -> np.
     and ``y^2`` with ``sigma2 G0 y^3 + (1 - sigma2 F0) y <= eps`` (F >= F0 - G0 s)."""
     s = np.maximum(np.max(w * s2 - d2, axis=1), 0.0)
     above = eps > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        F0 = (w / d2).sum(axis=1)
-        if tilted := above.any():
-            gap, G0 = 1.0 - s2 * F0, (w / (d2 * d2)).sum(axis=1)
-            y = np.fmin(np.where(gap > 0.0, eps / (gap + gap), np.inf), np.cbrt(eps / (2.0 * s2 * G0)))
-            y = np.fmax(np.sqrt(-gap / (s2 * G0)), y)  # the root is NaN where gap > 0 or u is an atom
-            s = np.where(above, np.fmax(s, np.fmax(eps * eps, y * y)), s)
+    F0 = (w / d2).sum(axis=1)
+    if tilted := above.any():
+        gap, G0 = 1.0 - s2 * F0, (w / (d2 * d2)).sum(axis=1)
+        y = np.fmin(np.where(gap > 0.0, eps / (gap + gap), np.inf), np.cbrt(eps / (2.0 * s2 * G0)))
+        y = np.fmax(np.sqrt(-gap / (s2 * G0)), y)  # the root is NaN where gap > 0 or u is an atom
+        s = np.where(above, np.fmax(s, np.fmax(eps * eps, y * y)), s)
     active = np.flatnonzero((F0 > 1.0 / s2) | above)
     for _ in range(_MAX_STEPS):
         if not active.size:
@@ -170,8 +169,7 @@ def _v_squared(w: np.ndarray, s2: float, d2: np.ndarray, eps: np.ndarray) -> np.
         F, G = q @ w, (q * q) @ w
         if tilted:  # F + e and G + e/(2s), the slope of F + e in -s; e = 0 where s = 0
             e = np.divide(eps[active], s2 * np.sqrt(sa), out=np.zeros(sa.size), where=sa > 0.0)
-            with np.errstate(over="ignore"):  # where s nears underflow, at eps below 1e-150
-                F, G = F + e, G + np.divide(e, sa + sa, out=np.zeros(sa.size), where=sa > 0.0)
+            F, G = F + e, G + np.divide(e, sa + sa, out=np.zeros(sa.size), where=sa > 0.0)
         step = F * (s2 * F - 1.0) / G
         s[active] += np.maximum(step, 0.0)
         active = active[step > _STEP_RTOL * s[active]]
@@ -191,8 +189,7 @@ def _psi(ctx: AdditiveContext, u: np.ndarray, eps: np.ndarray) -> tuple[np.ndarr
     # v = 0 and psi = H off the support at eps = 0; else v^2 moves with u by -2A/G_eps.
     q2 = q * q
     A, B, G = (q2 * d) @ w, (q2 * d2) @ w, q2 @ w
-    with np.errstate(divide="ignore", over="ignore"):  # where v^3 underflows, at eps below 1e-100
-        G = G + np.divide(eps, 2.0 * s2 * s * np.sqrt(s), out=np.zeros(s.size), where=s > 0.0)
+    G = G + np.divide(eps, 2.0 * s2 * s * np.sqrt(s), out=np.zeros(s.size), where=s > 0.0)
     slope = np.where(s > 0.0, 1.0 + s2 * (F - 2.0 * B + 2.0 * A * A / G), 1.0 - s2 * F)
     return psi, slope
 
@@ -214,7 +211,7 @@ def subordination(ctx: AdditiveContext, zs) -> np.ndarray:
     sigma, t, w = math.sqrt(ctx.sigma2), ctx.nu.locations, ctx.nu.weights
     xs, eps = zs.real, zs.imag
     settled = _STEP_RTOL * (np.abs(xs) + sigma)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # 1/d2 is inf at an atom, v^3 underflows at eps < 1e-100
         u = newton(lambda u, e: _psi(ctx, u, e), xs, xs - sigma, xs + sigma, True, settled, xs, (eps,))
         omega = u + 1j * np.sqrt(_v_squared(w, ctx.sigma2, (u[:, None] - t) ** 2, eps))
         residual, above = np.zeros(zs.size), eps > 0.0

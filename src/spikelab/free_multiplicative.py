@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import free_additive
-from .errors import DegenerateOutlierError, DomainError, SpecError
+from .errors import DegenerateOutlierError, DomainError, NumericalError, SpecError
 from .free_additive import BOUNDARY_TOL, AdditiveContext
 from .measure import MERGE_TOL, AtomicMeasure, real_number
 # Not called here: a traced run patches these names on every theory module.
@@ -83,9 +83,8 @@ def classify_spike(ctx: MultiplicativeContext, theta: float, multiplicity: int =
     if float(np.abs(d).min()) <= MERGE_TOL:
         raise DomainError(f"theta={theta!r} lies in the support of nu")
     w_val = 0.0
-    if (biased := ctx._biased) is not None:  # nu~ holds the last atoms of nu, those above 0
-        tilted = biased.nu.weights
-        w_val = biased.sigma2 * float((tilted / d[t.size - tilted.size :] ** 2).sum())
+    if (biased := ctx._biased) is not None:  # nu~ holds the atoms of nu above MERGE_TOL
+        w_val = biased.sigma2 * float((biased.nu.weights / d[t > MERGE_TOL] ** 2).sum())
     rho = tau = None
     if w_val < 1.0 - BOUNDARY_TOL:
         rho = theta * (1.0 + ctx.c * float((w * t / d).sum()))
@@ -125,9 +124,7 @@ def support(ctx: MultiplicativeContext) -> SupportIntervals:
 
 def mass_at_zero(ctx: MultiplicativeContext) -> float:
     """Point mass of the limit at 0: nu({0}) if c*(1-nu({0})) <= 1, else 1 - 1/c."""
-    if ctx._cm <= 1.0:
-        return ctx.nu.weight_at(0.0)
-    return 1.0 - 1.0 / ctx.c
+    return ctx.nu.weight_at(0.0) if ctx._cm <= 1.0 else 1.0 - 1.0 / ctx.c
 
 
 def _g(ctx: MultiplicativeContext, z: np.ndarray) -> np.ndarray:
@@ -151,15 +148,19 @@ def density(ctx: MultiplicativeContext, grid, eps: float = 0.0) -> list[tuple[fl
     ``c (1 - nu({0})) = 1``, where the support reaches 0 and f is unbounded: a DomainError.
     """
     xs = free_additive._grid(grid, eps)
-    if eps > 0.0:
-        f = -_g(ctx, xs + 1j * eps).imag / math.pi
-    elif np.any(xs == 0.0) and ctx._cm == 1.0:
-        raise DomainError("the density is unbounded at x=0, where c (1 - nu({0})) = 1")
-    else:
-        f, pos = np.zeros(xs.shape), xs > 0.0
-        if ctx._biased is not None:
-            omega = free_additive.subordination(ctx._biased, xs[pos] - ctx._shift)
-            t, w = ctx.nu.locations, ctx.nu.weights
-            tilt = (w * t / np.abs(omega[:, None] - t) ** 2).sum(axis=1)
-            f[pos] = omega.imag / (math.pi * xs[pos]) * tilt
+    try:
+        if eps > 0.0:
+            f = -_g(ctx, xs + 1j * eps).imag / math.pi
+        elif np.any(xs == 0.0) and ctx._cm == 1.0:
+            raise DomainError("the density is unbounded at x=0, where c (1 - nu({0})) = 1")
+        else:
+            f, pos = np.zeros(xs.shape), xs > 0.0
+            if ctx._biased is not None:
+                omega = free_additive.subordination(ctx._biased, xs[pos] - ctx._shift)
+                t, w = ctx.nu.locations, ctx.nu.weights
+                tilt = (w * t / np.abs(omega[:, None] - t) ** 2).sum(axis=1)
+                f[pos] = omega.imag / (math.pi * xs[pos]) * tilt
+    except NumericalError as exc:  # it names sigma2~ and z = x - s, which no model sets
+        head = f"density at c={ctx.c!r}, as the size-biased model at z = x - {ctx._shift!r}"
+        raise NumericalError(f"{head}: {exc}") from None
     return [(float(x), float(v)) for x, v in zip(xs, f)]

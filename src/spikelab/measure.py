@@ -101,6 +101,9 @@ class AtomicMeasure:
                 return w
         return 0.0
 
+    def distance_to_support(self, x: float) -> float:
+        return float(np.abs(x - self.locations).min())
+
     @classmethod
     def from_dict(cls, data: dict) -> "AtomicMeasure":
         if not isinstance(data, dict) or "atoms" not in data:

@@ -296,7 +296,6 @@ class TestSubordinatedG:
         (_, f), = density(big, [0.5])
         assert f == pytest.approx(semicircle_density(0.5, 1e160), rel=1e-12)
 
-
     def test_points_outside_the_domain_are_named(self):
         with pytest.raises(DomainError, match=r"^point 1 is \(0\.3-0\.1j\), below the real axis$"):
             subordination(PAPER, [0.3, 0.3 - 0.1j, 0.2 - 1j])

@@ -1,13 +1,14 @@
 """Oracle tests for the spiked sample-covariance analytics."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from oracles import Oracle, mp_density
-from spikelab.errors import DomainError, SpecError
+from spikelab.errors import DomainError, NumericalError, SpecError
 from spikelab.free_multiplicative import (
     MultiplicativeContext,
     _g,
@@ -457,6 +458,15 @@ class TestDensity:
             with pytest.raises(DomainError, match="x=0"):
                 density(ctx(nu, c), [1.0, 0.0])
         assert density(ctx(DELTA1, 1.0), [1.0])[0][1] == pytest.approx(mp_density(1.0, 1.0), abs=1e-13)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_failed_solve_is_named_by_c_and_the_shift(self):
+        # For nu = delta_1e150 and c = 0.5 the size-biased variance c t^2 = 5e299 is finite and
+        # its solve fails; the error names the c of the model and s = c t, with z = x - s.
+        want = "density at c=0.5, as the size-biased model at z = x - 5e+149: subordination at sigma2="
+        for eps in (0.0, 0.01):
+            with pytest.raises(NumericalError, match=f"^{re.escape(want)}"):
+                density(ctx(AtomicMeasure(((1e150, 1.0),)), 0.5), [0.5, 1e150], eps=eps)
 
     def test_non_finite_grid_point_is_named(self):
         for eps in (0.0, 1e-6):

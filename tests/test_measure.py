@@ -85,6 +85,11 @@ class TestConstruction:
         assert nu.atoms == ((-1.0, 0.75), (2.0, 0.25))
         assert nu == AtomicMeasure([(-1.0, 0.75), (2.0, 0.25)])
 
+    def test_distance_to_support(self):
+        assert TWO_POINT.distance_to_support(0.25) == 0.75
+        assert TWO_POINT.distance_to_support(-3.0) == 2.0
+        assert TWO_POINT.distance_to_support(1.0) == 0.0
+
     def test_empty_rejected(self):
         with pytest.raises(SpecError):
             AtomicMeasure([])
