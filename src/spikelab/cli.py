@@ -5,7 +5,8 @@ Model files are JSON objects with the keys kind ("additive" or
 spikes = [[theta, multiplicity], ...], and optional N, seed, entry_law
 ("gaussian" or "rademacher") and field ("complex" or "real").  Every command
 validates the whole file by one rule, that of SpikedModelSpec, so N, seed,
-entry_law and field are checked even by the commands that do not use them.
+entry_law and field are checked even by the commands that do not use them;
+analyze and density evaluate the spec's context with its ``spec.family``.
 
 Only this module knows the output format.  Each command builds its report as
 a JSON document and as CSV rows, and ``_render`` writes the one asked for,
@@ -138,7 +139,7 @@ def _render(fmt: str, doc: dict, rows, indent: int | None = 2) -> str:
 
 
 def cmd_analyze(spec: SpikedModelSpec, args: argparse.Namespace) -> str:
-    ctx, mod = verify.limit(spec, spec.c)
+    ctx, mod = spec.limit, spec.family
     verdicts = [mod.classify_spike(ctx, theta, mult) for theta, mult in spec.spikes]
     sup = mod.support(ctx)
     additive = spec.kind == "additive_wigner"
@@ -164,8 +165,7 @@ def cmd_analyze(spec: SpikedModelSpec, args: argparse.Namespace) -> str:
 
 def cmd_density(spec: SpikedModelSpec, args: argparse.Namespace) -> str:
     lo, hi, n = _parse_grid(args.grid)
-    ctx, mod = verify.limit(spec, spec.c)
-    points = mod.density(ctx, np.linspace(lo, hi, n), eps=args.eps)
+    points = spec.family.density(spec.limit, np.linspace(lo, hi, n), eps=args.eps)
     doc = {"x": [x for x, _ in points], "density": [f for _, f in points]}
     return _render(args.format, doc, [("x", "density"), *points], indent=None)
 

@@ -11,19 +11,20 @@ A replica computes every eigenvalue of M but only the r eigenvectors at the
 spike ranks, from one unitary reduction of M to a band and a real
 tridiagonal, and checks what it returns relative to ||M||.  It draws the
 noise, assembles M and reduces it in one N x N buffer, which a caller
-drawing many replicas can reuse.
+drawing many replicas can reuse.  A spec checks sigma2, c, nu and its spikes'
+domain only through the limiting-law context that it builds once, ``limit``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lapack
-from .errors import NumericalError, SpecError
-from .measure import MERGE_TOL, AtomicMeasure, quantile_discretize, real_number
+from . import free_additive, free_multiplicative, lapack
+from .errors import DomainError, NumericalError, SpecError
+from .measure import AtomicMeasure, quantile_discretize, real_number
 
 KINDS = ("additive_wigner", "multiplicative_wishart")
 ENTRY_LAWS = ("gaussian", "rademacher")
@@ -51,13 +52,15 @@ def _check_draw(entry_law: str, field: str, **sizes) -> None:
             raise SpecError(f"{name} must be a positive integer, got {size!r}")
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SpikedModelSpec:
     """Complete description of one spiked random matrix model.
 
     ``N`` may be None for a model used only through its limiting law; it
     must be set before a sample is drawn.  A spike multiplicity may be given
     as an integral float (as JSON writes 1.0) and is stored as an int.
+    ``limit`` is the context of the limit at sigma2 or at the requested c,
+    and ``family`` the module that evaluates it.
     """
 
     kind: str
@@ -69,15 +72,12 @@ class SpikedModelSpec:
     c: float | None = None
     entry_law: str = "gaussian"
     field: str = "complex_hermitian"
+    limit: object = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise SpecError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not isinstance(self.nu, AtomicMeasure):
-            raise SpecError("nu must be an AtomicMeasure")
-        _check_draw(self.entry_law, self.field)
-        if self.N is not None and (not _is_int(self.N) or self.N < 1):
-            raise SpecError(f"N must be a positive integer, got {self.N!r}")
+        _check_draw(self.entry_law, self.field, **({} if self.N is None else {"N": self.N}))
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise SpecError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
@@ -87,15 +87,12 @@ class SpikedModelSpec:
             raise SpecError(
                 f"spikes must be (theta, multiplicity) pairs, got {self.spikes!r}"
             ) from None
-        gaps = np.abs(np.array([t for t, _ in pairs])[:, None] - self.nu.locations).min(axis=1)
         spikes = []
-        for (theta, mult), gap in zip(pairs, gaps):
+        for theta, mult in pairs:
             if isinstance(mult, float) and mult.is_integer():
                 mult = int(mult)
             if not _is_int(mult) or mult < 1:
                 raise SpecError(f"spike multiplicity must be a positive integer, got {mult!r}")
-            if gap <= MERGE_TOL:
-                raise SpecError(f"spike theta={theta!r} lies in the support of nu")
             spikes.append((theta, mult))
         thetas = [t for t, _ in spikes]
         if any(nxt >= prev for nxt, prev in zip(thetas[1:], thetas)):
@@ -110,24 +107,32 @@ class SpikedModelSpec:
                 raise SpecError("additive model requires sigma2")
             if self.c is not None:
                 raise SpecError("additive model does not take an aspect ratio c")
-            object.__setattr__(self, "sigma2", real_number(self.sigma2, "sigma2", positive=True))
+            limit = free_additive.AdditiveContext(self.nu, self.sigma2)
+            object.__setattr__(self, "sigma2", limit.sigma2)
         else:
             if self.c is None:
                 raise SpecError("multiplicative model requires an aspect ratio c")
             if self.sigma2 is not None:
                 raise SpecError("multiplicative model does not take sigma2")
-            object.__setattr__(self, "c", real_number(self.c, "c", positive=True))
-            if any(t <= 0.0 for t, _ in spikes):
-                raise SpecError("multiplicative spikes must be positive")
-            if self.nu.atoms[0][0] < 0.0:  # the lowest atom, as atoms ascend
-                raise SpecError("multiplicative model requires nu supported on [0, inf)")
+            limit = free_multiplicative.MultiplicativeContext(self.nu, self.c)
+            object.__setattr__(self, "c", limit.c)
+        try:
+            for theta in thetas:
+                limit._offsets(theta)
+        except DomainError as exc:
+            raise SpecError(str(exc)) from None
+        object.__setattr__(self, "limit", limit)
+
+    @property
+    def family(self):
+        return free_additive if self.kind == "additive_wigner" else free_multiplicative
 
     @property
     def rank(self) -> int:
         return sum(k for _, k in self.spikes)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False)
 class EnsembleSample:
     """One diagonalized draw: spectrum plus spike bookkeeping.
 

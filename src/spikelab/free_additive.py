@@ -62,6 +62,13 @@ class AdditiveContext:
             raise SpecError("nu must be an AtomicMeasure")
         object.__setattr__(self, "sigma2", real_number(self.sigma2, "sigma2", positive=True))
 
+    def _offsets(self, theta: float) -> np.ndarray:
+        """``theta - t`` over the atoms of nu; a DomainError where theta is within MERGE_TOL of one."""
+        d = theta - self.nu.locations
+        if float(np.abs(d).min()) <= MERGE_TOL:
+            raise DomainError(f"theta={theta!r} lies within {MERGE_TOL} of an atom of nu")
+        return d
+
 
 def classify_spike(ctx: AdditiveContext, theta: float, multiplicity: int = 1) -> SpikeVerdict:
     """Decide whether the spike separates from the bulk: ``H'(theta) > 0``.
@@ -70,9 +77,7 @@ def classify_spike(ctx: AdditiveContext, theta: float, multiplicity: int = 1) ->
     would merge the spike into the bulk block and nothing spectral distinguishes it.
     """
     theta = real_number(theta, "theta")
-    d = theta - ctx.nu.locations
-    if float(np.abs(d).min()) <= MERGE_TOL:
-        raise DomainError(f"theta={theta!r} lies within {MERGE_TOL} of an atom of nu")
+    d = ctx._offsets(theta)
     hp = 1.0 - ctx.sigma2 * float((ctx.nu.weights / d**2).sum())
     if hp > BOUNDARY_TOL:
         rho = theta + ctx.sigma2 * float((ctx.nu.weights / d).sum())

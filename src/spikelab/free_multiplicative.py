@@ -36,10 +36,11 @@ from .verdicts import SpikeVerdict, SupportIntervals, uncovered
 @dataclass(frozen=True)
 class MultiplicativeContext:
     """Population limit ``nu`` on [0, inf), aspect ratio ``c``, and ``s``, ``(nu~, sigma2~)``
-    and ``W(0) = c m``, ``m = 1 - nu({0})``."""
+    and ``W(0) = c m``, ``m = 1 - nu({0})``; ``nu~`` holds the atoms of nu that ``_above`` selects."""
 
     nu: AtomicMeasure
     c: float
+    _above: slice = field(init=False, repr=False, compare=False)
     _shift: float = field(init=False, repr=False, compare=False)
     _cm: float = field(init=False, repr=False, compare=False)
     _biased: AdditiveContext | None = field(init=False, repr=False, compare=False)
@@ -51,7 +52,8 @@ class MultiplicativeContext:
             raise SpecError("multiplicative model requires all atoms of nu to be >= 0")
         c = real_number(self.c, "c", positive=True)
         locs, wts = self.nu.locations, self.nu.weights
-        t, w = locs[pos := locs > MERGE_TOL], wts[pos]
+        above = slice(int(np.searchsorted(locs, MERGE_TOL, side="right")), None)  # t > MERGE_TOL
+        t, w = locs[above], wts[above]
         with np.errstate(over="ignore"):
             beta = c * w * t * t
             sigma2 = float(beta.sum())
@@ -62,9 +64,16 @@ class MultiplicativeContext:
         if t.size:
             biased = AdditiveContext(AtomicMeasure(zip(t, beta / sigma2)), sigma2)
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "_above", above)
         object.__setattr__(self, "_shift", c * float((w * t).sum()))
         object.__setattr__(self, "_cm", c * (1.0 - self.nu.weight_at(0.0)))
         object.__setattr__(self, "_biased", biased)
+
+    def _offsets(self, theta: float) -> np.ndarray:
+        """``theta - t`` over the atoms of nu, as for the additive family, for ``theta > 0`` only."""
+        if theta <= 0.0:
+            raise DomainError(f"a multiplicative spike must be positive, got theta={theta!r}")
+        return AdditiveContext._offsets(self, theta)
 
 
 def classify_spike(ctx: MultiplicativeContext, theta: float, multiplicity: int = 1) -> SpikeVerdict:
@@ -76,18 +85,13 @@ def classify_spike(ctx: MultiplicativeContext, theta: float, multiplicity: int =
     edge close to 0.
     """
     theta = real_number(theta, "theta")
-    if theta <= 0.0:
-        raise DomainError(f"spike classification requires theta > 0, got {theta!r}")
-    t, w = ctx.nu.locations, ctx.nu.weights
-    d = theta - t
-    if float(np.abs(d).min()) <= MERGE_TOL:
-        raise DomainError(f"theta={theta!r} lies in the support of nu")
+    d = ctx._offsets(theta)
     w_val = 0.0
-    if (biased := ctx._biased) is not None:  # nu~ holds the atoms of nu above MERGE_TOL
-        w_val = biased.sigma2 * float((biased.nu.weights / d[t > MERGE_TOL] ** 2).sum())
+    if (biased := ctx._biased) is not None:
+        w_val = biased.sigma2 * float((biased.nu.weights / d[ctx._above] ** 2).sum())
     rho = tau = None
     if w_val < 1.0 - BOUNDARY_TOL:
-        rho = theta * (1.0 + ctx.c * float((w * t / d).sum()))
+        rho = theta * (1.0 + ctx.c * float((ctx.nu.weights * ctx.nu.locations / d).sum()))
         if rho == 0.0:
             raise DegenerateOutlierError(f"outlier location Z(1/theta) vanishes for theta={theta!r}")
         tau = (1.0 - w_val) * theta / rho
@@ -116,7 +120,7 @@ def support(ctx: MultiplicativeContext) -> SupportIntervals:
         return SupportIntervals(())
     t, c = ctx._biased.nu.locations, ctx.c
     u = np.array(free_additive.outlier_set_intervals(ctx._biased)).ravel()
-    w = ctx.nu.weights[ctx.nu.locations > MERGE_TOL]
+    w = ctx.nu.weights[ctx._above]
     u[1:-1] *= 1.0 - ctx._cm + c * u[1:-1] * (w / (u[1:-1, None] - t)).sum(axis=1)
     gaps = uncovered(u.reshape(-1, 2).tolist())
     return SupportIntervals(tuple((max(lo, 0.0), hi) for lo, hi in gaps if hi > 0.0))

@@ -108,6 +108,8 @@ class AtomicMeasure:
     def from_dict(cls, data: dict) -> "AtomicMeasure":
         if not isinstance(data, dict) or "atoms" not in data:
             raise SpecError('a measure spec must be an object with an "atoms" list')
+        if unknown := sorted(set(data) - {"atoms"}):
+            raise SpecError(f"unknown measure keys: {', '.join(unknown)}")
         return cls(data["atoms"])
 
 

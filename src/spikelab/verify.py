@@ -2,15 +2,16 @@
 
 ``run`` draws seeded replicas of a spiked model, reads off the eigenvalues
 and eigenvector overlaps at the spike ranks, and aggregates them next to
-the limiting values from the analytic layer.  Which spikes generate an
-outlier is read off the theory: for a spike that sticks, the ranked
-eigenvalues are checked against the limiting support edges instead of an
-outlier location.  ``replicas`` holds the seeding rule: replica i is drawn
-from child i of one ``SeedSequence(seed)``, so the result is byte-identical
-from run to run on one machine, and a failing replica is named by its index
-and spawn key so that it can be redrawn alone.  A pool of worker threads, one
-per usable CPU, draws every replica, each thread in one N x N buffer of its
-own.  ``run`` is ``aggregate`` over ``replicas``.
+the limiting values of the spec's context (the multiplicative one at the
+realized aspect ratio).  Which spikes generate an outlier is read off it: for
+a spike that sticks, the ranked eigenvalues are checked against the limiting
+support edges instead of an outlier location.  ``replicas`` holds the
+seeding rule: replica i is drawn from child i of one ``SeedSequence(seed)``,
+so the result is byte-identical from run to run on one machine, and a
+failing replica is named by its index and spawn key so that it can be
+redrawn alone.  A pool of worker threads, one per usable CPU, draws every
+replica, each thread in one N x N buffer of its own.  ``run`` is
+``aggregate`` over ``replicas``.
 The output format is not kept here: ``cli`` renders the result as JSON or CSV.
 """
 
@@ -19,11 +20,11 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import free_additive, free_multiplicative, lapack
+from . import lapack
 from .ensemble import (
     UNIT_SLACK,
     EnsembleSample,
@@ -82,9 +83,6 @@ class SpikeOutcome:
             value = getattr(self, name)
             if not -1e-12 <= value <= 1.0 + UNIT_SLACK:
                 raise SpecError(f"{name}={value!r} is outside [0, 1]")
-        has_limits = self.rho is not None and self.tau is not None
-        if self.is_outlier != has_limits:
-            raise SpecError("rho and tau must be present iff the spike is an outlier")
         has_edges = self.edge_distance is not None and self.edge_excess is not None
         if self.is_outlier == has_edges:
             raise SpecError("edge statistics must be present iff the spike sticks")
@@ -108,24 +106,6 @@ class VerificationResult:
     support: SupportIntervals
     spikes: tuple[SpikeOutcome, ...]
 
-    def __post_init__(self):
-        if self.reps < 1:
-            raise SpecError(f"reps must be >= 1, got {self.reps!r}")
-        if self.N < 1:
-            raise SpecError(f"N must be >= 1, got {self.N!r}")
-        object.__setattr__(self, "spikes", tuple(self.spikes))
-
-
-def limit(spec: SpikedModelSpec, c: float | None):
-    """Limiting-law context of ``spec`` plus the module implementing it.
-
-    ``c`` is the aspect ratio the multiplicative law is evaluated at; the
-    additive law ignores it.
-    """
-    if spec.kind == "additive_wigner":
-        return free_additive.AdditiveContext(spec.nu, spec.sigma2), free_additive
-    return free_multiplicative.MultiplicativeContext(spec.nu, c), free_multiplicative
-
 
 def _verdicts(spec: SpikedModelSpec):
     """Aspect ratio, limiting law and spike verdicts of a finite model.
@@ -138,7 +118,7 @@ def _verdicts(spec: SpikedModelSpec):
     if spec.N is None:
         raise SpecError("simulating a finite model requires N")
     aspect = None if spec.kind == "additive_wigner" else spec.N / wishart_p(spec.N, spec.c)
-    ctx, mod = limit(spec, aspect)
+    ctx, mod = spec.limit if aspect is None else replace(spec.limit, c=aspect), spec.family
     return aspect, ctx, mod, tuple(mod.classify_spike(ctx, t, k) for t, k in spec.spikes)
 
 

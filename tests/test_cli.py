@@ -211,6 +211,7 @@ MALFORMED = {
     "theta_not_a_number": dict(PAPER_MODEL, spikes=[["two", 1]]),
     "sigma2_and_c": dict(PAPER_MODEL, c=0.5),
     "unknown_key": dict(PAPER_MODEL, bogus=1),
+    "unknown_nu_key": dict(PAPER_MODEL, nu={"atoms": [[1.0, 0.5], [-1.0, 0.5]], "sigma2": 9}),
     "sigma2_bool": dict(PAPER_MODEL, sigma2=True),
     "sigma2_string": dict(PAPER_MODEL, sigma2="0.5"),
     "sigma2_int_past_the_floats": dict(PAPER_MODEL, sigma2=10**400),

@@ -103,6 +103,11 @@ class TestConstruction:
         with pytest.raises(SpecError):
             AtomicMeasure.from_dict({"weights": [1.0]})
 
+    def test_from_dict_refuses_unknown_keys(self):
+        # A misplaced model key inside nu is named, not dropped.
+        with pytest.raises(SpecError, match="^unknown measure keys: sigma2$"):
+            AtomicMeasure.from_dict({"atoms": [[1.0, 0.5], [-1.0, 0.5]], "sigma2": 9})
+
     def test_weight_at(self):
         nu = AtomicMeasure([(0.0, 0.3), (1.0, 0.7)])
         assert nu.weight_at(0.0) == 0.3

@@ -78,6 +78,28 @@ def test_only_lapack_asks_whether_numpy_exports_the_routines():
     assert callers == {"lapack.py"}
 
 
+def test_only_the_measure_and_the_theory_read_merge_tol():
+    # MERGE_TOL merges atoms and keeps each family's spikes off them; ensemble and verify
+    # reach that rule through the spec's context.
+    readers = {
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if "MERGE_TOL" in (getattr(node, key, None) for key in ("id", "attr", "name"))
+    }
+    assert readers == {"measure.py", "free_additive.py", "free_multiplicative.py"}
+
+
+def test_verify_imports_no_theory_module():
+    # verify reads the limiting law from the spec: spec.limit and spec.family.
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "verify.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or "", *(alias.name for alias in node.names)}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not {name for name in imported if "free_" in name}
+
 
 def _knows_the_format(node: ast.AST) -> bool:
     """Whether ``node`` imports json or holds a .17g format spec."""
