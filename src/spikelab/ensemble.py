@@ -24,7 +24,7 @@ import numpy as np
 
 from . import free_additive, free_multiplicative, lapack
 from .errors import DomainError, NumericalError, SpecError
-from .measure import AtomicMeasure, quantile_discretize, real_number
+from .measure import AtomicMeasure, quantile_discretize, real_number, spike_multiplicity
 
 KINDS = ("additive_wigner", "multiplicative_wishart")
 ENTRY_LAWS = ("gaussian", "rademacher")
@@ -87,13 +87,7 @@ class SpikedModelSpec:
             raise SpecError(
                 f"spikes must be (theta, multiplicity) pairs, got {self.spikes!r}"
             ) from None
-        spikes = []
-        for theta, mult in pairs:
-            if isinstance(mult, float) and mult.is_integer():
-                mult = int(mult)
-            if not _is_int(mult) or mult < 1:
-                raise SpecError(f"spike multiplicity must be a positive integer, got {mult!r}")
-            spikes.append((theta, mult))
+        spikes = [(theta, spike_multiplicity(mult)) for theta, mult in pairs]
         thetas = [t for t, _ in spikes]
         if any(nxt >= prev for nxt, prev in zip(thetas[1:], thetas)):
             raise SpecError("spike thetas must be strictly decreasing")
@@ -148,16 +142,21 @@ class EnsembleSample:
     spike_ranks: tuple[tuple[int, ...], ...]
 
 
+def sample_size(spec: SpikedModelSpec) -> int:
+    """``spec.N``; a SpecError for a model without N, which has a limit but no finite sample."""
+    if spec.N is None:
+        raise SpecError("drawing a finite-N sample requires N")
+    return spec.N
+
+
 def build_perturbation(spec: SpikedModelSpec):
     """Diagonal of A_N (descending) and the 1-based ranks of each spike's copies.
 
     The ranks of spike j are where the diagonal equals theta_j: the bulk
     holds atoms of nu, and the spec keeps every spike off them.
     """
-    if spec.N is None:
-        raise SpecError("drawing a finite-N sample requires N")
-    r = spec.rank
-    bulk = quantile_discretize(spec.nu, spec.N - r) if spec.N > r else []
+    N, r = sample_size(spec), spec.rank
+    bulk = quantile_discretize(spec.nu, N - r) if N > r else []
     vals = np.concatenate([np.full(k, t) for t, k in spec.spikes] + [np.asarray(bulk, dtype=float)])
     diag = vals[np.argsort(-vals, kind="stable")]
     ranks = tuple(tuple(int(i) + 1 for i in np.flatnonzero(diag == t)) for t, _ in spec.spikes)
@@ -170,7 +169,8 @@ def _dtype(field: str):
 
 def workspace(spec: SpikedModelSpec) -> np.ndarray:
     """An N x N Fortran-ordered array of M's dtype, for ``draw_sample(spec, rng, work)``."""
-    return np.empty((spec.N, spec.N), dtype=_dtype(spec.field), order="F")
+    N = sample_size(spec)
+    return np.empty((N, N), dtype=_dtype(spec.field), order="F")
 
 
 def _into(out, shape, dtype) -> np.ndarray:

@@ -21,8 +21,8 @@ eps = 0 the density on the support is ``v / (pi sigma2)``.
 
 The sample-covariance model reuses all of this: its criterion ``W(theta) < 1``
 is ``H'(theta) > 0`` for the size-biased measure ``nu~`` (see
-free_multiplicative), so one outlier-set routine and one subordination solver
-serve both families.
+free_multiplicative), so one outlier-set routine, one support routine and one
+subordination solver serve both families.
 """
 
 from __future__ import annotations
@@ -37,10 +37,12 @@ from .measure import MERGE_TOL, AtomicMeasure, real_number
 # Not called here: a traced run patches these names on every theory module.
 from .rootfind import bisect, creep_to_sign, march_to_sign  # noqa: F401
 from .rootfind import newton
-from .verdicts import SpikeVerdict, SupportIntervals, uncovered
+from .verdicts import SpikeVerdict, SupportIntervals
 
 # H'(theta) within this of zero counts as sticking, not an outlier.
 BOUNDARY_TOL = 1e-12
+# A support interval no wider than this is dropped: its two edges touch.
+_TOUCH_TOL = 1e-12
 
 # Off the real axis, |omega + sigma2 g_nu(omega) - z| must not exceed this times 1 + |z|.
 RESIDUAL_TOL = 1e-12
@@ -113,7 +115,8 @@ def outlier_set_intervals(ctx: AdditiveContext) -> list[tuple[float, float]]:
         return p, s2 * p * p * p * ((r * r * r) @ w)
 
     cube = np.cbrt(w)
-    gap, peak = (s2 * (cube[:-1] + cube[1:]) ** 3 < (t[1:] - t[:-1]) ** 2).nonzero()[0], np.empty(0)
+    with np.errstate(over="ignore"):  # an overflowing bound is inf and drops its gap
+        gap, peak = (s2 * (cube[:-1] + cube[1:]) ** 3 < (t[1:] - t[:-1]) ** 2).nonzero()[0], np.empty(0)
     if gap.size:
         tl, tr, cl, cr = t[gap], t[gap + 1], cube[gap], cube[gap + 1]
         # Start at the peak of the two-atom bound, or mid-gap where that rounds onto an atom.
@@ -138,15 +141,19 @@ def outlier_set_intervals(ctx: AdditiveContext) -> list[tuple[float, float]]:
     return list(zip(ends[::2], ends[1::2]))
 
 
-def support(ctx: AdditiveContext) -> SupportIntervals:
-    """Support of the deformed limit, as the complement of the H-images.
+def _support_pairs(ctx: AdditiveContext, edge) -> list[tuple[float, float]]:
+    """The images under ``edge`` of the finite outlier-set ends, paired consecutively, where wider
+    than _TOUCH_TOL.  ``edge`` (H, or Z(1/u) for a Wishart model) maps each outlier interval onto a
+    gap of the limit in order, so support interval i lies between the images of ends 2i + 1, 2i + 2."""
+    e = edge(np.array(outlier_set_intervals(ctx)).ravel()[1:-1]).tolist()
+    return [(lo, hi) for lo, hi in zip(e[::2], e[1::2]) if hi > lo + _TOUCH_TOL]
 
-    H is strictly increasing on each outlier interval and maps it onto a gap of the
-    limiting measure; the support is what remains of the line.  H maps all ends at once.
-    """
-    ends = np.array(outlier_set_intervals(ctx)).ravel()
-    ends[1:-1] += ctx.sigma2 * (ctx.nu.weights / (ends[1:-1, None] - ctx.nu.locations)).sum(axis=1)
-    return SupportIntervals(tuple(uncovered(ends.reshape(-1, 2).tolist())))
+
+def support(ctx: AdditiveContext) -> SupportIntervals:
+    """Support of the deformed limit: between the H-images of consecutive outlier-set ends."""
+    t, w, s2 = ctx.nu.locations, ctx.nu.weights, ctx.sigma2
+    pairs = _support_pairs(ctx, lambda u: u + s2 * (w / (u[:, None] - t)).sum(axis=1))
+    return SupportIntervals(tuple(pairs))
 
 
 def _v_squared(w: np.ndarray, s2: float, d2: np.ndarray, eps: np.ndarray) -> np.ndarray:

@@ -10,8 +10,8 @@ are ``Z(1/u) = s + H~(u)`` and ``W(u) = c sum w_j t_j^2 / (u - t_j)^2 = 1 - H~'(
 (Silverstein & Choi 1995).  So the Wishart criterion ``W(theta) < 1`` is
 ``H~'(theta) > 0``; a detached spike sits at ``rho = s + H~(theta)`` with squared
 overlap ``tau = H~'(theta) theta / rho``; classify_spike evaluates W and rho at the
-spike, over one array of distances ``theta - t_j``.  The support is what the images of the
-outlier set of ``(nu~, sigma2~)`` under ``Z(1/u)`` leave uncovered.  The density uses
+spike, over one array of distances ``theta - t_j``.  The support lies between the Z(1/u)-images
+of consecutive outlier-set ends of ``(nu~, sigma2~)``, cut at 0.  The density uses
 the additive subordination function ``omega`` of ``(nu~, sigma2~)`` at x - s:
 ``g(x) = (omega/x) g_nu(omega)``, so at eps = 0 the density is ``(Im omega / (pi x))
 sum w t / |omega - t|^2``, never negative; one solver serves both families.
@@ -30,7 +30,7 @@ from .free_additive import BOUNDARY_TOL, AdditiveContext
 from .measure import MERGE_TOL, AtomicMeasure, real_number
 # Not called here: a traced run patches these names on every theory module.
 from .rootfind import bisect, creep_to_sign, march_to_sign  # noqa: F401
-from .verdicts import SpikeVerdict, SupportIntervals, uncovered
+from .verdicts import SpikeVerdict, SupportIntervals
 
 
 @dataclass(frozen=True)
@@ -110,20 +110,18 @@ def outlier_set_intervals(ctx: MultiplicativeContext) -> list[tuple[float, float
 
 
 def support(ctx: MultiplicativeContext) -> SupportIntervals:
-    """Support of the continuous part: what the images under Z(1/u) of the outlier set of
-    ``(nu~, sigma2~)`` leave uncovered, cut at 0.
+    """Support of the continuous part: between the Z(1/u)-images of consecutive outlier-set ends
+    of ``(nu~, sigma2~)``, cut at 0.
 
-    All finite endpoints are mapped at once, by ``Z(1/u)`` summed as ``u (1 - c m + c u
-    sum_{t>0} w / (u - t))`` with m = 1 - nu({0}): where a lower edge is close to 0, u is
-    small and no term cancels."""
+    ``Z(1/u)`` is summed as ``u (1 - c m + c u sum_{t>0} w / (u - t))`` with m = 1 - nu({0}):
+    where a lower edge is close to 0, u is small and no term cancels."""
     if ctx._biased is None:
         return SupportIntervals(())
-    t, c = ctx._biased.nu.locations, ctx.c
-    u = np.array(free_additive.outlier_set_intervals(ctx._biased)).ravel()
-    w = ctx.nu.weights[ctx._above]
-    u[1:-1] *= 1.0 - ctx._cm + c * u[1:-1] * (w / (u[1:-1, None] - t)).sum(axis=1)
-    gaps = uncovered(u.reshape(-1, 2).tolist())
-    return SupportIntervals(tuple((max(lo, 0.0), hi) for lo, hi in gaps if hi > 0.0))
+    t, w, c, cm = ctx._biased.nu.locations, ctx.nu.weights[ctx._above], ctx.c, ctx._cm
+    pairs = free_additive._support_pairs(
+        ctx._biased, lambda u: u * (1.0 - cm + c * u * (w / (u[:, None] - t)).sum(axis=1))
+    )
+    return SupportIntervals(tuple((max(lo, 0.0), hi) for lo, hi in pairs if hi > 0.0))
 
 
 def mass_at_zero(ctx: MultiplicativeContext) -> float:

@@ -45,6 +45,16 @@ def real_number(value, name: str, positive: bool = False) -> float:
     return number
 
 
+def spike_multiplicity(value) -> int:
+    """``value`` as an int if it is an integer >= 1, or a float with such a value (as JSON
+    writes 1.0); anything else, a bool, str or None included, is a SpecError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise SpecError(f"spike multiplicity must be a positive integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class AtomicMeasure:
     """Compactly supported probability measure given by weighted atoms.

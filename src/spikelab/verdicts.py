@@ -5,9 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SpecError
-
-# Endpoints of adjacent support components closer than this are fused.
-_TOUCH_TOL = 1e-12
+from .measure import spike_multiplicity
 
 
 @dataclass(frozen=True)
@@ -29,8 +27,7 @@ class SpikeVerdict:
     criterion_value: float
 
     def __post_init__(self):
-        if self.multiplicity < 1:
-            raise SpecError("spike multiplicity must be a positive integer")
+        object.__setattr__(self, "multiplicity", spike_multiplicity(self.multiplicity))
         has_limits = self.rho is not None and self.tau is not None
         if self.is_outlier != has_limits:
             raise SpecError("rho and tau must be present iff the spike is an outlier")
@@ -68,19 +65,3 @@ class SupportIntervals:
         if not edges:
             return float("inf")
         return min(abs(x - e) for e in edges)
-
-
-def uncovered(images) -> list[tuple[float, float]]:
-    """Sorted gaps of the real line between the (lo, hi) intervals ``images``.
-
-    Images that overlap or come within 1e-12 of each other are merged first,
-    and gaps no wider than that are dropped.  Both model families find their
-    support as what their outlier-set images leave uncovered.
-    """
-    merged: list[list[float]] = []
-    for lo, hi in sorted(images):
-        if merged and lo <= merged[-1][1] + _TOUCH_TOL:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return [(a[1], b[0]) for a, b in zip(merged, merged[1:]) if b[0] - a[1] > _TOUCH_TOL]

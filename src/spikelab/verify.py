@@ -31,6 +31,7 @@ from .ensemble import (
     SpikedModelSpec,
     draw_sample,
     overlaps,
+    sample_size,
     wishart_p,
     workspace,
 )
@@ -115,9 +116,8 @@ def _verdicts(spec: SpikedModelSpec):
     see after p is rounded to an integer.  The support, the one costly
     part of the theory, is left to the caller that needs it.
     """
-    if spec.N is None:
-        raise SpecError("simulating a finite model requires N")
-    aspect = None if spec.kind == "additive_wigner" else spec.N / wishart_p(spec.N, spec.c)
+    N = sample_size(spec)
+    aspect = None if spec.kind == "additive_wigner" else N / wishart_p(N, spec.c)
     ctx, mod = spec.limit if aspect is None else replace(spec.limit, c=aspect), spec.family
     return aspect, ctx, mod, tuple(mod.classify_spike(ctx, t, k) for t, k in spec.spikes)
 
@@ -195,6 +195,7 @@ def replicas(spec: SpikedModelSpec, reps: int):
         raise SpecError("spec must be a SpikedModelSpec")
     if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
         raise SpecError(f"reps must be a positive integer, got {reps!r}")
+    sample_size(spec)
     return _drawn(spec, np.random.SeedSequence(spec.seed).spawn(reps))
 
 

@@ -181,6 +181,16 @@ def test_a_non_finite_omega_exits_4_without_a_warning(tmp_path, capsys):
         assert captured.err == f"error: subordination at sigma2=1e+308 fails at z={z}: omega=(nan+nanj)\n"
 
 
+@pytest.mark.filterwarnings("error")
+def test_analyze_of_atoms_near_the_overflow_limit_prints_no_warning(tmp_path, capsys):
+    # sigma2~ = 4.6e307 here, so the two-atom gap bound overflows to inf, which drops the gap.
+    path = write_model(tmp_path, dict(MP_FREE_MODEL, nu={"atoms": [[1.3e154, 0.5], [1.4e154, 0.5]]}))
+    assert cli.main(["analyze", "--spec", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["support"] == [[3.365769118070293e153, 3.0457414281884836e154]]
+
+
 def test_analyze_classifies_a_wishart_spike_below_merge_tol(tmp_path, capsys):
     # theta = 5e-13 lies within 1e-12 of 0 but not of the atom at 1: W = 0.5 / (1 - theta)^2.
     path = write_model(tmp_path, dict(MP_FREE_MODEL, c=0.5, spikes=[[5e-13, 1]]))

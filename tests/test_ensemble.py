@@ -156,6 +156,33 @@ class TestSpecValidation:
             family.classify_spike(context(nu, scale), theta)
         assert str(refused.value) == str(by_context.value)
 
+    @pytest.mark.parametrize("mult", [1.5, True, "2", None, 0, -1.0])
+    def test_the_spec_and_both_verdicts_refuse_a_multiplicity_alike(self, mult):
+        # One rule, one message: an integer >= 1, or a float with such a value.
+        with pytest.raises(SpecError) as refused:
+            SpikedModelSpec(
+                kind="additive_wigner", nu=TWO_POINT, spikes=((2.0, mult),), N=None, seed=0,
+                sigma2=0.5,
+            )
+        for family, ctx in (
+            (free_additive, AdditiveContext(TWO_POINT, 0.5)),
+            (free_multiplicative, MultiplicativeContext(DELTA1, 0.5)),
+        ):
+            with pytest.raises(SpecError) as by_verdict:
+                family.classify_spike(ctx, 2.0, mult)
+            assert str(by_verdict.value) == str(refused.value)
+
+    def test_an_integral_float_multiplicity_is_an_int_in_the_spec_and_both_verdicts(self):
+        spec = SpikedModelSpec(
+            kind="multiplicative_wishart", nu=DELTA1, spikes=((2.0, 2.0),), N=None, seed=0, c=0.5
+        )
+        verdicts = [
+            free_additive.classify_spike(AdditiveContext(TWO_POINT, 0.5), 2.0, 2.0),
+            free_multiplicative.classify_spike(spec.limit, 2.0, 2.0),
+        ]
+        for mult in [spec.spikes[0][1]] + [v.multiplicity for v in verdicts]:
+            assert mult == 2 and type(mult) is int
+
     def test_limit_is_the_context_at_sigma2_or_the_requested_c(self):
         spec = paper_spec()
         assert spec.limit == AdditiveContext(TWO_POINT, 0.5) and spec.family is free_additive

@@ -198,6 +198,12 @@ class TestSupport:
         assert a2 == pytest.approx(e_in, abs=1e-8)
         assert b2 == pytest.approx(e_out, abs=1e-8)
 
+    def test_a_component_no_wider_than_1e_12_is_dropped(self):
+        # The atom at 5 of weight 1e-30 spreads over about 4 sigma sqrt(w) = 4e-15.
+        ctx = AdditiveContext(AtomicMeasure(((0.0, 1.0), (5.0, 1e-30))), 1.0)
+        assert len(outlier_set_intervals(ctx)) == 3
+        assert support(ctx).intervals == ((-2.0, 2.0),)
+
     def test_outlier_location_is_off_support(self):
         sup = support(PAPER)
         assert not sup.contains(7.0 / 3.0)

@@ -5,6 +5,7 @@ locations on the outlier set, the derivative identity tying Z' to W there,
 the two composition identities between the fixed-point transforms and
 their real inverses,
 the scaled Marchenko-Pastur law of a two-atom nu with an atom at 0, the
+support of both families as the images of consecutive outlier-set ends, the
 spike values against plain sums, the outlier set of nu with up to 30 atoms
 against a per-gap scan and bisection, the sign, support and mass of the
 limiting density in both families, the Weyl perturbation bound on sampled
@@ -32,6 +33,7 @@ from spikelab.free_additive import (
     classify_spike as classify_add,
     outlier_set_intervals as additive_intervals,
     subordination,
+    support as additive_support,
 )
 from spikelab.free_multiplicative import (
     MultiplicativeContext,
@@ -193,6 +195,52 @@ def test_atom_at_zero_gives_scaled_marchenko_pastur(p, t, c):
     assert abs(lo - t * (1.0 - math.sqrt(ratio)) ** 2) <= 1e-9
     assert abs(hi - t * (1.0 + math.sqrt(ratio)) ** 2) <= 1e-9
     assert abs(mass_at_zero(ctx) - ((1.0 - p) if ratio <= 1.0 else 1.0 - 1.0 / c)) <= 1e-12
+
+
+def _consecutive_pairs(images):
+    """The images of the finite ends paired as (e1, e2), (e3, e4), ..., kept where wider than 1e-12."""
+    return [(lo, hi) for lo, hi in zip(images[::2], images[1::2]) if hi > lo + 1e-12]
+
+
+def _finite_ends(ctx):
+    return np.array(additive_intervals(ctx)).ravel()[1:-1]
+
+
+@COMMON
+@given(nu=measures(), sigma2=st.floats(0.01, 10.0))
+@example(nu=AtomicMeasure(((0.0, 1.0), (5.0, 1e-30))), sigma2=1.0)  # the pair at 5 is 4e-15 wide
+def test_additive_support_lies_between_h_images_of_consecutive_ends(nu, sigma2):
+    # H maps each outlier interval onto a gap of the limit in order, so support interval i
+    # is [H(e_2i+1), H(e_2i+2)] over the finite ends e of the outlier set.
+    ctx = AdditiveContext(nu, sigma2)
+    u = _finite_ends(ctx)
+    h = u + sigma2 * np.array([sum(w / (x - t) for t, w in nu.atoms) for x in u])
+    assert additive_support(ctx).intervals == tuple(_consecutive_pairs(h.tolist()))
+
+
+@COMMON
+@given(
+    nu=measures(positive=True),
+    zero=st.one_of(st.just(0.0), st.floats(0.05, 0.6)),
+    c=st.floats(0.05, 5.0),
+)
+@example(nu=AtomicMeasure(((1.0, 1.0),)), zero=0.2, c=3.0)  # c m = 2.4 > 1
+@example(nu=AtomicMeasure(((0.7, 1.0),)), zero=0.5, c=2.0)  # c m = 1: Z(1/e_1) = -3.5e-32, cut to 0
+@example(nu=AtomicMeasure(((1.0, 1.0), (5.0, 1e-30))), zero=0.0, c=0.1)
+def test_wishart_support_lies_between_z_images_of_consecutive_ends_cut_at_zero(nu, zero, c):
+    # Z(1/u) = u (1 - c m + c u sum_{t>0} w / (u - t)), m = 1 - nu({0}), maps each outlier
+    # interval of the size-biased model onto a gap in order; the support keeps hi > 0, cut at 0.
+    if zero:
+        nu = AtomicMeasure(((0.0, zero),) + tuple((t, w * (1.0 - zero)) for t, w in nu.atoms))
+    ctx = MultiplicativeContext(nu, c)
+    positive = [(t, w) for t, w in nu.atoms if t > 0.0]
+    u = _finite_ends(ctx._biased)
+    cm = c * (1.0 - nu.weight_at(0.0))
+    z = u * (1.0 - cm + c * u * np.array([sum(w / (x - t) for t, w in positive) for x in u]))
+    want = tuple((max(lo, 0.0), hi) for lo, hi in _consecutive_pairs(z.tolist()) if hi > 0.0)
+    got = mult_support(ctx).intervals
+    assert got == want
+    assert all(lo >= 0.0 and hi > 0.0 for lo, hi in got)
 
 
 @COMMON

@@ -90,6 +90,29 @@ def test_only_the_measure_and_the_theory_read_merge_tol():
     assert readers == {"measure.py", "free_additive.py", "free_multiplicative.py"}
 
 
+def test_one_support_routine_serves_both_families():
+    # Each support pairs the images of consecutive outlier-set ends in free_additive's one
+    # routine: verdicts keeps only the result types, and the touch rule has one reader.
+    verdicts = ast.parse((PACKAGE / "verdicts.py").read_text(encoding="utf-8"))
+    assert [node.name for node in verdicts.body if isinstance(node, ast.FunctionDef)] == []
+    readers = {
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if "_TOUCH_TOL" in (getattr(node, key, None) for key in ("id", "attr", "name"))
+    }
+    assert readers == {"free_additive.py"}
+    tree = ast.parse((PACKAGE / "free_multiplicative.py").read_text(encoding="utf-8"))
+    support = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "support")
+    called = {
+        (node.func.value.id, node.func.attr)
+        for node in ast.walk(support)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+    }
+    assert ("free_additive", "_support_pairs") in called
+
+
 def test_verify_imports_no_theory_module():
     # verify reads the limiting law from the spec: spec.limit and spec.family.
     imported = set()

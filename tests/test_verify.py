@@ -77,6 +77,22 @@ def test_run_rejects_bad_reps():
         verify.run(paper_spec(120), 2.5)
 
 
+def test_a_model_without_N_is_refused_before_any_replica_is_drawn():
+    # replicas checks N when called, not when its first replica is drawn.
+    spec = SpikedModelSpec(
+        kind="additive_wigner", nu=TWO_POINT, spikes=((2.0, 1),), N=None, seed=1, sigma2=0.5
+    )
+    calls = (
+        lambda: verify.replicas(spec, 2),
+        lambda: ensemble.workspace(spec),
+        lambda: ensemble.build_perturbation(spec),
+        lambda: verify.run(spec, 1),
+    )
+    for call in calls:
+        with pytest.raises(SpecError, match="^drawing a finite-N sample requires N$"):
+            call()
+
+
 def test_single_rep_has_zero_stderr():
     res = run_paper(80, 1)
     report = json.loads(cli.simulate_report(res, "json"))
