@@ -41,7 +41,7 @@ from .verdicts import SpikeVerdict, SupportIntervals
 
 # H'(theta) within this of zero counts as sticking, not an outlier.
 BOUNDARY_TOL = 1e-12
-# A support interval no wider than this is dropped: its two edges touch.
+# A support interval or gap no wider than this is dropped: its two edges touch.
 _TOUCH_TOL = 1e-12
 
 # Off the real axis, |omega + sigma2 g_nu(omega) - z| must not exceed this times 1 + |z|.
@@ -144,8 +144,10 @@ def outlier_set_intervals(ctx: AdditiveContext) -> list[tuple[float, float]]:
 def _support_pairs(ctx: AdditiveContext, edge) -> list[tuple[float, float]]:
     """The images under ``edge`` of the finite outlier-set ends, paired consecutively, where wider
     than _TOUCH_TOL.  ``edge`` (H, or Z(1/u) for a Wishart model) maps each outlier interval onto a
-    gap of the limit in order, so support interval i lies between the images of ends 2i + 1, 2i + 2."""
-    e = edge(np.array(outlier_set_intervals(ctx)).ravel()[1:-1]).tolist()
+    gap of the limit in order, so support interval i lies between the images of ends 2i + 1, 2i + 2.
+    A gap imaged no wider than _TOUCH_TOL (or reversed by rounding) first loses both ends: it closes."""
+    e = edge(np.array(outlier_set_intervals(ctx)).ravel()[1:-1])
+    e = e[np.r_[True, np.repeat(e[2::2] > e[1:-1:2] + _TOUCH_TOL, 2), True]].tolist()
     return [(lo, hi) for lo, hi in zip(e[::2], e[1::2]) if hi > lo + _TOUCH_TOL]
 
 

@@ -12,9 +12,10 @@ are ``Z(1/u) = s + H~(u)`` and ``W(u) = c sum w_j t_j^2 / (u - t_j)^2 = 1 - H~'(
 overlap ``tau = H~'(theta) theta / rho``; classify_spike evaluates W and rho at the
 spike, over one array of distances ``theta - t_j``.  The support lies between the Z(1/u)-images
 of consecutive outlier-set ends of ``(nu~, sigma2~)``, cut at 0.  The density uses
-the additive subordination function ``omega`` of ``(nu~, sigma2~)`` at x - s:
-``g(x) = (omega/x) g_nu(omega)``, so at eps = 0 the density is ``(Im omega / (pi x))
-sum w t / |omega - t|^2``, never negative; one solver serves both families.
+the additive subordination function ``omega`` of ``(nu~, sigma2~)`` at z - s: ``g(z) =
+(1 + sum w t / (omega - t)) / z`` on the axis and above it, so one real formula serves
+every eps >= 0, at eps = 0 ``(Im omega / (pi x)) sum w t / |omega - t|^2``, never negative;
+one solver serves both families.
 """
 
 from __future__ import annotations
@@ -129,40 +130,33 @@ def mass_at_zero(ctx: MultiplicativeContext) -> float:
     return ctx.nu.weight_at(0.0) if ctx._cm <= 1.0 else 1.0 - 1.0 / ctx.c
 
 
-def _g(ctx: MultiplicativeContext, z: np.ndarray) -> np.ndarray:
-    """``g(z) = (omega/z) g_nu(omega)`` at a flat array of points z above the real axis.
-
-    ``omega`` is the subordination function of ``(nu~, sigma2~)`` at z - s; unlike
-    G = (1-c)/z + c g, this form does not divide by c.
-    """
-    omega = z - ctx._shift
-    if ctx._biased is not None:
-        omega = free_additive.subordination(ctx._biased, omega)
-    return omega / z * np.sum(ctx.nu.weights / (omega[:, None] - ctx.nu.locations), axis=1)
-
-
 def density(ctx: MultiplicativeContext, grid, eps: float = 0.0) -> list[tuple[float, float]]:
-    """Continuous-part density ``-Im g(x + i*eps) / pi`` on the given real grid.
+    """Continuous-part density ``-Im g(x + i*eps) / pi`` on the given real grid, by one formula.
 
-    At the default eps = 0 it is exact: with ``omega = u + i v`` the subordination
-    function of ``(nu~, sigma2~)`` at x - s, ``f(x) = (v / (pi x)) sum w t / |omega - t|^2``
-    for x > 0, a sum of non-negative terms, and f = 0 for x < 0.  At x = 0, f = 0 unless
-    ``c (1 - nu({0})) = 1``, where the support reaches 0 and f is unbounded: a DomainError.
+    With ``omega = u + i v`` at z - s, ``T = sum w t / |omega - t|^2`` and ``R = sum w t (u - t) /
+    |omega - t|^2``, ``f = (x v T + eps (1 + R)) / (pi |z|^2)``; ``1 + R`` is summed as ``Re(omega
+    sum w / (omega - t))``, whose 1 does not cancel where |omega| is small.  At the default eps = 0
+    it is exact, ``(v / (pi x)) T`` for x > 0, a sum of non-negative terms, and f = 0 for x < 0.
+    At x = 0, f = 0 unless ``c (1 - nu({0})) = 1``, where the support reaches 0 and f is
+    unbounded: a DomainError.
     """
     xs = free_additive._grid(grid, eps)
-    try:
-        if eps > 0.0:
-            f = -_g(ctx, xs + 1j * eps).imag / math.pi
-        elif np.any(xs == 0.0) and ctx._cm == 1.0:
-            raise DomainError("the density is unbounded at x=0, where c (1 - nu({0})) = 1")
-        else:
-            f, pos = np.zeros(xs.shape), xs > 0.0
-            if ctx._biased is not None:
-                omega = free_additive.subordination(ctx._biased, xs[pos] - ctx._shift)
-                t, w = ctx.nu.locations, ctx.nu.weights
-                tilt = (w * t / np.abs(omega[:, None] - t) ** 2).sum(axis=1)
-                f[pos] = omega.imag / (math.pi * xs[pos]) * tilt
-    except NumericalError as exc:  # it names sigma2~ and z = x - s, which no model sets
-        head = f"density at c={ctx.c!r}, as the size-biased model at z = x - {ctx._shift!r}"
-        raise NumericalError(f"{head}: {exc}") from None
+    if eps == 0.0 and ctx._cm == 1.0 and np.any(xs == 0.0):
+        raise DomainError("the density is unbounded at x=0, where c (1 - nu({0})) = 1")
+    # At eps = 0 only x > 0 is solved, and only where nu has an atom above 0.
+    f, at = np.zeros(xs.shape), (xs > 0.0) & (ctx._biased is not None) | (eps > 0.0)
+    x, omega = xs[at], xs[at] + 1j * eps - ctx._shift
+    if ctx._biased is not None:
+        try:
+            omega = free_additive.subordination(ctx._biased, omega)
+        except NumericalError as exc:  # it names sigma2~ and z = x - s, which no model sets
+            head = f"density at c={ctx.c!r}, as the size-biased model at z = x - {ctx._shift!r}"
+            raise NumericalError(f"{head}: {exc}") from None
+    t, w = ctx.nu.locations, ctx.nu.weights
+    # T divides by |omega - t| twice, and f by |z|, so that no square of a large x overflows.
+    d = omega[:, None] - t
+    a, r = np.abs(d), np.hypot(x, eps)
+    T = (w * t / a / a).sum(axis=1)
+    one_plus_R = (omega * (w / d).sum(axis=1)).real
+    f[at] = (x / r * omega.imag * T + eps / r * one_plus_R) / (math.pi * r)
     return [(float(x), float(v)) for x, v in zip(xs, f)]

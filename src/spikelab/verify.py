@@ -9,9 +9,9 @@ support edges instead of an outlier location.  ``replicas`` holds the
 seeding rule: replica i is drawn from child i of one ``SeedSequence(seed)``,
 so the result is byte-identical from run to run on one machine, and a
 failing replica is named by its index and spawn key so that it can be
-redrawn alone.  A pool of worker threads, one per usable CPU, draws every
-replica, each thread in one N x N buffer of its own.  ``run`` is
-``aggregate`` over ``replicas``.
+redrawn alone.  ``min(reps, usable CPUs)`` worker threads (one where
+OpenBLAS's thread control does not resolve) draw every replica, each in one
+N x N buffer of its own.  ``run`` is ``aggregate`` over ``replicas``.
 The output format is not kept here: ``cli`` renders the result as JSON or CSV.
 """
 

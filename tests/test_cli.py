@@ -191,6 +191,28 @@ def test_analyze_of_atoms_near_the_overflow_limit_prints_no_warning(tmp_path, ca
     assert json.loads(captured.out)["support"] == [[3.365769118070293e153, 3.0457414281884836e154]]
 
 
+@pytest.mark.parametrize(
+    "model, interval",
+    [
+        (  # the gap of this nu closes 1e-12 above this c
+            {"kind": "multiplicative", "c": 0.41276509136823614,
+             "nu": {"atoms": [[1.0, 0.5], [4.0, 0.5]]}, "spikes": [[10.0, 1]]},
+            [0.17706674620511875, 8.70906749229],
+        ),
+        (  # the gap at 0 closes at sigma2 = 1/4
+            {"kind": "additive", "sigma2": 0.24999999999749994,
+             "nu": {"atoms": [[-0.5, 0.5], [0.5, 0.5]]}, "spikes": []},
+            [-1.2990381056723277, 1.2990381056723277],
+        ),
+    ],
+    ids=["wishart", "additive"],
+)
+def test_analyze_reports_a_near_critical_support_as_one_interval(tmp_path, capsys, model, interval):
+    # The gap's image is no wider than 1e-12, so it is closed, not refused as overlapping.
+    assert cli.main(["analyze", "--spec", write_model(tmp_path, model)]) == 0
+    assert json.loads(capsys.readouterr().out)["support"] == [interval]
+
+
 def test_analyze_classifies_a_wishart_spike_below_merge_tol(tmp_path, capsys):
     # theta = 5e-13 lies within 1e-12 of 0 but not of the atom at 1: W = 0.5 / (1 - theta)^2.
     path = write_model(tmp_path, dict(MP_FREE_MODEL, c=0.5, spikes=[[5e-13, 1]]))

@@ -204,6 +204,14 @@ class TestSupport:
         assert len(outlier_set_intervals(ctx)) == 3
         assert support(ctx).intervals == ((-2.0, 2.0),)
 
+    def test_a_gap_no_wider_than_1e_12_is_closed(self):
+        # For atoms at -1/2 and 1/2 the gap at 0 closes at sigma2 = 1/4.  At 1/4 (1 - 1e-11) the
+        # outlier set still has an interval (-9.1e-7, 9.1e-7) there, but H maps its ends to
+        # +1.2e-17 and -1.2e-17: the gap is closed and the two components merge into one.
+        ctx = AdditiveContext(AtomicMeasure(((-0.5, 0.5), (0.5, 0.5))), 0.24999999999749994)
+        assert len(outlier_set_intervals(ctx)) == 3
+        assert support(ctx).intervals == ((-1.2990381056723277, 1.2990381056723277),)
+
     def test_outlier_location_is_off_support(self):
         sup = support(PAPER)
         assert not sup.contains(7.0 / 3.0)

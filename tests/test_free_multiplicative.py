@@ -9,9 +9,9 @@ import pytest
 
 from oracles import Oracle, mp_density
 from spikelab.errors import DomainError, NumericalError, SpecError
+from spikelab.free_additive import subordination
 from spikelab.free_multiplicative import (
     MultiplicativeContext,
-    _g,
     classify_spike,
     density,
     mass_at_zero,
@@ -31,9 +31,21 @@ def ctx(nu, c):
     return MultiplicativeContext(nu, c)
 
 
+def wishart_g(context, z):
+    """``g(z) = (omega/z) g_nu(omega)`` at a flat array of points z above the real axis.
+
+    ``omega`` is the subordination function of ``(nu~, sigma2~)`` at z - s; unlike
+    G = (1-c)/z + c g, this form does not divide by c.
+    """
+    omega = z - context._shift
+    if context._biased is not None:
+        omega = subordination(context._biased, omega)
+    return omega / z * np.sum(context.nu.weights / (omega[:, None] - context.nu.locations), axis=1)
+
+
 def fixed_point_g(context, z):
     """Stieltjes transform at one point ``z`` in the upper half-plane."""
-    return complex(_g(context, np.array([z]))[0])
+    return complex(wishart_g(context, np.array([z]))[0])
 
 
 def companion_g(context, z):
@@ -314,6 +326,13 @@ class TestSupport:
         assert 0.0 < a1 < b1 < a2 < b2
         assert b1 < 4.0 < b2
 
+    def test_a_gap_no_wider_than_1e_12_is_closed(self):
+        # At this c, 1e-12 below where the gap of TWO_SPREAD closes, the gap's image is
+        # within 1e-12: the two components merge into one.
+        context = ctx(TWO_SPREAD, 0.41276509136823614)
+        assert len(outlier_set_intervals(context)) == 3
+        assert support(context).intervals == ((0.17706674620511875, 8.70906749229),)
+
     def test_outlier_sits_off_support(self):
         sup = support(ctx(DELTA1, 1.0))
         assert not sup.contains(4.5)
@@ -467,6 +486,19 @@ class TestDensity:
         for eps in (0.0, 0.01):
             with pytest.raises(NumericalError, match=f"^{re.escape(want)}"):
                 density(ctx(AtomicMeasure(((1e150, 1.0),)), 0.5), [0.5, 1e150], eps=eps)
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_square_of_a_large_x_overflows(self):
+        # nu = delta_t, t = 1.4e154, at c = 1e-160 has its support within 3e74 of t, whose square
+        # overflows, as does that of |omega - t| at 5e154: the density still comes out, on the
+        # axis (sqrt(4 - c) / (2 pi sqrt(c) t) at t) and above it, where it is -Im g / pi.
+        context, xs = ctx(AtomicMeasure(((1.4e154, 1.0),)), 1e-160), [1e154, 1.4e154, 5e154]
+        on = [f for _, f in density(context, xs)]
+        assert on[0] == on[2] == 0.0
+        assert on[1] == pytest.approx(1.0 / (math.pi * 1e-80 * 1.4e154), rel=1e-12)
+        above = [f for _, f in density(context, xs, eps=1e70)]
+        want = -wishart_g(context, np.array(xs) + 1e70j).imag / math.pi
+        assert above == pytest.approx(want, rel=1e-12)
 
     def test_non_finite_grid_point_is_named(self):
         for eps in (0.0, 1e-6):

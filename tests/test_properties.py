@@ -5,12 +5,13 @@ locations on the outlier set, the derivative identity tying Z' to W there,
 the two composition identities between the fixed-point transforms and
 their real inverses,
 the scaled Marchenko-Pastur law of a two-atom nu with an atom at 0, the
-support of both families as the images of consecutive outlier-set ends, the
-spike values against plain sums, the outlier set of nu with up to 30 atoms
-against a per-gap scan and bisection, the sign, support and mass of the
-limiting density in both families, the Weyl perturbation bound on sampled
-additive models, and the Pythagoras bound on per-vector eigenvector
-overlaps.
+support of both families as the images of consecutive outlier-set ends with
+every gap wider than 1e-12, the Wishart density above the axis against
+-Im g / pi, the spike values against plain sums, the outlier set of nu with
+up to 30 atoms against a per-gap scan and bisection, the sign, support and
+mass of the limiting density in both families, the Weyl perturbation bound
+on sampled additive models, and the Pythagoras bound on per-vector
+eigenvector overlaps.
 """
 
 import math
@@ -37,13 +38,13 @@ from spikelab.free_additive import (
 )
 from spikelab.free_multiplicative import (
     MultiplicativeContext,
-    _g,
     classify_spike as classify_mult,
     mass_at_zero,
     outlier_set_intervals as mult_intervals,
     support as mult_support,
 )
 from spikelab.measure import AtomicMeasure
+from test_free_multiplicative import wishart_g
 
 COMMON = settings(
     max_examples=100,
@@ -173,7 +174,7 @@ def test_companion_transform_inverts_Z(data):
     x = 1.0 / u
     z = verdict.rho
     assume(abs(z) > 1e-6)
-    g = (1.0 - c) / complex(z, 1e-9) + c * _g(ctx, np.array([complex(z, 1e-9)]))[0]
+    g = (1.0 - c) / complex(z, 1e-9) + c * wishart_g(ctx, np.array([complex(z, 1e-9)]))[0]
     # The tiny upper-half-plane shift leaks into Im g with an O(1/Z')
     # amplification; the identity itself lives on the real axis.
     assert abs(g.real - x) < 1e-6
@@ -198,8 +199,19 @@ def test_atom_at_zero_gives_scaled_marchenko_pastur(p, t, c):
 
 
 def _consecutive_pairs(images):
-    """The images of the finite ends paired as (e1, e2), (e3, e4), ..., kept where wider than 1e-12."""
-    return [(lo, hi) for lo, hi in zip(images[::2], images[1::2]) if hi > lo + 1e-12]
+    """The images of the finite ends paired as (e1, e2), (e3, e4), ..., kept where wider than 1e-12,
+    once every gap (e2, e3), (e4, e5), ... no wider than 1e-12 is closed by dropping its ends."""
+    ends = [images[0]]
+    for a, b in zip(images[1:-1:2], images[2::2]):
+        if b > a + 1e-12:
+            ends += [a, b]
+    ends.append(images[-1])
+    return [(lo, hi) for lo, hi in zip(ends[::2], ends[1::2]) if hi > lo + 1e-12]
+
+
+def _apart(intervals):
+    """Whether each gap between consecutive support intervals is wider than 1e-12."""
+    return all(lo > hi + 1e-12 for (_, hi), (lo, _) in zip(intervals, intervals[1:]))
 
 
 def _finite_ends(ctx):
@@ -209,13 +221,17 @@ def _finite_ends(ctx):
 @COMMON
 @given(nu=measures(), sigma2=st.floats(0.01, 10.0))
 @example(nu=AtomicMeasure(((0.0, 1.0), (5.0, 1e-30))), sigma2=1.0)  # the pair at 5 is 4e-15 wide
+# The gap at 0 closes at sigma2 = 1/4; here its image is -2.4e-17 wide, and it is closed.
+@example(nu=AtomicMeasure(((-0.5, 0.5), (0.5, 0.5))), sigma2=0.24999999999749994)
 def test_additive_support_lies_between_h_images_of_consecutive_ends(nu, sigma2):
     # H maps each outlier interval onto a gap of the limit in order, so support interval i
     # is [H(e_2i+1), H(e_2i+2)] over the finite ends e of the outlier set.
     ctx = AdditiveContext(nu, sigma2)
     u = _finite_ends(ctx)
     h = u + sigma2 * np.array([sum(w / (x - t) for t, w in nu.atoms) for x in u])
-    assert additive_support(ctx).intervals == tuple(_consecutive_pairs(h.tolist()))
+    got = additive_support(ctx).intervals
+    assert got == tuple(_consecutive_pairs(h.tolist()))
+    assert _apart(got)
 
 
 @COMMON
@@ -227,6 +243,7 @@ def test_additive_support_lies_between_h_images_of_consecutive_ends(nu, sigma2):
 @example(nu=AtomicMeasure(((1.0, 1.0),)), zero=0.2, c=3.0)  # c m = 2.4 > 1
 @example(nu=AtomicMeasure(((0.7, 1.0),)), zero=0.5, c=2.0)  # c m = 1: Z(1/e_1) = -3.5e-32, cut to 0
 @example(nu=AtomicMeasure(((1.0, 1.0), (5.0, 1e-30))), zero=0.0, c=0.1)
+@example(nu=AtomicMeasure(((1.0, 0.5), (4.0, 0.5))), zero=0.0, c=0.41276509136823614)  # gap closing
 def test_wishart_support_lies_between_z_images_of_consecutive_ends_cut_at_zero(nu, zero, c):
     # Z(1/u) = u (1 - c m + c u sum_{t>0} w / (u - t)), m = 1 - nu({0}), maps each outlier
     # interval of the size-biased model onto a gap in order; the support keeps hi > 0, cut at 0.
@@ -241,6 +258,37 @@ def test_wishart_support_lies_between_z_images_of_consecutive_ends_cut_at_zero(n
     got = mult_support(ctx).intervals
     assert got == want
     assert all(lo >= 0.0 and hi > 0.0 for lo, hi in got)
+    assert _apart(got)
+
+
+@COMMON
+@given(
+    nu=measures(positive=True),
+    zero=st.sampled_from((0.0, 0.3, 0.7)),
+    c=st.floats(0.05, 5.0),
+    xs=st.lists(st.floats(-2.0, 60.0), min_size=1, max_size=6),
+    log_eps=st.floats(-9.0, 0.0),
+)
+def test_wishart_density_above_the_axis_is_minus_im_g_over_pi(nu, zero, c, xs, log_eps):
+    # density's (x v T + eps (1 + R)) / (pi |z|^2) against -Im g / pi with the tests' own
+    # g = (omega/z) sum w / (omega - t), at the same omega; also at x <= 0 and below s/8,
+    # where tests/test_oracles.py does not look.  T is a sum of non-negative terms, and
+    # 1 + R = Re(omega sum w / (omega - t)) and g are within a few ulps of |omega| sum w /
+    # |omega - t|, so each side rounds to a few ulps of (|x| v T / |z| + |omega| sum w /
+    # |omega - t|) / (pi |z|), eps <= |z|: 16 ulps of that bound the gap.
+    if zero:
+        nu = AtomicMeasure(((0.0, zero),) + tuple((t, w * (1.0 - zero)) for t, w in nu.atoms))
+    ctx, eps = MultiplicativeContext(nu, c), 10.0**log_eps
+    x = np.array(xs + [0.0, -1.0, ctx._shift / 16.0])
+    f = np.array([v for _, v in free_multiplicative.density(ctx, x, eps)])
+    z = x + 1j * eps
+    want = -wishart_g(ctx, z).imag / math.pi
+    omega = z - ctx._shift if ctx._biased is None else subordination(ctx._biased, z - ctx._shift)
+    t, w = nu.locations, nu.weights
+    d = np.abs(omega[:, None] - t)
+    tilt = np.abs(x) * omega.imag * (w * t / d**2).sum(axis=1) / np.abs(z)
+    scale = (tilt + np.abs(omega) * (w / d).sum(axis=1)) / (math.pi * np.abs(z))
+    assert np.all(np.abs(f - want) <= 16.0 * np.finfo(float).eps * scale)
 
 
 @COMMON

@@ -4,8 +4,9 @@ A public top-level ``def`` or ``class`` in ``src/spikelab`` must be used
 somewhere in the package outside its own definition (``__init__``
 re-exports and imports do not count), be named in backticks in the README
 from its ``## Python API`` section on, or be a patch point of the traced
-benchmark run (``bench/spans.py`` ``PATCHES``).  Anything else only serves
-the tests, and belongs in them.
+benchmark run (``bench/spans.py`` ``PATCHES``).  A private top-level
+``def`` must be used in the package outside its own definition.  Anything
+else only serves the tests, and belongs in them.
 """
 
 import ast
@@ -32,12 +33,17 @@ def _uses(node: ast.AST, skip) -> set[str]:
     return found
 
 
-def test_every_public_definition_is_used_documented_or_patched():
-    trees = {
+def _trees() -> dict[str, ast.Module]:
+    """The package's modules but ``__init__``, parsed, by name."""
+    return {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(PACKAGE.glob("*.py"))
         if path.stem != "__init__"
     }
+
+
+def test_every_public_definition_is_used_documented_or_patched():
+    trees = _trees()
     # Only the API sections count: a formula letter in the introduction keeps no function alive.
     api = (ROOT / "README.md").read_text(encoding="utf-8").partition("\n## Python API\n")[2]
     readme = re.findall(r"`([^`]+)`", api)
@@ -62,6 +68,19 @@ def test_every_public_definition_is_used_documented_or_patched():
             break
         unused |= found
     assert sorted(public[node] for node in unused) == []
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    # A private helper that only the tests call belongs in the tests.
+    trees = _trees()
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+        and not any(node.name in _uses(other, {node}) for other in trees.values())
+    ]
+    assert unused == []
 
 
 def test_only_lapack_asks_whether_numpy_exports_the_routines():
