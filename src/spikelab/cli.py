@@ -10,10 +10,11 @@ analyze and density evaluate the spec's context with its ``spec.family``.
 
 Only this module knows the output format.  Each command builds its report as
 a JSON document and as CSV rows, and ``_render`` writes the one asked for,
-CSV by one cell rule.  Exit codes: 0 success; 2 invalid spec or domain, or a
+CSV by one cell rule.  Exit codes: 0 success; 2 invalid spec or domain, a
 model file or ``--out`` that cannot be read or written (``--out`` is tried
-first, and a failed run leaves it as it was); 4 numerical accuracy failure or
-a non-finite output value (3, once fixed-point non-convergence, is retired).
+first, and a failed run leaves it as it was), or an array too large to
+allocate; 4 numerical accuracy failure or a non-finite output value (3, once
+fixed-point non-convergence, is retired).
 On one machine, output is a pure function of the model file bytes, the flags
 and the seed.  ``main(argv)`` returns the exit code and may be called again
 in one process; the argument parser is built once, on the first call.
@@ -250,7 +251,7 @@ def main(argv=None) -> int:
         text = _COMMANDS[args.command](load_model(args.spec), args)
         if out is not None:
             _write(out, text)
-    except (SpecError, DomainError, DegenerateOutlierError) as exc:
+    except (SpecError, DomainError, DegenerateOutlierError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -80,7 +80,8 @@ def classify_spike(ctx: AdditiveContext, theta: float, multiplicity: int = 1) ->
     """
     theta = real_number(theta, "theta")
     d = ctx._offsets(theta)
-    hp = 1.0 - ctx.sigma2 * float((ctx.nu.weights / d**2).sum())
+    with np.errstate(over="ignore"):  # a square that overflows is inf, and its term 0
+        hp = 1.0 - ctx.sigma2 * float((ctx.nu.weights / d**2).sum())
     if hp > BOUNDARY_TOL:
         rho = theta + ctx.sigma2 * float((ctx.nu.weights / d).sum())
         return SpikeVerdict(theta, multiplicity, True, rho, hp, criterion_value=hp)
@@ -254,9 +255,11 @@ def density(ctx: AdditiveContext, grid, eps: float = 0.0) -> list[tuple[float, f
     """Density ``-Im g(x + i*eps) / pi = (Im omega / pi) sum w / |omega - t|^2`` on a real grid.
 
     At the default eps = 0 this is the exact density of the limit, ``v / (pi sigma2)``.
+    The sum divides by ``|omega - t|`` twice, so that no square of a large x overflows.
     """
     xs = _grid(grid, eps)
     omega = subordination(ctx, xs + 1j * eps)
     t, w = ctx.nu.locations, ctx.nu.weights
-    f = omega.imag / math.pi * (w / np.abs(omega[:, None] - t) ** 2).sum(axis=1)
+    a = np.abs(omega[:, None] - t)
+    f = omega.imag / math.pi * (w / a / a).sum(axis=1)
     return [(float(x), float(v)) for x, v in zip(xs, f)]

@@ -83,19 +83,21 @@ def classify_spike(ctx: MultiplicativeContext, theta: float, multiplicity: int =
     Raises DomainError unless ``theta > 0`` is more than MERGE_TOL from every atom of nu.
     An outlier sits at ``rho = Z(1/theta) = s + H~(theta)``, summed as ``theta (1 + c sum w t
     / (theta - t))``: the plain sum cancels where its value is far below s, as at a lower
-    edge close to 0.
+    edge close to 0.  Its ``tau = (1 - W) theta / rho`` lies in (0, 1]; where theta is within
+    rounding of 0 the quotient can round above 1, and tau is then 1.
     """
     theta = real_number(theta, "theta")
     d = ctx._offsets(theta)
     w_val = 0.0
     if (biased := ctx._biased) is not None:
-        w_val = biased.sigma2 * float((biased.nu.weights / d[ctx._above] ** 2).sum())
+        with np.errstate(over="ignore"):  # a square that overflows is inf, and its term 0
+            w_val = biased.sigma2 * float((biased.nu.weights / d[ctx._above] ** 2).sum())
     rho = tau = None
     if w_val < 1.0 - BOUNDARY_TOL:
         rho = theta * (1.0 + ctx.c * float((ctx.nu.weights * ctx.nu.locations / d).sum()))
         if rho == 0.0:
             raise DegenerateOutlierError(f"outlier location Z(1/theta) vanishes for theta={theta!r}")
-        tau = (1.0 - w_val) * theta / rho
+        tau = min(1.0, (1.0 - w_val) * theta / rho)
     return SpikeVerdict(theta, multiplicity, rho is not None, rho, tau, criterion_value=w_val)
 
 

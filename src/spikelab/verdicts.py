@@ -31,8 +31,6 @@ class SpikeVerdict:
         has_limits = self.rho is not None and self.tau is not None
         if self.is_outlier != has_limits:
             raise SpecError("rho and tau must be present iff the spike is an outlier")
-        if self.tau is not None and not (0.0 < self.tau <= 1.0):
-            raise SpecError(f"tau={self.tau!r} is outside (0, 1]")
 
 
 @dataclass(frozen=True)

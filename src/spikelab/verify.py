@@ -26,7 +26,6 @@ import numpy as np
 
 from . import lapack
 from .ensemble import (
-    UNIT_SLACK,
     EnsembleSample,
     SpikedModelSpec,
     draw_sample,
@@ -75,18 +74,6 @@ class SpikeOutcome:
     leakage: float
     edge_distance: float | None
     edge_excess: float | None
-
-    def __post_init__(self):
-        for name in ("eigenvalue_stderr", "overlap_stderr"):
-            if getattr(self, name) < 0.0:
-                raise SpecError(f"{name} must be nonnegative")
-        for name in ("overlap_mean", "leakage"):
-            value = getattr(self, name)
-            if not -1e-12 <= value <= 1.0 + UNIT_SLACK:
-                raise SpecError(f"{name}={value!r} is outside [0, 1]")
-        has_edges = self.edge_distance is not None and self.edge_excess is not None
-        if self.is_outlier == has_edges:
-            raise SpecError("edge statistics must be present iff the spike sticks")
 
 
 @dataclass(frozen=True)

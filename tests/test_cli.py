@@ -223,6 +223,43 @@ def test_analyze_classifies_a_wishart_spike_below_merge_tol(tmp_path, capsys):
     assert spike["tau"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_analyze_reports_a_wishart_tau_that_rounds_above_1_as_1(tmp_path, capsys):
+    # (1 - W) theta / rho rounds to 1.000000000000015 at this spike; its value is 0.99999999999999858.
+    model = {"kind": "multiplicative", "c": 0.9851945751306176,
+             "nu": {"atoms": [[2.5494894870694704, 1.0]]}, "spikes": [[5.4219911752228524e-17, 1]]}
+    assert cli.main(["analyze", "--spec", write_model(tmp_path, model)]) == 0
+    spike, = json.loads(capsys.readouterr().out)["spikes"]
+    assert spike["verdict"] == "outlier" and spike["tau"] == 1.0
+
+
+# Each command squares a number past the float range: the spike's distance to an atom, or
+# |omega - t| at the grid's ends.  The inf is the right term, and no warning reaches stderr.
+OVERFLOWING = {
+    "additive_spike": (dict(PAPER_MODEL, spikes=[[1e200, 1], [2.0, 1]]), ["analyze"]),
+    "wishart_spike": (
+        dict(MP_FREE_MODEL, c=0.5, nu={"atoms": [[1.0, 0.5], [4.0, 0.5]]}, spikes=[[1e200, 1], [2.0, 1]]),
+        ["analyze"],
+    ),
+    "additive_density": (PAPER_MODEL, ["density", "--grid=-1e300:1e300:3"]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(OVERFLOWING))
+def test_a_square_past_the_float_range_prints_no_warning(tmp_path, capsys, name):
+    model, (command, *flags) = OVERFLOWING[name]
+    assert cli.main([command, "--spec", write_model(tmp_path, model), *flags]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if command == "analyze":
+        assert json.loads(captured.out)["spikes"][0] == {
+            "theta": 1e200, "multiplicity": 1, "verdict": "outlier",
+            "criterion": 1.0 if name == "additive_spike" else 0.0, "rho": 1e200, "tau": 1.0,
+        }
+    else:
+        assert captured.out == "x,density\n-1.0000000000000001e+300,0\n0,0\n1.0000000000000001e+300,0\n"
+
+
 # Each file breaks one rule of the model file.  The first five were accepted
 # by analyze and density when only simulate built a SpikedModelSpec; a
 # non-list spikes value or a non-numeric theta used to escape as a traceback.
@@ -404,6 +441,17 @@ def test_density_vanishes_at_the_semicircle_edge(tmp_path, capsys):
     path = write_model(tmp_path, SEMICIRCLE_MODEL)
     assert cli.main(["density", "--spec", path, "--grid", "2:2.5:2"]) == 0
     assert capsys.readouterr().out == "x,density\n2,0\n2.5,0\n"
+
+
+def test_density_of_a_grid_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # 10**15 points take 8 PB, more than a process's default address space of 128 TB on
+    # 64-bit Linux, so the allocation fails at once, whatever the overcommit setting, and
+    # touches no memory.
+    path = write_model(tmp_path, SEMICIRCLE_MODEL)
+    assert cli.main(["density", "--spec", path, "--grid=0:1:1000000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate")
 
 
 def test_density_rejects_bad_eps(tmp_path, capsys):
