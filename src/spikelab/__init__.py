@@ -23,7 +23,7 @@ from .measure import AtomicMeasure, quantile_discretize
 from .verdicts import SpikeVerdict, SupportIntervals
 from .verify import SpikeOutcome, VerificationResult
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 __all__ = [
     "AdditiveContext",

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import free_additive, free_multiplicative, lapack
 from .errors import DomainError, NumericalError, SpecError
-from .measure import AtomicMeasure, quantile_discretize, real_number, spike_multiplicity
+from .measure import AtomicMeasure, positive_int, quantile_discretize, real_number
+from .measure import spike_multiplicity
 
 KINDS = ("additive_wigner", "multiplicative_wishart")
 ENTRY_LAWS = ("gaussian", "rademacher")
@@ -37,10 +38,6 @@ UNIT_SLACK = 1e-8
 _CHECK_TILE = 64
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_draw(entry_law: str, field: str, **sizes) -> None:
     """Raise SpecError unless the law and field are known and every size is a positive integer."""
     if entry_law not in ENTRY_LAWS:
@@ -48,8 +45,7 @@ def _check_draw(entry_law: str, field: str, **sizes) -> None:
     if field not in FIELDS:
         raise SpecError(f"field must be one of {FIELDS}, got {field!r}")
     for name, size in sizes.items():
-        if not _is_int(size) or size < 1:
-            raise SpecError(f"{name} must be a positive integer, got {size!r}")
+        positive_int(size, name)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,8 +74,9 @@ class SpikedModelSpec:
         if self.kind not in KINDS:
             raise SpecError(f"kind must be one of {KINDS}, got {self.kind!r}")
         _check_draw(self.entry_law, self.field, **({} if self.N is None else {"N": self.N}))
-        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
-            raise SpecError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        seed = self.seed
+        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+            raise SpecError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
 
         try:
             pairs = [(real_number(theta, "spike theta"), mult) for theta, mult in self.spikes]

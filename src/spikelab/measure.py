@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import SpecError
 
-# Locations closer than this are considered the same atom; also the
-# tolerance used when testing whether a point sits on the support.
+# Locations closer than this are considered the same atom; each family also keeps a
+# spike this far from every atom of nu.
 MERGE_TOL = 1e-12
 
 # Weight sums within this slack of 1 are renormalized, anything worse
@@ -45,14 +45,19 @@ def real_number(value, name: str, positive: bool = False) -> float:
     return number
 
 
+def positive_int(value, name: str) -> int:
+    """``value`` if it is an int >= 1 and not a bool; anything else is a SpecError naming it."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise SpecError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
 def spike_multiplicity(value) -> int:
     """``value`` as an int if it is an integer >= 1, or a float with such a value (as JSON
     writes 1.0); anything else, a bool, str or None included, is a SpecError."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise SpecError(f"spike multiplicity must be a positive integer, got {value!r}")
-    return value
+    return positive_int(value, "spike multiplicity")
 
 
 @dataclass(frozen=True)
@@ -136,9 +141,7 @@ def quantile_discretize(nu: AtomicMeasure, m: int) -> list[float]:
     output is sorted, lies in the convex hull of the support, and its
     empirical measure converges weakly to nu as m grows.
     """
-    if m != int(m) or m < 1:
-        raise SpecError("quantile count must be a positive integer")
-    m = int(m)
+    m = positive_int(m, "quantile count")
     locs = nu.locations
     cdf = np.cumsum(nu.weights)
     cdf[-1] = 1.0

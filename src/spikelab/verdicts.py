@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import SpecError
 from .measure import spike_multiplicity
 
@@ -49,17 +51,9 @@ class SupportIntervals:
             if not hi < lo:
                 raise SpecError("support intervals must be disjoint and sorted")
 
-    def edges(self) -> list[float]:
-        out: list[float] = []
-        for lo, hi in self.intervals:
-            out.extend((lo, hi))
-        return out
-
-    def contains(self, x: float) -> bool:
-        return any(lo <= x <= hi for lo, hi in self.intervals)
-
-    def distance_to_edge(self, x: float) -> float:
-        edges = self.edges()
-        if not edges:
-            return float("inf")
-        return min(abs(x - e) for e in edges)
+    def signed_distance(self, xs) -> np.ndarray:
+        """Distance of each point of ``xs`` to the nearest edge, negated on the support: where
+        an odd number of edges lie at or below it, so an upper edge reads +0.0.  No edge, +inf."""
+        xs, edges = np.asarray(xs, dtype=float), np.ravel(self.intervals)
+        dist = np.abs(xs[..., None] - edges).min(axis=-1, initial=np.inf)
+        return np.where(np.searchsorted(edges, xs, side="right") % 2 == 1, -dist, dist)

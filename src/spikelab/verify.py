@@ -4,12 +4,12 @@
 and eigenvector overlaps at the spike ranks, and aggregates them next to
 the limiting values of the spec's context (the multiplicative one at the
 realized aspect ratio).  Which spikes generate an outlier is read off it: for
-a spike that sticks, the ranked eigenvalues are checked against the limiting
-support edges instead of an outlier location.  ``replicas`` holds the
-seeding rule: replica i is drawn from child i of one ``SeedSequence(seed)``,
-so the result is byte-identical from run to run on one machine, and a
-failing replica is named by its index and spawn key so that it can be
-redrawn alone.  ``min(reps, usable CPUs)`` worker threads (one where
+a spike that sticks, the ranked eigenvalues are placed against the limit's
+spectrum (its support and any atom at 0) instead of an outlier location.
+``replicas`` holds the seeding rule: replica i is drawn from child i of one
+``SeedSequence(seed)``, so the result is byte-identical from run to run on
+one machine, and a failing replica is named by its index and spawn key so
+that it can be redrawn alone.  ``min(reps, usable CPUs)`` worker threads (one where
 OpenBLAS's thread control does not resolve) draw every replica, each in one
 N x N buffer of its own.  ``run`` is ``aggregate`` over ``replicas``.
 The output format is not kept here: ``cli`` renders the result as JSON or CSV.
@@ -35,6 +35,7 @@ from .ensemble import (
     workspace,
 )
 from .errors import NumericalError, SpecError
+from .measure import positive_int
 from .verdicts import SupportIntervals
 
 # Desk-scale agreement tolerances behind the report-level pass flags.
@@ -48,9 +49,11 @@ class SpikeOutcome:
     """Aggregated empirical against limiting numbers for one spike block.
 
     ``rho`` and ``tau`` are present exactly for outlier spikes; sticking
-    spikes instead carry ``edge_distance`` (mean distance of the ranked
-    eigenvalues to the nearest support edge) and ``edge_excess`` (largest
-    excursion outside the support seen in any replica).  ``margin_above``
+    spikes instead carry ``edge_distance`` (mean over replicas and ranks of
+    the distance from an eigenvalue to the nearest edge of the limit's
+    spectrum: the support, and a [0, 0] interval for a Wishart limit's atom
+    at 0 off it) and ``edge_excess`` (largest distance outside that spectrum
+    seen in any replica, 0 where every eigenvalue lies on it).  ``margin_above``
     and ``margin_below`` are the mean gaps between rho and the nearest
     eigenvalues ranked outside the block; a missing side means no
     eigenvalue is ranked there.  ``overlap_mean`` is the mean over replicas
@@ -180,13 +183,12 @@ def replicas(spec: SpikedModelSpec, reps: int):
     """
     if not isinstance(spec, SpikedModelSpec):
         raise SpecError("spec must be a SpikedModelSpec")
-    if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
-        raise SpecError(f"reps must be a positive integer, got {reps!r}")
+    positive_int(reps, "reps")
     sample_size(spec)
     return _drawn(spec, np.random.SeedSequence(spec.seed).spawn(reps))
 
 
-def _rep_record(sample, verdicts, sup):
+def _rep_record(sample, verdicts, spectrum):
     """One tuple per spike of one replica: mean eigenvalue, overlap, leakage,
     margins above and below rho, edge distance and excess, as plain floats.
     A statistic that the verdict or the block's position leaves undefined is None.
@@ -207,11 +209,8 @@ def _rep_record(sample, verdicts, sup):
             if first + k < lam.size:
                 below = verdict.rho - float(lam[first + k])
         else:
-            edist = float(np.mean([sup.distance_to_edge(float(x)) for x in block]))
-            excess = max(
-                0.0 if sup.contains(float(x)) else sup.distance_to_edge(float(x))
-                for x in block
-            )
+            signed = spectrum.signed_distance(block)
+            edist, excess = float(np.mean(np.abs(signed))), max(0.0, float(signed.max()))
         records.append((float(block.mean()), summed[j][j] / k, leak, above, below, edist, excess))
     return records
 
@@ -230,10 +229,15 @@ def aggregate(spec: SpikedModelSpec, samples) -> VerificationResult:
     """
     aspect, ctx, mod, verdicts = _verdicts(spec)
     sup = mod.support(ctx)
+    # A sticking block is placed against the limit's spectrum: the support and any atom at 0.
+    spectrum = sup
+    if spec.kind == "multiplicative_wishart" and mod.mass_at_zero(ctx) > 0.0:
+        if not sup.intervals or sup.intervals[0][0] > 0.0:
+            spectrum = SupportIntervals(((0.0, 0.0),) + sup.intervals)
 
     # map releases each sample before drawing the next; a comprehension's loop
     # variable would keep it alive and raise the peak memory of a run.
-    records = list(map(lambda sample: _rep_record(sample, verdicts, sup), samples))
+    records = list(map(lambda sample: _rep_record(sample, verdicts, spectrum), samples))
     if not records:
         raise SpecError("aggregate needs at least one replica")
 

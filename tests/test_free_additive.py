@@ -20,6 +20,7 @@ from spikelab.free_additive import (
 from spikelab.free_multiplicative import MultiplicativeContext
 from spikelab.measure import AtomicMeasure
 from spikelab.rootfind import newton
+from spikelab.verdicts import SupportIntervals
 
 TWO_POINT = AtomicMeasure([(1.0, 0.5), (-1.0, 0.5)])
 PAPER = AdditiveContext(TWO_POINT, 0.5)
@@ -214,8 +215,18 @@ class TestSupport:
 
     def test_outlier_location_is_off_support(self):
         sup = support(PAPER)
-        assert not sup.contains(7.0 / 3.0)
-        assert not sup.contains(0.0)
+        assert np.all(sup.signed_distance([7.0 / 3.0, 0.0]) > 0.0)
+
+    def test_signed_distance_is_negative_on_the_closed_support(self):
+        sup = SupportIntervals(((0.0, 0.0), (1.0, 2.0), (3.0, 5.0)))
+        xs = [-1.0, 0.0, 0.5, 1.0, 1.25, 2.0, 2.75, 3.0, 4.5, 5.0, 6.0]
+        want = [1.0, 0.0, 0.5, 0.0, -0.25, 0.0, 0.25, 0.0, -0.5, 0.0, 1.0]
+        got = sup.signed_distance(xs)
+        assert got.tolist() == want
+        # A lower edge counts as inside (-0.0), an upper edge and [0, 0] as outside (+0.0).
+        assert np.signbit(got).tolist() == [x in (1.0, 1.25, 3.0, 4.5) for x in xs]
+        assert sup.signed_distance(np.full((2, 3), 1.5)).shape == (2, 3)
+        assert SupportIntervals(()).signed_distance([0.0, 1.0]).tolist() == [np.inf, np.inf]
 
 
 class TestSolverWork:

@@ -335,8 +335,7 @@ class TestSupport:
 
     def test_outlier_sits_off_support(self):
         sup = support(ctx(DELTA1, 1.0))
-        assert not sup.contains(4.5)
-        assert sup.distance_to_edge(4.5) == pytest.approx(0.5, abs=1e-8)
+        assert sup.signed_distance(4.5) == pytest.approx(0.5, abs=1e-8)
 
 
 class TestMassAtZero:

@@ -186,3 +186,10 @@ class TestQuantileDiscretize:
     def test_m_below_one_rejected(self):
         with pytest.raises(SpecError):
             quantile_discretize(TWO_POINT, 0)
+
+    @pytest.mark.parametrize("m", [True, 2.0, np.int64(3)], ids=["True", "2.0", "int64"])
+    def test_m_that_is_not_an_int_rejected(self, m):
+        # The rule of N, p, reps and the spike multiplicity: a bool, a float or a numpy
+        # integer is refused, not read as a count.
+        with pytest.raises(SpecError, match="^quantile count must be a positive integer, got"):
+            quantile_discretize(TWO_POINT, m)

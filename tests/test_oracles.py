@@ -14,12 +14,12 @@ The tolerances come from conditioning, not from the code under test:
   nearest edge: relative error at most 1e-12 + 16 ulp(scale) / dist, with
   scale |x| + sigma additively and x for Wishart.  The Wishart solver
   works at x - s, which loses x's relative accuracy where x is small
-  against s (ROADMAP item 5), so that bound is checked for x >= s/8;
+  against s (ROADMAP item 3), so that bound is checked for x >= s/8;
 - the density is exactly 0 in the gaps between support components.
 
 Models whose gap peak of F' is within 1e-9 of 0 are skipped: there two
 edges nearly merge and the gap itself is ill-conditioned.  The strict
-xfails pin what ROADMAP item 5 is to mend.
+xfails pin what ROADMAP item 3 is to mend.
 """
 
 import math
@@ -206,15 +206,15 @@ def test_density_near_an_edge_above_the_axis_matches_the_oracle():
 
 
 # Wishart densities near x = 0, which the solver at x - s gets wrong.
-ITEM_5 = [
+ITEM_3 = [
     pytest.param(0.999999, 2.502501251394704e-13, 0.0, id="c=0.999999-eps=0"),
     pytest.param(0.9999, 2.5026251328203084e-09, 0.0, id="c=0.9999-eps=0"),
     pytest.param(0.3, 0.0, 1e-9, id="c=0.3-eps=1e-9-x=0"),
 ]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
-@pytest.mark.parametrize("c, x, eps", ITEM_5)
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+@pytest.mark.parametrize("c, x, eps", ITEM_3)
 def test_wishart_density_near_zero_matches_the_oracle(c, x, eps):
     nu = AtomicMeasure([(1.0, 1.0)])
     oracle = Oracle(nu.atoms, c=c)
@@ -224,7 +224,7 @@ def test_wishart_density_near_zero_matches_the_oracle(c, x, eps):
     assert abs(f - want) <= density_bound(x, dist) * abs(want)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
 def test_wishart_lower_edge_near_zero_keeps_its_relative_accuracy():
     # c within 2e-11 of 1: the lower edge, about 1.7e-22, comes out 3.3e-11 relative off.
     nu, c = AtomicMeasure([(2.65821352010089, 1.0)]), 0.999999999983918

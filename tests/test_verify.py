@@ -231,6 +231,27 @@ def test_multiplicative_theory_uses_realized_aspect():
     assert res.spikes[0].tau == expected.tau
 
 
+def test_a_block_sticking_at_the_wishart_atom_at_0_passes():
+    # Marchenko-Pastur at c = 2: an atom of mass 1/2 at 0 and support [(1 - sqrt 2)^2,
+    # (1 + sqrt 2)^2].  theta = 0.5 sticks at rank 60, in the null space of M (rank p = 30).
+    spec = SpikedModelSpec(
+        kind="multiplicative_wishart",
+        nu=DELTA1,
+        spikes=((3.0, 1), (1.5, 1), (0.5, 1)),
+        N=60,
+        seed=0,
+        c=2.0,
+    )
+    res = verify.run(spec, 3)
+    low = res.spikes[2]
+    assert not low.is_outlier and abs(low.eigenvalue_mean) < 1e-12
+    assert low.edge_distance < 1e-12 and low.edge_excess < 1e-12
+    assert verify.outcome_passes(low)
+    # The reported support is the continuous part alone.
+    ((lo, hi),) = res.support.intervals
+    assert (lo, hi) == pytest.approx((3.0 - 2.0 * math.sqrt(2.0), 3.0 + 2.0 * math.sqrt(2.0)))
+
+
 def test_bbp_small_simulation():
     spec = SpikedModelSpec(
         kind="multiplicative_wishart",
