@@ -10,25 +10,18 @@ seeded finite-N simulations (ensemble, verify); cli, the command line, writes ev
 
 from . import cli, ensemble, free_additive, free_multiplicative, measure, verify
 from .ensemble import EnsembleSample, SpikedModelSpec
-from .errors import (
-    DegenerateOutlierError,
-    DomainError,
-    NumericalError,
-    SpecError,
-    SpikelabError,
-)
+from .errors import DomainError, NumericalError, SpecError, SpikelabError
 from .free_additive import AdditiveContext
 from .free_multiplicative import MultiplicativeContext
 from .measure import AtomicMeasure, quantile_discretize
 from .verdicts import SpikeVerdict, SupportIntervals
 from .verify import SpikeOutcome, VerificationResult
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 __all__ = [
     "AdditiveContext",
     "AtomicMeasure",
-    "DegenerateOutlierError",
     "DomainError",
     "EnsembleSample",
     "MultiplicativeContext",

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import verify
 from .ensemble import SpikedModelSpec
-from .errors import DegenerateOutlierError, DomainError, NumericalError, SpecError
+from .errors import DomainError, NumericalError, SpecError
 from .measure import AtomicMeasure
 
 MODEL_KEYS = {"kind", "sigma2", "c", "nu", "spikes", "N", "entry_law", "field", "seed"}
@@ -251,7 +251,7 @@ def main(argv=None) -> int:
         text = _COMMANDS[args.command](load_model(args.spec), args)
         if out is not None:
             _write(out, text)
-    except (SpecError, DomainError, DegenerateOutlierError, MemoryError) as exc:
+    except (SpecError, DomainError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -2,9 +2,10 @@
 
 The perturbation A_N is always diagonal: spike eigenvalues (with multiplicity)
 plus deterministic quantiles of the bulk limit nu, sorted descending.  That
-makes each spike's eigenspace a coordinate subspace: rank r is coordinate
-r - 1, so a spike's ranks index its block and the eigenvector observables
-reduce to coordinate sums.  Only this module turns a rank into a coordinate.
+makes each spike's eigenspace a run of adjacent coordinates: rank r is
+coordinate r - 1, so a spike's ranks are a range that indexes its block and
+the eigenvector observables reduce to sums over one slice of rows.  Only this
+module turns a rank into a coordinate.
 Wishart noise enters only through B B*, so Gaussian entries are drawn as the
 upper-triangular N x N Bartlett factor of B rather than B itself.
 A replica computes every eigenvalue of M but only the r eigenvectors at the
@@ -33,7 +34,6 @@ FIELDS = ("real_symmetric", "complex_hermitian")
 
 EIGEN_RESIDUAL_TOL = 1e-7
 GRAM_TOL = 1e-8
-UNIT_SLACK = 1e-8
 # Side of the square tiles of the Hermitian check: its temporaries are this squared.
 _CHECK_TILE = 64
 
@@ -127,8 +127,8 @@ class SpikedModelSpec:
 class EnsembleSample:
     """One diagonalized draw: spectrum plus spike bookkeeping.
 
-    spike_ranks[j] are the 1-based positions of spike j's copies among the
-    descending eigenvalues of A_N.  They also index its eigenspace
+    spike_ranks[j] is the range of 1-based positions of spike j's copies
+    among the descending eigenvalues of A_N.  It also indexes its eigenspace
     Ker(theta_j I - A_N): rank r is coordinate r - 1.  eigenvectors is
     N x r: the vectors at the flattened spike_ranks, in that order, so
     spike j's vectors are one slice of columns.
@@ -136,7 +136,7 @@ class EnsembleSample:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    spike_ranks: tuple[tuple[int, ...], ...]
+    spike_ranks: tuple[range, ...]
 
 
 def sample_size(spec: SpikedModelSpec) -> int:
@@ -147,17 +147,18 @@ def sample_size(spec: SpikedModelSpec) -> int:
 
 
 def build_perturbation(spec: SpikedModelSpec):
-    """Diagonal of A_N (descending) and the 1-based ranks of each spike's copies.
+    """Diagonal of A_N (descending) and the range of 1-based ranks of each spike's copies.
 
-    The ranks of spike j are where the diagonal equals theta_j: the bulk
-    holds atoms of nu, and the spec keeps every spike off them.
+    Spike j's k copies are the run of the sorted diagonal that equals theta_j,
+    from the first entry not above it: the bulk holds atoms of nu, and the spec
+    keeps every spike off them.
     """
     N, r = sample_size(spec), spec.rank
     bulk = quantile_discretize(spec.nu, N - r) if N > r else []
     vals = np.concatenate([np.full(k, t) for t, k in spec.spikes] + [np.asarray(bulk, dtype=float)])
     diag = vals[np.argsort(-vals, kind="stable")]
-    ranks = tuple(tuple(int(i) + 1 for i in np.flatnonzero(diag == t)) for t, _ in spec.spikes)
-    return diag, ranks
+    above = np.searchsorted(-diag, [-t for t, _ in spec.spikes]).tolist()
+    return diag, tuple(range(n + 1, n + 1 + k) for n, (_, k) in zip(above, spec.spikes))
 
 
 def _dtype(field: str):
@@ -388,12 +389,13 @@ def overlaps(sample: EnsembleSample, spike_j: int, spike_l: int):
 
     Returns (per_vector, summed) where per_vector[n] = ||P_l xi_n(j)||^2 for
     the eigenvector at descending rank spike_ranks[j][n].  P_l keeps the
-    coordinates r - 1 at spike l's ranks r.
+    coordinates r - 1 at spike l's ranks r: one slice of rows.  Each is at
+    most 1 + GRAM_TOL, as ``diagonalize`` bounds the Gram deviation.
     """
-    start = sum(len(block) for block in sample.spike_ranks[:spike_j])
-    vectors = sample.eigenvectors[:, start : start + len(sample.spike_ranks[spike_j])]
-    coords = [r - 1 for r in sample.spike_ranks[spike_l]]
-    per = [float(np.sum(np.abs(v[coords]) ** 2)) for v in vectors.T]
+    ranks = sample.spike_ranks
+    start = sum(map(len, ranks[:spike_j]))
+    rows = sample.eigenvectors[ranks[spike_l].start - 1 : ranks[spike_l].stop - 1]
+    per = np.sum(np.abs(rows[:, start : start + len(ranks[spike_j])]) ** 2, axis=0).tolist()
     return per, float(sum(per))
 
 
@@ -408,8 +410,7 @@ def draw_sample(
     The noise is drawn, M assembled and reduced in one N x N buffer,
     ``work`` (see ``workspace``; a new one by default), whose contents are
     overwritten.  Rademacher Wishart noise adds one N x min(N, p) block of B
-    at a time to it.  Raises NumericalError when a returned vector has more
-    than unit mass on the spike coordinates.
+    at a time to it.
     """
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
@@ -433,9 +434,4 @@ def draw_sample(
     M = assemble(spec, A, noise, out=M)
     flat = [r for block in ranks for r in block]
     lam, V = diagonalize(M, flat, overwrite=True)
-    # Each returned vector is a unit vector, so its overlaps summed over
-    # every spike block, its mass on the spike coordinates, are at most 1.
-    mass = np.sum(np.abs(V[[r - 1 for r in flat]]) ** 2, axis=0)
-    if np.any(mass > 1.0 + UNIT_SLACK):
-        raise NumericalError(f"overlaps of an outlier vector sum to {mass.max()}")
     return EnsembleSample(eigenvalues=lam, eigenvectors=V, spike_ranks=ranks)

@@ -15,7 +15,3 @@ class DomainError(SpikelabError):
 
 class NumericalError(SpikelabError):
     """A numeric routine produced output that fails its accuracy contract."""
-
-
-class DegenerateOutlierError(SpikelabError):
-    """An outlier spike maps to the excluded degenerate location Z(1/theta)=0."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import free_additive
-from .errors import DegenerateOutlierError, DomainError, NumericalError, SpecError
+from .errors import DomainError, NumericalError, SpecError
 from .free_additive import BOUNDARY_TOL, AdditiveContext
 from .measure import MERGE_TOL, AtomicMeasure, real_number
 # Not called here: a traced run patches these names on every theory module.
@@ -81,10 +81,11 @@ def classify_spike(ctx: MultiplicativeContext, theta: float, multiplicity: int =
     """Decide whether a positive population spike detaches from the bulk: ``W(theta) < 1``.
 
     Raises DomainError unless ``theta > 0`` is more than MERGE_TOL from every atom of nu.
-    An outlier sits at ``rho = Z(1/theta) = s + H~(theta)``, summed as ``theta (1 + c sum w t
-    / (theta - t))``: the plain sum cancels where its value is far below s, as at a lower
-    edge close to 0.  Its ``tau = (1 - W) theta / rho`` lies in (0, 1]; where theta is within
-    rounding of 0 the quotient can round above 1, and tau is then 1.
+    An outlier sits at ``rho = Z(1/theta) = s + H~(theta) = theta g``, ``g = 1 + c sum w t
+    / (theta - t)``: the plain sum cancels where its value is far below s, as at a lower
+    edge close to 0.  g > 0 at every outlier, so rho is 0 only where theta g underflows.
+    Its ``tau = (1 - W) / g`` lies in (0, 1]; where theta is within rounding of 0 the
+    quotient can round above 1, and tau is then 1.
     """
     theta = real_number(theta, "theta")
     d = ctx._offsets(theta)
@@ -94,10 +95,8 @@ def classify_spike(ctx: MultiplicativeContext, theta: float, multiplicity: int =
             w_val = biased.sigma2 * float((biased.nu.weights / d[ctx._above] ** 2).sum())
     rho = tau = None
     if w_val < 1.0 - BOUNDARY_TOL:
-        rho = theta * (1.0 + ctx.c * float((ctx.nu.weights * ctx.nu.locations / d).sum()))
-        if rho == 0.0:
-            raise DegenerateOutlierError(f"outlier location Z(1/theta) vanishes for theta={theta!r}")
-        tau = min(1.0, (1.0 - w_val) * theta / rho)
+        g = 1.0 + ctx.c * float((ctx.nu.weights * ctx.nu.locations / d).sum())
+        rho, tau = theta * g, min(1.0, (1.0 - w_val) / g)
     return SpikeVerdict(theta, multiplicity, rho is not None, rho, tau, criterion_value=w_val)
 
 

@@ -218,7 +218,9 @@ def _band_vectors(band: np.ndarray, w: np.ndarray, norm: float):
         x = Y[:, k]
         x[...] = start / np.linalg.norm(start)
         for _ in range(_SOLVES):
-            x *= norm  # the solve grows x by at most about 1/(eps ||B||): no overflow
+            # Only an exactly zero pivot becomes eps ||B||, so a solve grows x by up to
+            # 1/min|pivot|: a tiny nonzero pivot can overflow it.
+            x *= norm
             _call(gbtrs, b"N", n, kd, kd, 1, lu, 3 * kd + 1, ipiv, x, n)
             for y in Y[:, first:k].T:
                 x -= y * np.vdot(y, x)

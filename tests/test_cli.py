@@ -191,6 +191,16 @@ def test_analyze_of_atoms_near_the_overflow_limit_prints_no_warning(tmp_path, ca
     assert json.loads(captured.out)["support"] == [[3.365769118070293e153, 3.0457414281884836e154]]
 
 
+def test_a_wishart_outlier_whose_rho_underflows_is_reported(tmp_path, capsys):
+    # rho = theta g with g = 1 + c sum w t / (theta - t) = 0.5: theta g rounds to 0, and
+    # tau = (1 - W) / g = 1 does not divide by it.
+    model = dict(MP_FREE_MODEL, c=0.5, spikes=[[5e-324, 1]])
+    assert cli.main(["analyze", "--spec", write_model(tmp_path, model)]) == 0
+    spike = json.loads(capsys.readouterr().out)["spikes"][0]
+    assert spike["verdict"] == "outlier"
+    assert (spike["rho"], spike["tau"]) == (0.0, 1.0)
+
+
 @pytest.mark.parametrize(
     "model, interval",
     [
@@ -291,6 +301,9 @@ MALFORMED = {
     "theta_bool": dict(SEMICIRCLE_MODEL, spikes=[[True, 1]]),
     "c_string": dict(MP_FREE_MODEL, c="0.25"),
     "c_bool": dict(MP_FREE_MODEL, c=True),
+    "c_missing": {key: value for key, value in MP_FREE_MODEL.items() if key != "c"},
+    "c_and_sigma2": dict(MP_FREE_MODEL, sigma2=0.5),
+    "not_an_object": [PAPER_MODEL],
 }
 
 
@@ -412,10 +425,14 @@ def test_density_two_point_grid(tmp_path, capsys):
     assert len(lines) == 3
 
 
-def test_density_grid_validation(tmp_path):
+def test_density_grid_validation(tmp_path, capsys):
     path = write_model(tmp_path, SEMICIRCLE_MODEL)
     assert cli.main(["density", "--spec", path, "--grid", "0:1:1"]) == 2
     assert cli.main(["density", "--spec", path, "--grid", "abc"]) == 2
+    capsys.readouterr()
+    for grid, message in (("a:1:5", "grid must look like LO:HI:N"), ("1:1:5", "grid needs LO < HI")):
+        assert cli.main(["density", "--spec", path, "--grid", grid]) == 2
+        assert capsys.readouterr().err == f"error: {message}, got {grid!r}\n"
     assert cli.main(["density", "--spec", path]) == 2  # --grid is required
 
 

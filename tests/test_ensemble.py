@@ -140,6 +140,8 @@ class TestSpecValidation:
         pytest.param("additive_wigner", TWO_POINT, 0.5, 1.0 + 1e-13, id="additive_spike_on_atom"),
         pytest.param("multiplicative_wishart", DELTA1, 0.5, 1.0 - 1e-13, id="wishart_spike_on_atom"),
         pytest.param("multiplicative_wishart", DELTA1, 0.5, 0.0, id="wishart_spike_not_positive"),
+        pytest.param("additive_wigner", ((1.0, 1.0),), 0.5, 3.0, id="additive_nu_not_a_measure"),
+        pytest.param("multiplicative_wishart", ((1.0, 1.0),), 0.5, 3.0, id="wishart_nu_not_a_measure"),
     ])
     def test_each_rule_refuses_with_the_message_of_its_context(self, kind, nu, scale, theta):
         # sigma2, c, nu and the spike domain are checked by the context alone; the spec
@@ -270,7 +272,7 @@ class TestBuildPerturbation:
     def test_paper_example_small(self):
         diag, ranks = build_perturbation(paper_spec(N=8))
         assert np.allclose(diag, [2.0, 1.5, 1.0, 1.0, 0.0, -1.0, -1.0, -1.0])
-        assert ranks == ((1,), (2,), (5,))
+        assert ranks == (range(1, 2), range(2, 3), range(5, 6))
         for (theta, _), block in zip(paper_spec(N=8).spikes, ranks):
             assert all(diag[r - 1] == theta for r in block)
 
@@ -280,7 +282,7 @@ class TestBuildPerturbation:
         )
         diag, ranks = build_perturbation(spec)
         assert np.allclose(diag, [3.0, 0, 0, 0, 0, 0])
-        assert ranks == ((1,),)
+        assert ranks == (range(1, 2),)
 
     def test_multiplicity_two(self):
         spec = SpikedModelSpec(
@@ -288,12 +290,12 @@ class TestBuildPerturbation:
         )
         diag, ranks = build_perturbation(spec)
         assert np.allclose(diag, [5.0, 5.0, 1.0, 1.0, 1.0])
-        assert ranks == ((1, 2),)
+        assert ranks == (range(1, 3),)
         assert all(diag[r - 1] == 5.0 for r in ranks[0])
 
     def test_paper_example_full_size(self):
         diag, ranks = build_perturbation(paper_spec(N=1000))
-        assert ranks == ((1,), (2,), (501,))
+        assert ranks == (range(1, 2), range(2, 3), range(501, 502))
         assert int(np.sum(diag == -1.0)) == 499
         assert int(np.sum(diag == 1.0)) == 498
 
@@ -303,7 +305,7 @@ class TestBuildPerturbation:
         )
         diag, ranks = build_perturbation(spec)
         assert diag[-1] == -2.0
-        assert ranks == ((8,),)
+        assert ranks == (range(8, 9),)
         assert all(diag[r - 1] == -2.0 for r in ranks[0])
 
 
@@ -930,7 +932,7 @@ def test_wishart_replica_with_a_block_across_the_null_space(field):
     )
     A, ranks = build_perturbation(spec)
     p = wishart_p(spec.N, spec.c)
-    assert (p, ranks) == (12, ((1,), (12, 13, 14)))
+    assert (p, ranks) == (12, (range(1, 2), range(12, 15)))
     sample = draw_sample(spec)
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     M = assemble(spec, A, sample_wishart_factor(spec.N, p, spec.field, spec.entry_law, rng))
@@ -940,6 +942,27 @@ def test_wishart_replica_with_a_block_across_the_null_space(field):
     assert np.all(np.abs(reference[p:]) <= bound) and reference[p - 1] > 1e3 * bound
     flat = [r - 1 for block in ranks for r in block]
     assert np.all(np.sum(np.abs(sample.eigenvectors[flat]) ** 2, axis=0) <= 1.0 + 1e-12)
+
+
+@pytest.mark.skipif(lapack.routines() is None, reason="numpy's LAPACK lacks the routines")
+@pytest.mark.parametrize("field", FIELD_IDS)
+def test_rademacher_wishart_replica_without_the_lapack_routines(monkeypatch, field):
+    # p = 800 = 10 N: add_gram adds ten blocks of B, by ?syrk/?herk or, with no
+    # routines, by numpy's matmul; the replica of one seed agrees to rounding.
+    spec = SpikedModelSpec(
+        kind="multiplicative_wishart", nu=AtomicMeasure(((1.0, 0.5), (4.0, 0.5))),
+        spikes=((10.0, 1), (6.0, 1)), N=80, seed=2, c=0.1, field=field, entry_law="rademacher",
+    )
+    fast = draw_sample(spec)
+    monkeypatch.setattr(lapack, "routines", lambda: None)
+    slow = draw_sample(spec)
+    norm = np.max(np.abs(fast.eigenvalues))
+    assert np.max(np.abs(slow.eigenvalues - fast.eigenvalues)) <= 1e-10 * norm
+    for j in range(2):
+        for l in range(2):
+            per, summed = overlaps(slow, j, l)
+            assert per == pytest.approx(overlaps(fast, j, l)[0], abs=1e-10)
+            assert summed == pytest.approx(overlaps(fast, j, l)[1], abs=1e-10)
 
 
 @pytest.mark.skipif(lapack.routines() is None, reason="numpy's LAPACK lacks the routines")
@@ -1027,6 +1050,16 @@ class TestOverlapsAndDraw:
         _, cross = overlaps(sample, 0, 1)
         assert cross < 0.05
 
+    @pytest.mark.parametrize("work", [
+        pytest.param(np.empty((30, 30), order="F"), id="dtype"),
+        pytest.param(np.empty((30, 29), dtype=complex, order="F"), id="shape"),
+        pytest.param(np.empty((30, 30), dtype=complex), id="order"),
+    ])
+    def test_a_wrong_work_buffer_is_refused(self, work):
+        message = r"^the buffer must be a writable Fortran-ordered complex128 array of shape \(30, 30\)$"
+        with pytest.raises(SpecError, match=message):
+            draw_sample(paper_spec(N=30), work=work)
+
     def test_draw_determinism_and_seed_sensitivity(self):
         a = draw_sample(paper_spec(N=40, seed=2))
         b = draw_sample(paper_spec(N=40, seed=2))
@@ -1085,7 +1118,7 @@ class TestOverlapsAndDraw:
             spikes=((2.5, 1), (0.5, 1)), N=28, seed=0, c=2.0, field=field,
         )
         sample = draw_sample(spec)
-        assert sample.spike_ranks == ((24,), (28,))
+        assert sample.spike_ranks == (range(24, 25), range(28, 29))
         lam = sample.eigenvalues
         assert np.all(lam[:14] > 1e-3) and np.all(np.abs(lam[14:]) < 1e-12 * lam[0])
         V = sample.eigenvectors

@@ -20,7 +20,7 @@ from spikelab.free_additive import (
 from spikelab.free_multiplicative import MultiplicativeContext
 from spikelab.measure import AtomicMeasure
 from spikelab.rootfind import newton
-from spikelab.verdicts import SupportIntervals
+from spikelab.verdicts import SpikeVerdict, SupportIntervals
 
 TWO_POINT = AtomicMeasure([(1.0, 0.5), (-1.0, 0.5)])
 PAPER = AdditiveContext(TWO_POINT, 0.5)
@@ -227,6 +227,25 @@ class TestSupport:
         assert np.signbit(got).tolist() == [x in (1.0, 1.25, 3.0, 4.5) for x in xs]
         assert sup.signed_distance(np.full((2, 3), 1.5)).shape == (2, 3)
         assert SupportIntervals(()).signed_distance([0.0, 1.0]).tolist() == [np.inf, np.inf]
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(
+        lambda: SpikeVerdict(2.0, 1, False, 2.5, 0.5, 0.5),
+        "rho and tau must be present iff the spike is an outlier", id="limits_of_a_sticking_spike",
+    ),
+    pytest.param(
+        lambda: SupportIntervals(((2.0, 1.0),)), r"support interval \[2.0, 1.0\] is inverted",
+        id="inverted_interval",
+    ),
+    pytest.param(
+        lambda: SupportIntervals(((0.0, 2.0), (1.0, 3.0))),
+        "support intervals must be disjoint and sorted", id="overlapping_intervals",
+    ),
+])
+def test_the_result_types_refuse_inconsistent_fields(make, message):
+    with pytest.raises(SpecError, match=f"^{message}$"):
+        make()
 
 
 class TestSolverWork:

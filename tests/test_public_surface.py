@@ -189,3 +189,31 @@ def test_the_theory_modules_loop_only_in_the_v_squared_solve():
                 if isinstance(node, ast.While) or getattr(ranged, "id", None) == "range":
                     loops.append((name, func.name, type(node).__name__))
     assert loops == [("free_additive.py", "_v_squared", "For")]
+
+
+def test_every_module_constant_is_read_in_the_package():
+    # A tolerance or table that no code reads any more goes with its last reader.
+    trees = _trees()
+    unread = [
+        f"{module}.{target.id}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.isupper()
+        and not any(target.id in _uses(other, {node}) for other in trees.values())
+    ]
+    assert unread == []
+
+
+def test_every_error_class_is_raised_in_the_package():
+    # Each class of the taxonomy names a failure that some code reports; SpikelabError is the base.
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    assert sorted(classes - raised - {"SpikelabError"}) == []

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import empirical_density, mp_density, separation_check
-from spikelab import cli, ensemble, verify
+from spikelab import cli, ensemble, lapack, verify
 from spikelab.ensemble import SpikedModelSpec, draw_sample
 from spikelab.errors import NumericalError, SpecError
 from spikelab.free_multiplicative import MultiplicativeContext, classify_spike
@@ -75,6 +75,21 @@ def test_run_rejects_bad_reps():
         verify.run(paper_spec(120), 0)
     with pytest.raises(SpecError):
         verify.run(paper_spec(120), 2.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(
+        lambda: verify.replicas({"kind": "additive"}, 2), "spec must be a SpikedModelSpec",
+        id="replicas_of_a_non_spec",
+    ),
+    pytest.param(
+        lambda: verify.aggregate(paper_spec(40), []), "aggregate needs at least one replica",
+        id="aggregate_of_no_replica",
+    ),
+])
+def test_replicas_and_aggregate_refuse_what_they_cannot_use(call, message):
+    with pytest.raises(SpecError, match=f"^{message}$"):
+        call()
 
 
 def test_a_model_without_N_is_refused_before_any_replica_is_drawn():
@@ -165,18 +180,19 @@ def test_failing_replica_is_named_with_its_spawn_key(monkeypatch):
 
 
 def test_replica_with_more_than_unit_spike_mass_is_named(monkeypatch):
-    # draw_sample checks the mass of each returned vector on the spike
-    # coordinates; the replica's error still names its spawn key.
-    diagonalize = ensemble.diagonalize
+    # Vectors of norm 2 have mass 4 on the spike coordinates.  The Gram check
+    # of diagonalize, the one bound on a replica's vectors, refuses them, and
+    # the replica's error names its spawn key.
+    eigenpairs = lapack.eigenpairs
 
-    def doubled(M, ranks, **kwargs):
-        lam, V = diagonalize(M, ranks, **kwargs)
+    def doubled(a, index):
+        lam, V = eigenpairs(a, index)
         return lam, 2.0 * V
 
-    monkeypatch.setattr(ensemble, "diagonalize", doubled)
+    monkeypatch.setattr(lapack, "eigenpairs", doubled)
     with pytest.raises(
         NumericalError,
-        match=r"replica 0 \(seed 7, spawn_key=\(0,\)\): overlaps of an outlier vector sum to",
+        match=r"replica 0 \(seed 7, spawn_key=\(0,\)\): eigenvector Gram deviation 3\.000e\+00 exceeds 1e-08$",
     ):
         run_paper(40, 1)
 
