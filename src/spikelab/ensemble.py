@@ -1,7 +1,7 @@
 """Finite-N spiked models: deterministic perturbation, noise sampling, spectra.
 
 The perturbation A_N is always diagonal: spike eigenvalues (with multiplicity)
-plus deterministic quantiles of the bulk limit nu, sorted descending.  That
+plus an array of deterministic quantiles of the bulk limit nu, sorted descending.  That
 makes each spike's eigenspace a run of adjacent coordinates: rank r is
 coordinate r - 1, so a spike's ranks are a range that indexes its block and
 the eigenvector observables reduce to sums over one slice of rows.  Only this
@@ -154,8 +154,8 @@ def build_perturbation(spec: SpikedModelSpec):
     keeps every spike off them.
     """
     N, r = sample_size(spec), spec.rank
-    bulk = quantile_discretize(spec.nu, N - r) if N > r else []
-    vals = np.concatenate([np.full(k, t) for t, k in spec.spikes] + [np.asarray(bulk, dtype=float)])
+    bulk = quantile_discretize(spec.nu, N - r) if N > r else np.empty(0)
+    vals = np.concatenate([np.full(k, t) for t, k in spec.spikes] + [bulk])
     diag = vals[np.argsort(-vals, kind="stable")]
     above = np.searchsorted(-diag, [-t for t, _ in spec.spikes]).tolist()
     return diag, tuple(range(n + 1, n + 1 + k) for n, (_, k) in zip(above, spec.spikes))

@@ -37,19 +37,21 @@ from .verdicts import SpikeVerdict, SupportIntervals
 @dataclass(frozen=True)
 class MultiplicativeContext:
     """Population limit ``nu`` on [0, inf), aspect ratio ``c``, and ``s``, ``(nu~, sigma2~)``
-    and ``W(0) = c m``, ``m = 1 - nu({0})``; ``nu~`` holds the atoms of nu that ``_above`` selects."""
+    and ``W(0) = c m``, ``m = 1 - nu({0})``; ``nu~`` holds the atoms of nu that ``_above`` selects
+    (t > MERGE_TOL), and nu({0}) is the weight of the one atom it leaves out, or 0."""
 
     nu: AtomicMeasure
     c: float
     _above: slice = field(init=False, repr=False, compare=False)
     _shift: float = field(init=False, repr=False, compare=False)
+    _zero: float = field(init=False, repr=False, compare=False)
     _cm: float = field(init=False, repr=False, compare=False)
     _biased: AdditiveContext | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.nu, AtomicMeasure):
             raise SpecError("nu must be an AtomicMeasure")
-        if self.nu.atoms[0][0] < 0.0:  # the lowest atom, as atoms ascend
+        if self.nu.locations[0] < 0.0:  # the lowest atom, as atoms ascend
             raise SpecError("multiplicative model requires all atoms of nu to be >= 0")
         c = real_number(self.c, "c", positive=True)
         locs, wts = self.nu.locations, self.nu.weights
@@ -67,7 +69,8 @@ class MultiplicativeContext:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "_above", above)
         object.__setattr__(self, "_shift", c * float((w * t).sum()))
-        object.__setattr__(self, "_cm", c * (1.0 - self.nu.weight_at(0.0)))
+        object.__setattr__(self, "_zero", float(wts[0]) if above.start else 0.0)
+        object.__setattr__(self, "_cm", c * (1.0 - self._zero))
         object.__setattr__(self, "_biased", biased)
 
     def _offsets(self, theta: float) -> np.ndarray:
@@ -128,7 +131,7 @@ def support(ctx: MultiplicativeContext) -> SupportIntervals:
 
 def mass_at_zero(ctx: MultiplicativeContext) -> float:
     """Point mass of the limit at 0: nu({0}) if c*(1-nu({0})) <= 1, else 1 - 1/c."""
-    return ctx.nu.weight_at(0.0) if ctx._cm <= 1.0 else 1.0 - 1.0 / ctx.c
+    return ctx._zero if ctx._cm <= 1.0 else 1.0 - 1.0 / ctx.c
 
 
 def density(ctx: MultiplicativeContext, grid, eps: float = 0.0) -> list[tuple[float, float]]:

@@ -1,9 +1,9 @@
 """Atomic probability measures on the real line.
 
 A measure nu = sum_i w_i delta_{t_i} carries the limiting bulk law of a
-deformation as well as empirical spectral measures. Everything downstream
-(subordination maps, outlier sets, supports) reduces to finite sums
-against nu, so atoms are the only representation supported.
+deformation as well as empirical spectral measures. Everything downstream (subordination
+maps, outlier sets, supports) reduces to finite sums against nu, so atoms are the only
+representation supported, and every query of nu reads its arrays ``locations`` and ``weights``.
 """
 
 from __future__ import annotations
@@ -109,16 +109,6 @@ class AtomicMeasure:
     def weights(self) -> np.ndarray:
         return _read_only([w for _, w in self.atoms])
 
-    def weight_at(self, x: float) -> float:
-        """Mass of the atom within MERGE_TOL of x, or 0.0 if there is none."""
-        for t, w in self.atoms:
-            if abs(t - x) <= MERGE_TOL:
-                return w
-        return 0.0
-
-    def distance_to_support(self, x: float) -> float:
-        return float(np.abs(x - self.locations).min())
-
     @classmethod
     def from_dict(cls, data: dict) -> "AtomicMeasure":
         if not isinstance(data, dict) or "atoms" not in data:
@@ -134,8 +124,8 @@ def _read_only(values) -> np.ndarray:
     return array
 
 
-def quantile_discretize(nu: AtomicMeasure, m: int) -> list[float]:
-    """m deterministic quantiles of nu at levels (i - 1/2)/m, i = 1..m.
+def quantile_discretize(nu: AtomicMeasure, m: int) -> np.ndarray:
+    """m deterministic quantiles of nu at levels (i - 1/2)/m, i = 1..m, as a float64 array.
 
     Uses the left-continuous quantile Q(p) = inf{x : F(x) >= p}. The
     output is sorted, lies in the convex hull of the support, and its
@@ -149,4 +139,4 @@ def quantile_discretize(nu: AtomicMeasure, m: int) -> list[float]:
     # The 1e-12 inset absorbs roundoff in the cumulative sums so levels
     # that should hit a CDF step exactly do not slip past it.
     idx = np.searchsorted(cdf, levels - 1e-12, side="left")
-    return [float(x) for x in locs[idx]]
+    return locs[idx]

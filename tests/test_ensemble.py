@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from spikelab.ensemble import (
+    ENTRY_LAWS,
+    FIELDS,
     EnsembleSample,
     SpikedModelSpec,
     assemble,
@@ -19,7 +21,7 @@ from spikelab.ensemble import (
     sample_wishart_factor,
     wishart_p,
 )
-from spikelab import free_additive, free_multiplicative, lapack
+from spikelab import free_additive, free_multiplicative, lapack, verify
 from spikelab.errors import DomainError, NumericalError, SpecError
 from spikelab.free_additive import AdditiveContext
 from spikelab.free_multiplicative import MultiplicativeContext
@@ -238,6 +240,33 @@ class TestScale:
             (None if rho is None else rho * scale, tau, crit) for rho, tau, crit in want_spikes
         ]
         assert support == tuple((lo * scale, hi * scale) for lo, hi in want_support)
+
+    @pytest.mark.parametrize("k", [-36, 2, 10, 300, 500])
+    @pytest.mark.parametrize("entry_law", ENTRY_LAWS)
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("kind", ["additive_wigner", "multiplicative_wishart"])
+    def test_a_replica_scales_exactly_by_an_even_power_of_two(self, kind, field, entry_law, k):
+        # Every location, spike and sigma times s = 2^k scales M by s exactly: the Wishart
+        # sqrt(A) needs sqrt(s) = 2^(k/2), so k is even.  Replica 0's eigenvalues then scale
+        # by s exactly, and its eigenvectors are the same bits.
+        def replica(s):
+            if kind == "additive_wigner":  # the README model
+                nu, spikes = ((s, 0.5), (-s, 0.5)), ((2.0, 1), (1.5, 1), (0.0, 1))
+                scales = {"sigma2": 0.5 * s * s}
+            else:
+                nu, spikes = ((s, 0.5), (4.0 * s, 0.5)), ((6.0, 1), (3.5, 1), (2.5, 2))
+                scales = {"c": 0.5}
+            spec = SpikedModelSpec(
+                kind=kind, nu=AtomicMeasure(nu), spikes=tuple((t * s, m) for t, m in spikes),
+                N=120, seed=3, entry_law=entry_law, field=field, **scales,
+            )
+            return next(verify.replicas(spec, 1))
+
+        s = 2.0**k
+        base, scaled = replica(1.0), replica(s)
+        assert np.array_equal(scaled.eigenvalues, base.eigenvalues * s)
+        assert np.array_equal(scaled.eigenvectors, base.eigenvectors)
+        assert scaled.spike_ranks == base.spike_ranks
 
     @pytest.mark.parametrize("t", [
         pytest.param(1e80, id="1e80"),
@@ -880,6 +909,14 @@ def test_routines_resolve_wherever_numpy_exports_lapack():
     missing = [name for name in lapack._SIGNATURES if not hasattr(library, f"scipy_{name}_64_")]
     assert missing == []
     assert lapack.routines() is not None
+
+
+@pytest.mark.skipif(lapack.routines() is None, reason="numpy's LAPACK lacks the routines")
+def test_a_lapack_argument_error_names_its_routine():
+    # INFO = -1: the first argument, N = -1, is illegal.  The library's xerbla also
+    # prints a line to stderr.
+    with pytest.raises(NumericalError, match="^LAPACK dsterf returned info=-1$"):
+        lapack._call("dsterf", -1, np.zeros(1), np.zeros(1))
 
 
 @pytest.mark.skipif(lapack.routines() is None, reason="numpy's LAPACK lacks the routines")

@@ -346,6 +346,16 @@ class TestMassAtZero:
         assert mass_at_zero(ctx(HALF01, 1.0)) == pytest.approx(0.5, abs=1e-15)
         assert mass_at_zero(ctx(HALF01, 4.0)) == pytest.approx(0.75, abs=1e-15)
 
+    @pytest.mark.parametrize("t0, at_zero", [
+        (0.0, True), (5e-13, True), (1e-12, True), (1.0000000001e-12, False), (2e-12, False),
+    ])
+    def test_an_atom_is_at_zero_exactly_when_it_is_not_above_merge_tol(self, t0, at_zero):
+        # nu({0}) is the atom that the size-biased model leaves out; an atom just above
+        # MERGE_TOL is a positive atom of nu~, and the support gains a component next to it.
+        context = ctx(AtomicMeasure(((t0, 0.3), (1.0, 0.7))), 0.5)
+        assert mass_at_zero(context) == (0.3 if at_zero else 0.0)
+        assert any(hi < 1e-11 for _, hi in support(context).intervals) == (not at_zero)
+
 
 class TestFixedPointG:
     def test_zero_measure_closed_form(self):

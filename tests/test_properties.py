@@ -43,7 +43,7 @@ from spikelab.free_multiplicative import (
     outlier_set_intervals as mult_intervals,
     support as mult_support,
 )
-from spikelab.measure import AtomicMeasure
+from spikelab.measure import MERGE_TOL, AtomicMeasure
 from test_free_multiplicative import wishart_g
 
 COMMON = settings(
@@ -252,7 +252,7 @@ def test_wishart_support_lies_between_z_images_of_consecutive_ends_cut_at_zero(n
     ctx = MultiplicativeContext(nu, c)
     positive = [(t, w) for t, w in nu.atoms if t > 0.0]
     u = _finite_ends(ctx._biased)
-    cm = c * (1.0 - nu.weight_at(0.0))
+    cm = c * (1.0 - float(nu.weights[nu.locations <= MERGE_TOL].sum()))
     z = u * (1.0 - cm + c * u * np.array([sum(w / (x - t) for t, w in positive) for x in u]))
     want = tuple((max(lo, 0.0), hi) for lo, hi in _consecutive_pairs(z.tolist()) if hi > 0.0)
     got = mult_support(ctx).intervals
@@ -297,7 +297,7 @@ def test_spike_values_equal_plain_sums(data):
     nu = data.draw(measures(positive=True))
     c = data.draw(st.floats(0.05, 4.0))
     theta = data.draw(st.floats(0.01, 12.0))
-    assume(nu.distance_to_support(theta) > 1e-6)
+    assume(np.abs(theta - nu.locations).min() > 1e-6)
     t, w = nu.locations, nu.weights
     crit = c * np.sum(w * t**2 / (theta - t) ** 2)
     verdict = classify_mult(MultiplicativeContext(nu, c), theta)
@@ -318,7 +318,7 @@ def _spike_list(draw, nu, positive):
         draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n, unique=True)), reverse=True
     )
     assume(all(a - b > 1e-3 for a, b in zip(thetas, thetas[1:])))
-    assume(all(nu.distance_to_support(t) > 0.1 for t in thetas))
+    assume(all(np.abs(t - nu.locations).min() > 0.1 for t in thetas))
     mults = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
     return tuple(zip(thetas, mults))
 

@@ -1,10 +1,11 @@
 """Every public function and class in the package has a reason to be there.
 
-A public top-level ``def`` or ``class`` in ``src/spikelab`` must be used
-somewhere in the package outside its own definition (``__init__``
-re-exports and imports do not count), be named in backticks in the README
-from its ``## Python API`` section on, or be a patch point of the traced
-benchmark run (``bench/spans.py`` ``PATCHES``).  A private top-level
+A public top-level ``def`` or ``class`` in ``src/spikelab``, and a public
+method or property of such a class, must be used somewhere in the package
+outside its own definition (``__init__`` re-exports and imports do not
+count), be named in backticks in the README from its ``## Python API``
+section on, or be a patch point of the traced benchmark run
+(``bench/spans.py`` ``PATCHES``).  A private top-level
 ``def`` must be used in the package outside its own definition.  Anything
 else only serves the tests, and belongs in them.
 """
@@ -42,13 +43,17 @@ def _trees() -> dict[str, ast.Module]:
     }
 
 
-def test_every_public_definition_is_used_documented_or_patched():
-    trees = _trees()
+def _exempt() -> set[str]:
+    """Words in backticks in the README from ``## Python API`` on, and the bench patch points."""
     # Only the API sections count: a formula letter in the introduction keeps no function alive.
     api = (ROOT / "README.md").read_text(encoding="utf-8").partition("\n## Python API\n")[2]
     readme = re.findall(r"`([^`]+)`", api)
     exempt = {word for text in readme for word in re.findall(r"[A-Za-z_]\w*", text)}
-    exempt |= {attr for module, attr, _ in load_spans().PATCHES if module.startswith("spikelab.")}
+    return exempt | {attr for module, attr, _ in load_spans().PATCHES if module.startswith("spikelab.")}
+
+
+def test_every_public_definition_is_used_documented_or_patched():
+    trees, exempt = _trees(), _exempt()
     public = {
         node: f"{module}.{node.name}"
         for module, tree in trees.items()
@@ -68,6 +73,22 @@ def test_every_public_definition_is_used_documented_or_patched():
             break
         unused |= found
     assert sorted(public[node] for node in unused) == []
+
+
+def test_every_public_method_is_used_documented_or_patched():
+    # A method or property that only the tests read is a query the package does not make.
+    trees, exempt = _trees(), _exempt()
+    unused = [
+        f"{module}.{cls.name}.{node.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and node.name not in exempt
+        and not any(node.name in _uses(other, {node}) for other in trees.values())
+    ]
+    assert unused == []
 
 
 def test_every_private_function_has_a_caller_in_the_package():
