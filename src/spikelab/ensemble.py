@@ -384,19 +384,17 @@ def diagonalize(M: np.ndarray, ranks, overwrite: bool = False):
     return lam, V
 
 
-def overlaps(sample: EnsembleSample, spike_j: int, spike_l: int):
-    """Squared projections of spike-j outlier eigenvectors onto spike-l's eigenspace.
+def overlaps(sample: EnsembleSample, spike_j: int) -> list[float]:
+    """Summed squared projections of spike j's eigenvectors onto every spike's eigenspace.
 
-    Returns (per_vector, summed) where per_vector[n] = ||P_l xi_n(j)||^2 for
-    the eigenvector at descending rank spike_ranks[j][n].  P_l keeps the
-    coordinates r - 1 at spike l's ranks r: one slice of rows.  Each is at
-    most 1 + GRAM_TOL, as ``diagonalize`` bounds the Gram deviation.
+    Entry l is sum_n ||P_l xi_n||^2 over the eigenvectors xi_n at spike j's ranks, where
+    P_l keeps the coordinates r - 1 at spike l's ranks r: one slice of rows.  Each
+    vector's share is at most 1 + GRAM_TOL, as ``diagonalize`` bounds the Gram deviation.
     """
     ranks = sample.spike_ranks
     start = sum(map(len, ranks[:spike_j]))
-    rows = sample.eigenvectors[ranks[spike_l].start - 1 : ranks[spike_l].stop - 1]
-    per = np.sum(np.abs(rows[:, start : start + len(ranks[spike_j])]) ** 2, axis=0).tolist()
-    return per, float(sum(per))
+    mass = np.abs(sample.eigenvectors[:, start : start + len(ranks[spike_j])]) ** 2
+    return [sum(np.sum(mass[r.start - 1 : r.stop - 1], axis=0).tolist()) for r in ranks]
 
 
 def draw_sample(

@@ -189,19 +189,18 @@ def replicas(spec: SpikedModelSpec, reps: int):
 
 
 def _rep_record(sample, verdicts, spectrum):
-    """One tuple per spike of one replica: mean eigenvalue, overlap, leakage,
-    margins above and below rho, edge distance and excess, as plain floats.
-    A statistic that the verdict or the block's position leaves undefined is None.
+    """One tuple per spike of one replica: mean eigenvalue, overlap and leakage (the block's own
+    and largest other entry of its ``overlaps`` row, over k), margins above and below rho, edge
+    distance and excess, as floats; None where the verdict or block position leaves it undefined.
     """
     lam = sample.eigenvalues
-    n_spikes = len(verdicts)
-    summed = [[overlaps(sample, j, l)[1] for l in range(n_spikes)] for j in range(n_spikes)]
     records = []
     for j, verdict in enumerate(verdicts):
         k = len(sample.spike_ranks[j])
         first = sample.spike_ranks[j][0] - 1
         block = lam[first : first + k]
-        leak = max((summed[j][l] / k for l in range(n_spikes) if l != j), default=0.0)
+        summed = overlaps(sample, j)
+        leak = max((s for l, s in enumerate(summed) if l != j), default=0.0) / k
         above = below = edist = excess = None
         if verdict.is_outlier:
             if first >= 1:
@@ -211,7 +210,7 @@ def _rep_record(sample, verdicts, spectrum):
         else:
             signed = spectrum.signed_distance(block)
             edist, excess = float(np.mean(np.abs(signed))), max(0.0, float(signed.max()))
-        records.append((float(block.mean()), summed[j][j] / k, leak, above, below, edist, excess))
+        records.append((float(block.mean()), summed[j] / k, leak, above, below, edist, excess))
     return records
 
 

@@ -4,8 +4,8 @@ None of them calls a spikelab solver:
 
 - closed forms: the semicircle Stieltjes transform and density, and the
   Marchenko-Pastur density;
-- two helpers on simulated spectra: ``separation_check`` and
-  ``empirical_density``;
+- three helpers on simulated spectra: ``separation_check``,
+  ``empirical_density`` and ``vector_overlaps``;
 - ``Oracle``, the limiting law of either model family in 50-digit mpmath
   arithmetic.  Its subordination function omega(z) is the root with the
   largest imaginary part of one polynomial of degree k + 1, and its support
@@ -77,6 +77,20 @@ def separation_check(sample, spike_j: int, rho: float, delta: float) -> bool:
     idx_below = n_prev + len(ranks)
     below = float(lam[idx_below]) if idx_below < lam.size else -math.inf
     return bool(above > rho + delta and below < rho - delta)
+
+
+def vector_overlaps(sample, spike_j: int, spike_l: int) -> list[float]:
+    """||P_l xi_n||^2 for each eigenvector xi_n at spike j's ranks, in rank order.
+
+    P_l keeps the coordinates r - 1 at spike l's ranks r, and spike j's
+    vectors are the columns of ``sample.eigenvectors`` after those of the
+    spikes before it.
+    """
+    ranks = sample.spike_ranks
+    start = sum(map(len, ranks[:spike_j]))
+    rows_l = slice(ranks[spike_l].start - 1, ranks[spike_l].stop - 1)
+    cols_j = slice(start, start + len(ranks[spike_j]))
+    return np.sum(np.abs(sample.eigenvectors[rows_l, cols_j]) ** 2, axis=0).tolist()
 
 
 def empirical_density(samples, bins):

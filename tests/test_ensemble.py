@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import vector_overlaps
 from spikelab.ensemble import (
     ENTRY_LAWS,
     FIELDS,
@@ -690,9 +691,8 @@ class TestDiagonalize:
         sample = EnsembleSample(
             eigenvalues=lam, eigenvectors=V, spike_ranks=ranks
         )
-        per, summed = overlaps(sample, 0, 0)
-        assert per == pytest.approx([1.0, 1.0], abs=1e-12)
-        assert summed == pytest.approx(2.0, abs=1e-12)
+        assert vector_overlaps(sample, 0, 0) == pytest.approx([1.0, 1.0], abs=1e-12)
+        assert overlaps(sample, 0) == pytest.approx([2.0], abs=1e-12)
 
     def test_equal_and_clustered_eigenvalues_off_the_axes(self, dtype):
         # A triple eigenvalue, a cluster 1e-9 apart and a pair 1e-6 apart,
@@ -767,11 +767,10 @@ class TestDiagonalize:
         assert sample.eigenvectors.shape == (spec.N, spec.rank)
         assert np.max(np.abs(sample.eigenvalues - reference.eigenvalues)) < 1e-12
         for j in range(len(spec.spikes)):
+            assert overlaps(sample, j) == pytest.approx(overlaps(reference, j), abs=1e-10)
             for l in range(len(spec.spikes)):
-                per, summed = overlaps(sample, j, l)
-                ref_per, ref_summed = overlaps(reference, j, l)
+                per, ref_per = vector_overlaps(sample, j, l), vector_overlaps(reference, j, l)
                 assert per == pytest.approx(ref_per, abs=1e-10)
-                assert summed == pytest.approx(ref_summed, abs=1e-10)
 
     @pytest.mark.parametrize("exponent", [800, -800, 1000, -1000])
     def test_scale_by_a_power_of_two_scales_the_pairs(self, dtype, exponent):
@@ -996,10 +995,10 @@ def test_rademacher_wishart_replica_without_the_lapack_routines(monkeypatch, fie
     norm = np.max(np.abs(fast.eigenvalues))
     assert np.max(np.abs(slow.eigenvalues - fast.eigenvalues)) <= 1e-10 * norm
     for j in range(2):
+        assert overlaps(slow, j) == pytest.approx(overlaps(fast, j), abs=1e-10)
         for l in range(2):
-            per, summed = overlaps(slow, j, l)
-            assert per == pytest.approx(overlaps(fast, j, l)[0], abs=1e-10)
-            assert summed == pytest.approx(overlaps(fast, j, l)[1], abs=1e-10)
+            per = vector_overlaps(slow, j, l)
+            assert per == pytest.approx(vector_overlaps(fast, j, l), abs=1e-10)
 
 
 @pytest.mark.skipif(lapack.routines() is None, reason="numpy's LAPACK lacks the routines")
@@ -1049,20 +1048,15 @@ class TestOverlapsAndDraw:
             eigenvalues=lam, eigenvectors=V, spike_ranks=ranks
         )
         for j in range(3):
+            expected = [1.0 if j == l else 0.0 for l in range(3)]
+            assert overlaps(sample, j) == pytest.approx(expected, abs=1e-12)
             for l in range(3):
-                per, summed = overlaps(sample, j, l)
-                expected = 1.0 if j == l else 0.0
-                assert per == pytest.approx([expected], abs=1e-12)
-                assert summed == pytest.approx(expected, abs=1e-12)
+                assert vector_overlaps(sample, j, l) == pytest.approx([expected[l]], abs=1e-12)
 
     def test_pythagoras_partition(self):
         spec = paper_spec(N=60, seed=5)
         sample = draw_sample(spec)
-        j = 0
-        total = 0.0
-        for l in range(3):
-            _, summed = overlaps(sample, j, l)
-            total += summed
+        total = sum(overlaps(sample, 0))
         spike_coords = [r - 1 for block in sample.spike_ranks for r in block]
         bulk = np.setdiff1d(np.arange(60), spike_coords)
         vec = sample.eigenvectors[:, 0]  # the first vector of spike j = 0
@@ -1074,7 +1068,8 @@ class TestOverlapsAndDraw:
             kind="additive_wigner", nu=DELTA0, spikes=((4.0, 2),), N=80, seed=3, sigma2=1.0
         )
         sample = draw_sample(spec)
-        per, summed = overlaps(sample, 0, 0)
+        per = vector_overlaps(sample, 0, 0)
+        (summed,) = overlaps(sample, 0)
         assert len(per) == 2
         assert summed == pytest.approx(sum(per), abs=1e-12)
         # theta=4, delta_0, sigma=1: tau = 1 - 1/16, summed ~ k*tau
@@ -1082,9 +1077,8 @@ class TestOverlapsAndDraw:
 
     def test_paper_overlap_smoke(self):
         sample = draw_sample(paper_spec(N=500, seed=21))
-        _, summed = overlaps(sample, 0, 0)
+        summed, cross, _ = overlaps(sample, 0)
         assert 0.6 < summed < 0.85
-        _, cross = overlaps(sample, 0, 1)
         assert cross < 0.05
 
     @pytest.mark.parametrize("work", [

@@ -19,6 +19,7 @@ import math
 import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+from oracles import vector_overlaps
 from spikelab import free_additive, free_multiplicative
 from spikelab.ensemble import (
     SpikedModelSpec,
@@ -375,10 +376,12 @@ def test_per_vector_overlaps_obey_pythagoras(spec):
     sample = draw_sample(spec)
     n_spikes = len(spec.spikes)
     for j in range(n_spikes):
-        per_all = [overlaps(sample, j, l)[0] for l in range(n_spikes)]
+        per_all = [vector_overlaps(sample, j, l) for l in range(n_spikes)]
         for n in range(len(sample.spike_ranks[j])):
             assert -1e-12 <= per_all[j][n] <= 1.0 + 1e-10
             assert sum(per_all[l][n] for l in range(n_spikes)) <= 1.0 + 1e-8
+        # overlaps sums each row of per_all over the block's vectors.
+        assert overlaps(sample, j) == [sum(per) for per in per_all]
 
 
 # Gauss-Legendre nodes and weights on [-1, 1] for each panel of the adaptive rule below.  A

@@ -197,6 +197,21 @@ def test_replica_with_more_than_unit_spike_mass_is_named(monkeypatch):
         run_paper(40, 1)
 
 
+def test_run_reads_each_spike_block_once_per_replica(monkeypatch):
+    # overlaps(sample, j) returns block j's overlap on every spike eigenspace, so a replica
+    # of three blocks makes three calls.
+    calls = []
+    overlaps = verify.overlaps
+
+    def counted(*args, **kwargs):
+        calls.append((len(args), kwargs))
+        return overlaps(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "overlaps", counted)
+    run_paper(40, 2)
+    assert calls == [(2, {})] * 6
+
+
 def test_overlap_mean_and_overlap_sum_mean_are_one_statistic():
     # Nine copies: numpy's mean of the nine per-vector overlaps sums them
     # pairwise, so computing the statistic a second way moves its last digits.
