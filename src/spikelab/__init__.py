@@ -17,7 +17,7 @@ from .measure import AtomicMeasure, quantile_discretize
 from .verdicts import SpikeVerdict, SupportIntervals
 from .verify import SpikeOutcome, VerificationResult
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 __all__ = [
     "AdditiveContext",

@@ -13,8 +13,7 @@ a JSON document and as CSV rows, and ``_render`` writes the one asked for,
 CSV by one cell rule.  Exit codes: 0 success; 2 invalid spec or domain, a
 model file or ``--out`` that cannot be read or written (``--out`` is tried
 first, and a failed run leaves it as it was), or an array too large to
-allocate; 4 numerical accuracy failure or a non-finite output value (3, once
-fixed-point non-convergence, is retired).
+allocate; 4 numerical accuracy failure or a non-finite output value.
 On one machine, output is a pure function of the model file bytes, the flags
 and the seed.  ``main(argv)`` returns the exit code and may be called again
 in one process; the argument parser is built once, on the first call.
@@ -141,12 +140,12 @@ def _render(fmt: str, doc: dict, rows, indent: int | None = 2) -> str:
 
 def cmd_analyze(spec: SpikedModelSpec, args: argparse.Namespace) -> str:
     ctx, mod = spec.limit, spec.family
-    verdicts = [mod.classify_spike(ctx, theta, mult) for theta, mult in spec.spikes]
+    verdicts = [mod.classify_spike(ctx, theta) for theta, _ in spec.spikes]
     sup = mod.support(ctx)
     additive = spec.kind == "additive_wigner"
     spikes = [
-        (v.theta, v.multiplicity, "outlier" if v.is_outlier else "sticking", v.criterion_value,
-         v.rho, v.tau) for v in verdicts
+        (v.theta, k, "outlier" if v.is_outlier else "sticking", v.criterion_value, v.rho, v.tau)
+        for v, (_, k) in zip(verdicts, spec.spikes)
     ]
     rows = [_ANALYZE_KEYS, *(("spike", *s, None, None) for s in spikes)]
     rows += [("support", *[None] * 6, lo, hi) for lo, hi in sup.intervals]
@@ -166,9 +165,11 @@ def cmd_analyze(spec: SpikedModelSpec, args: argparse.Namespace) -> str:
 
 def cmd_density(spec: SpikedModelSpec, args: argparse.Namespace) -> str:
     lo, hi, n = _parse_grid(args.grid)
-    points = spec.family.density(spec.limit, np.linspace(lo, hi, n), eps=args.eps)
-    doc = {"x": [x for x, _ in points], "density": [f for _, f in points]}
-    return _render(args.format, doc, [("x", "density"), *points], indent=None)
+    xs = np.linspace(lo, hi, n)
+    f = spec.family.density(spec.limit, xs, eps=args.eps)
+    doc = {"x": xs.tolist(), "density": f.tolist()}
+    rows = [("x", "density"), *zip(doc["x"], doc["density"])]
+    return _render(args.format, doc, rows, indent=None)
 
 
 def simulate_report(result: verify.VerificationResult, fmt: str) -> str:

@@ -72,8 +72,8 @@ class AdditiveContext:
         return d
 
 
-def classify_spike(ctx: AdditiveContext, theta: float, multiplicity: int = 1) -> SpikeVerdict:
-    """Decide whether the spike separates from the bulk: ``H'(theta) > 0``.
+def classify_spike(ctx: AdditiveContext, theta: float) -> SpikeVerdict:
+    """Decide from theta alone whether the spike separates from the bulk: ``H'(theta) > 0``.
 
     Raises DomainError when ``theta`` is within MERGE_TOL of an atom of ``nu``; the model
     would merge the spike into the bulk block and nothing spectral distinguishes it.
@@ -84,8 +84,8 @@ def classify_spike(ctx: AdditiveContext, theta: float, multiplicity: int = 1) ->
         hp = 1.0 - ctx.sigma2 * float((ctx.nu.weights / d**2).sum())
     if hp > BOUNDARY_TOL:
         rho = theta + ctx.sigma2 * float((ctx.nu.weights / d).sum())
-        return SpikeVerdict(theta, multiplicity, True, rho, hp, criterion_value=hp)
-    return SpikeVerdict(theta, multiplicity, False, None, None, criterion_value=hp)
+        return SpikeVerdict(theta, rho, hp, criterion_value=hp)
+    return SpikeVerdict(theta, None, None, criterion_value=hp)
 
 
 def outlier_set_intervals(ctx: AdditiveContext) -> list[tuple[float, float]]:
@@ -251,15 +251,14 @@ def _grid(grid, eps: float) -> np.ndarray:
     return xs
 
 
-def density(ctx: AdditiveContext, grid, eps: float = 0.0) -> list[tuple[float, float]]:
+def density(ctx: AdditiveContext, grid, eps: float = 0.0) -> np.ndarray:
     """Density ``-Im g(x + i*eps) / pi = (Im omega / pi) sum w / |omega - t|^2`` on a real grid.
 
-    At the default eps = 0 this is the exact density of the limit, ``v / (pi sigma2)``.
+    One float64 per point of the flattened grid; at the default eps = 0, ``v / (pi sigma2)``.
     The sum divides by ``|omega - t|`` twice, so that no square of a large x overflows.
     """
     xs = _grid(grid, eps)
     omega = subordination(ctx, xs + 1j * eps)
     t, w = ctx.nu.locations, ctx.nu.weights
     a = np.abs(omega[:, None] - t)
-    f = omega.imag / math.pi * (w / a / a).sum(axis=1)
-    return [(float(x), float(v)) for x, v in zip(xs, f)]
+    return omega.imag / math.pi * (w / a / a).sum(axis=1)

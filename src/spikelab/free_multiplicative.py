@@ -80,8 +80,8 @@ class MultiplicativeContext:
         return AdditiveContext._offsets(self, theta)
 
 
-def classify_spike(ctx: MultiplicativeContext, theta: float, multiplicity: int = 1) -> SpikeVerdict:
-    """Decide whether a positive population spike detaches from the bulk: ``W(theta) < 1``.
+def classify_spike(ctx: MultiplicativeContext, theta: float) -> SpikeVerdict:
+    """Decide from theta alone whether a positive spike detaches from the bulk: ``W(theta) < 1``.
 
     Raises DomainError unless ``theta > 0`` is more than MERGE_TOL from every atom of nu.
     An outlier sits at ``rho = Z(1/theta) = s + H~(theta) = theta g``, ``g = 1 + c sum w t
@@ -100,7 +100,7 @@ def classify_spike(ctx: MultiplicativeContext, theta: float, multiplicity: int =
     if w_val < 1.0 - BOUNDARY_TOL:
         g = 1.0 + ctx.c * float((ctx.nu.weights * ctx.nu.locations / d).sum())
         rho, tau = theta * g, min(1.0, (1.0 - w_val) / g)
-    return SpikeVerdict(theta, multiplicity, rho is not None, rho, tau, criterion_value=w_val)
+    return SpikeVerdict(theta, rho, tau, criterion_value=w_val)
 
 
 def outlier_set_intervals(ctx: MultiplicativeContext) -> list[tuple[float, float]]:
@@ -134,8 +134,8 @@ def mass_at_zero(ctx: MultiplicativeContext) -> float:
     return ctx._zero if ctx._cm <= 1.0 else 1.0 - 1.0 / ctx.c
 
 
-def density(ctx: MultiplicativeContext, grid, eps: float = 0.0) -> list[tuple[float, float]]:
-    """Continuous-part density ``-Im g(x + i*eps) / pi`` on the given real grid, by one formula.
+def density(ctx: MultiplicativeContext, grid, eps: float = 0.0) -> np.ndarray:
+    """Continuous-part density ``-Im g(x + i*eps) / pi``, one float64 per point of the flat grid.
 
     With ``omega = u + i v`` at z - s, ``T = sum w t / |omega - t|^2`` and ``R = sum w t (u - t) /
     |omega - t|^2``, ``f = (x v T + eps (1 + R)) / (pi |z|^2)``; ``1 + R`` is summed as ``Re(omega
@@ -163,4 +163,4 @@ def density(ctx: MultiplicativeContext, grid, eps: float = 0.0) -> list[tuple[fl
     T = (w * t / a / a).sum(axis=1)
     one_plus_R = (omega * (w / d).sum(axis=1)).real
     f[at] = (x / r * omega.imag * T + eps / r * one_plus_R) / (math.pi * r)
-    return [(float(x), float(v)) for x, v in zip(xs, f)]
+    return f

@@ -1,4 +1,4 @@
-"""Result types shared by the additive and multiplicative analytics."""
+"""Result types of the additive and multiplicative analytics: what each family computed."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecError
-from .measure import spike_multiplicity
 
 
 @dataclass(frozen=True)
@@ -17,22 +16,18 @@ class SpikeVerdict:
     ``criterion_value`` is the classification criterion itself: H'(theta)
     for the additive model (outlier iff > 0), W(theta) for the
     multiplicative model (outlier iff < 1). ``rho`` (limiting outlier
-    location) and ``tau`` (limiting squared eigenvector overlap) are
-    present exactly when the spike is an outlier.
+    location) and ``tau`` (limiting squared eigenvector overlap) are both
+    set for an outlier and both None for a spike that sticks.
     """
 
     theta: float
-    multiplicity: int
-    is_outlier: bool
     rho: float | None
     tau: float | None
     criterion_value: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "multiplicity", spike_multiplicity(self.multiplicity))
-        has_limits = self.rho is not None and self.tau is not None
-        if self.is_outlier != has_limits:
-            raise SpecError("rho and tau must be present iff the spike is an outlier")
+    @property
+    def is_outlier(self) -> bool:
+        return self.rho is not None
 
 
 @dataclass(frozen=True)

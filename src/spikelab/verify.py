@@ -36,7 +36,7 @@ from .ensemble import (
 )
 from .errors import NumericalError, SpecError
 from .measure import positive_int
-from .verdicts import SupportIntervals
+from .verdicts import SpikeVerdict, SupportIntervals
 
 # Desk-scale agreement tolerances behind the report-level pass flags.
 RHO_TOL = 0.1
@@ -48,16 +48,16 @@ EDGE_TOL = 0.05
 class SpikeOutcome:
     """Aggregated empirical against limiting numbers for one spike block.
 
-    ``rho`` and ``tau`` are present exactly for outlier spikes; sticking
-    spikes instead carry ``edge_distance`` (mean over replicas and ranks of
-    the distance from an eigenvalue to the nearest edge of the limit's
-    spectrum: the support, and a [0, 0] interval for a Wishart limit's atom
-    at 0 off it) and ``edge_excess`` (largest distance outside that spectrum
-    seen in any replica, 0 where every eigenvalue lies on it).  ``margin_above``
-    and ``margin_below`` are the mean gaps between rho and the nearest
-    eigenvalues ranked outside the block; a missing side means no
-    eigenvalue is ranked there.  ``overlap_mean`` is the mean over replicas
-    of sum_n ||P_j xi_n||^2 / k, the finite-N estimate of tau, and
+    ``rho`` and ``tau`` come from the spike's verdict, and ``is_outlier`` is
+    ``rho is not None``; sticking spikes instead carry ``edge_distance`` (mean
+    over replicas and ranks of the distance from an eigenvalue to the nearest
+    edge of the limit's spectrum: the support, and a [0, 0] interval for a
+    Wishart limit's atom at 0 off it) and ``edge_excess`` (largest distance
+    outside that spectrum seen in any replica, 0 where every eigenvalue lies
+    on it).  ``margin_above`` and ``margin_below`` are the mean gaps between
+    rho and the nearest eigenvalues ranked outside the block; a missing side
+    means no eigenvalue is ranked there.  ``overlap_mean`` is the mean over
+    replicas of sum_n ||P_j xi_n||^2 / k, the finite-N estimate of tau, and
     ``overlap_stderr`` its standard error.  ``leakage`` is the mean over
     replicas of the largest normalized summed overlap onto any other spike
     block.
@@ -65,7 +65,6 @@ class SpikeOutcome:
 
     theta: float
     multiplicity: int
-    is_outlier: bool
     rho: float | None
     tau: float | None
     eigenvalue_mean: float
@@ -77,6 +76,8 @@ class SpikeOutcome:
     leakage: float
     edge_distance: float | None
     edge_excess: float | None
+
+    is_outlier = SpikeVerdict.is_outlier
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ def _verdicts(spec: SpikedModelSpec):
     N = sample_size(spec)
     aspect = None if spec.kind == "additive_wigner" else N / wishart_p(N, spec.c)
     ctx, mod = spec.limit if aspect is None else replace(spec.limit, c=aspect), spec.family
-    return aspect, ctx, mod, tuple(mod.classify_spike(ctx, t, k) for t, k in spec.spikes)
+    return aspect, ctx, mod, tuple(mod.classify_spike(ctx, t) for t, _ in spec.spikes)
 
 
 def _mean_stderr(values) -> tuple[float, float]:
@@ -241,15 +242,14 @@ def aggregate(spec: SpikedModelSpec, samples) -> VerificationResult:
         raise SpecError("aggregate needs at least one replica")
 
     outcomes = []
-    for verdict, reps_j in zip(verdicts, zip(*records)):
+    for (_, k), verdict, reps_j in zip(spec.spikes, verdicts, zip(*records)):
         eig, overlap, leak, above, below, edist, excess = zip(*reps_j)
         eig_mean, eig_err = _mean_stderr(eig)
         overlap_mean, overlap_err = _mean_stderr(overlap)
         outcomes.append(
             SpikeOutcome(
                 theta=verdict.theta,
-                multiplicity=verdict.multiplicity,
-                is_outlier=verdict.is_outlier,
+                multiplicity=k,
                 rho=verdict.rho,
                 tau=verdict.tau,
                 eigenvalue_mean=eig_mean,

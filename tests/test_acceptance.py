@@ -91,7 +91,7 @@ def test_criterion_3_semicircle_oracle():
             worst_density,
             max(
                 abs(f - math.sqrt(4.0 * sigma**2 - x * x) / (2.0 * math.pi * sigma**2))
-                for x, f in pts
+                for x, f in zip(xs, pts)
             ),
         )
         ((lo, hi),) = additive_support(ctx).intervals
@@ -114,9 +114,10 @@ def test_criterion_4_marchenko_pastur_oracle():
         a, b = (1.0 - math.sqrt(c)) ** 2, (1.0 + math.sqrt(c)) ** 2
         ((lo, hi),) = mult_support(ctx).intervals
         worst_edge = max(worst_edge, abs(lo - a), abs(hi - b))
-        pts = mult_density(ctx, np.linspace(a + 0.05, b - 0.05, 301))
+        xs = np.linspace(a + 0.05, b - 0.05, 301)
+        pts = mult_density(ctx, xs)
         worst_density = max(
-            worst_density, max(abs(f - mp_density(c, x)) for x, f in pts)
+            worst_density, max(abs(f - mp_density(c, x)) for x, f in zip(xs, pts))
         )
         mass_ok = mass_ok and mass_at_zero(ctx) == (0.0 if c <= 1.0 else 1.0 - 1.0 / c)
     ok = worst_density < 1e-2 and worst_edge <= 1e-8 and mass_ok

@@ -502,12 +502,28 @@ def test_density_unbounded_at_zero_exits_2(tmp_path, capsys):
 def test_readme_density_examples_run(tmp_path, capsys):
     # The README's Python call and its density command, on the README model.
     nu = AtomicMeasure(((1.0, 0.5), (-1.0, 0.5)))
-    pts = free_additive.density(free_additive.AdditiveContext(nu, sigma2=0.5), np.linspace(-2.5, 2.5, 200))
-    assert len(pts) == 200 and min(f for _, f in pts) == 0.0 and max(f for _, f in pts) > 0.0
+    f = free_additive.density(free_additive.AdditiveContext(nu, sigma2=0.5), np.linspace(-2.5, 2.5, 200))
+    assert len(f) == 200 and min(f) == 0.0 and max(f) > 0.0
     path = write_model(tmp_path, dict(PAPER_MODEL, N=1000))
     assert cli.main(["density", "--spec", path, "--grid=-3:3:601"]) == 0
     lines = capsys.readouterr().out.split()
     assert len(lines) == 602 and not any(",-" in ln for ln in lines)
+
+
+@pytest.mark.parametrize("model", [PAPER_MODEL, MP_FREE_MODEL], ids=["additive", "multiplicative"])
+@pytest.mark.parametrize("eps", ["0", "0.01"])
+def test_density_is_one_array_and_the_json_density_column(tmp_path, capsys, model, eps):
+    # density returns f alone, one float64 per point of the flattened grid, and the command
+    # writes exactly those floats; a 2-D grid gives the values of its flattening.
+    path = write_model(tmp_path, model)
+    spec = cli.load_model(path)
+    xs = np.linspace(-1.0, 3.0, 41)
+    f = spec.family.density(spec.limit, xs.reshape(1, 41), float(eps))
+    assert isinstance(f, np.ndarray) and f.dtype == np.float64 and f.shape == (xs.size,)
+    assert cli.main(["density", "--spec", path, "--grid=-1:3:41", "--eps", eps, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["x"] == xs.tolist()
+    assert [v.hex() for v in f.tolist()] == [v.hex() for v in doc["density"]]
 
 
 def package_env():
@@ -715,9 +731,9 @@ def test_simulate_computes_the_support_once(tmp_path, monkeypatch, model):
     classified = []
     for mod in (free_additive, free_multiplicative):
 
-        def classify(ctx, theta, multiplicity=1, _classify=mod.classify_spike):
+        def classify(ctx, theta, _classify=mod.classify_spike):
             classified.append(theta)
-            return _classify(ctx, theta, multiplicity)
+            return _classify(ctx, theta)
 
         monkeypatch.setattr(mod, "classify_spike", classify)
     path = write_model(tmp_path, model)

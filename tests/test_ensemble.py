@@ -162,31 +162,20 @@ class TestSpecValidation:
         assert str(refused.value) == str(by_context.value)
 
     @pytest.mark.parametrize("mult", [1.5, True, "2", None, 0, -1.0])
-    def test_the_spec_and_both_verdicts_refuse_a_multiplicity_alike(self, mult):
-        # One rule, one message: an integer >= 1, or a float with such a value.
-        with pytest.raises(SpecError) as refused:
+    def test_the_spec_refuses_a_multiplicity_that_is_not_a_positive_integer(self, mult):
+        # The spec alone holds k: an integer >= 1, or a float with such a value.
+        with pytest.raises(SpecError):
             SpikedModelSpec(
                 kind="additive_wigner", nu=TWO_POINT, spikes=((2.0, mult),), N=None, seed=0,
                 sigma2=0.5,
             )
-        for family, ctx in (
-            (free_additive, AdditiveContext(TWO_POINT, 0.5)),
-            (free_multiplicative, MultiplicativeContext(DELTA1, 0.5)),
-        ):
-            with pytest.raises(SpecError) as by_verdict:
-                family.classify_spike(ctx, 2.0, mult)
-            assert str(by_verdict.value) == str(refused.value)
 
-    def test_an_integral_float_multiplicity_is_an_int_in_the_spec_and_both_verdicts(self):
+    def test_an_integral_float_multiplicity_is_an_int_in_the_spec(self):
         spec = SpikedModelSpec(
             kind="multiplicative_wishart", nu=DELTA1, spikes=((2.0, 2.0),), N=None, seed=0, c=0.5
         )
-        verdicts = [
-            free_additive.classify_spike(AdditiveContext(TWO_POINT, 0.5), 2.0, 2.0),
-            free_multiplicative.classify_spike(spec.limit, 2.0, 2.0),
-        ]
-        for mult in [spec.spikes[0][1]] + [v.multiplicity for v in verdicts]:
-            assert mult == 2 and type(mult) is int
+        mult = spec.spikes[0][1]
+        assert mult == 2 and type(mult) is int
 
     def test_limit_is_the_context_at_sigma2_or_the_requested_c(self):
         spec = paper_spec()
@@ -209,7 +198,7 @@ class TestSpecValidation:
 
 def _analysis(spec):
     """What ``analyze`` reports: each spike's rho, tau and criterion, and the support."""
-    verdicts = [spec.family.classify_spike(spec.limit, t, k) for t, k in spec.spikes]
+    verdicts = [spec.family.classify_spike(spec.limit, t) for t, _ in spec.spikes]
     support = spec.family.support(spec.limit).intervals
     return [(v.rho, v.tau, v.criterion_value) for v in verdicts], support
 
@@ -289,7 +278,7 @@ class TestScale:
                 kind="multiplicative_wishart", nu=AtomicMeasure(((t, 1.0),)), spikes=(),
                 N=None, seed=0, c=0.5,
             )
-            return np.array([f for _, f in spec.family.density(spec.limit, xs * t)])
+            return spec.family.density(spec.limit, xs * t)
 
         xs = np.linspace(0.1, 3.5, 7)
         want = density(1.0)

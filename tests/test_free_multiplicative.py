@@ -243,11 +243,6 @@ class TestClassifySpike:
             value, terms = want[name]
             assert abs(got - float(value)) <= 8 * 2.0**-53 * float(terms), name
 
-    def test_multiplicity_carried_and_validated(self):
-        assert classify_spike(ctx(DELTA1, 1.0), 3.0, multiplicity=4).multiplicity == 4
-        with pytest.raises(SpecError):
-            classify_spike(ctx(DELTA1, 1.0), 3.0, multiplicity=0)
-
 
 class TestOutlierIntervals:
     def test_single_atom_small_c(self):
@@ -409,7 +404,7 @@ class TestDensity:
         lo = (1.0 - math.sqrt(c)) ** 2
         hi = (1.0 + math.sqrt(c)) ** 2
         xs = np.concatenate([np.linspace(lo + 0.05, hi - 0.05, 35), [hi + 0.3, hi + 1.0]])
-        for x, f in density(context, xs, eps=1e-6):
+        for x, f in zip(xs, density(context, xs, eps=1e-6)):
             assert abs(f - mp_density(c, x)) < 1e-2
 
     def test_matches_mp_closed_form_large_c(self):
@@ -418,7 +413,7 @@ class TestDensity:
         lo = (1.0 - math.sqrt(c)) ** 2
         hi = (1.0 + math.sqrt(c)) ** 2
         xs = np.linspace(lo + 0.05, hi - 0.05, 34)
-        for x, f in density(context, xs, eps=1e-6):
+        for x, f in zip(xs, density(context, xs, eps=1e-6)):
             assert abs(f - mp_density(c, x)) < 1e-2
 
     def test_total_mass_with_atom(self):
@@ -435,7 +430,7 @@ class TestDensity:
                 ]
             )
         )
-        f = np.array([v for _, v in density(context, xs, eps=1e-6)])
+        f = density(context, xs, eps=1e-6)
         assert np.all(f >= 0.0)
         total = mass_at_zero(context) + np.trapezoid(f, xs)
         assert abs(total - 1.0) < 1e-2
@@ -445,10 +440,10 @@ class TestDensity:
         (a1, b1), (a2, b2) = support(context).intervals
         mids = [(a1 + b1) / 2.0, (a2 + b2) / 2.0]
         gap_mid = (b1 + a2) / 2.0
-        pts = dict(density(context, mids + [gap_mid], eps=1e-6))
-        assert pts[mids[0]] > 1e-2
-        assert pts[mids[1]] > 1e-2
-        assert pts[gap_mid] < 1e-3
+        f_mid0, f_mid1, f_gap = density(context, mids + [gap_mid], eps=1e-6)
+        assert f_mid0 > 1e-2
+        assert f_mid1 > 1e-2
+        assert f_gap < 1e-3
 
     def test_two_component_total_mass(self):
         context = ctx(TWO_SPREAD, 0.1)
@@ -465,7 +460,7 @@ class TestDensity:
                 ]
             )
         )
-        f = np.array([v for _, v in density(context, xs, eps=1e-6)])
+        f = density(context, xs, eps=1e-6)
         total = mass_at_zero(context) + np.trapezoid(f, xs)
         assert abs(total - 1.0) < 1e-2
 
@@ -473,19 +468,19 @@ class TestDensity:
         # eps = 0 is exact, through x = 0, both edges and the gaps, to 1e-13.
         for c in (0.5, 2.0):
             xs = np.concatenate([np.linspace(-1.0, 7.0, 801), [(1.0 - math.sqrt(c)) ** 2, (1.0 + math.sqrt(c)) ** 2]])
-            for x, f in density(ctx(DELTA1, c), xs):
+            for x, f in zip(xs, density(ctx(DELTA1, c), xs)):
                 assert abs(f - (mp_density(c, x) if x > 0.0 else 0.0)) <= 1e-13
                 assert math.copysign(1.0, f) == 1.0
 
     def test_zero_unless_the_support_reaches_it(self):
         for nu, c in ((DELTA1, 0.5), (DELTA1, 2.0), (HALF01, 4.0), (HALF01, 1.0), (DELTA0, 3.0)):
-            assert density(ctx(nu, c), [0.0]) == [(0.0, 0.0)]
+            assert density(ctx(nu, c), [0.0]).tolist() == [0.0]
 
     def test_unbounded_at_zero_when_the_support_reaches_it(self):
         for nu, c in ((DELTA1, 1.0), (HALF01, 2.0)):
             with pytest.raises(DomainError, match="x=0"):
                 density(ctx(nu, c), [1.0, 0.0])
-        assert density(ctx(DELTA1, 1.0), [1.0])[0][1] == pytest.approx(mp_density(1.0, 1.0), abs=1e-13)
+        assert density(ctx(DELTA1, 1.0), [1.0])[0] == pytest.approx(mp_density(1.0, 1.0), abs=1e-13)
 
     @pytest.mark.filterwarnings("error")
     def test_a_failed_solve_is_named_by_c_and_the_shift(self):
@@ -502,10 +497,10 @@ class TestDensity:
         # overflows, as does that of |omega - t| at 5e154: the density still comes out, on the
         # axis (sqrt(4 - c) / (2 pi sqrt(c) t) at t) and above it, where it is -Im g / pi.
         context, xs = ctx(AtomicMeasure(((1.4e154, 1.0),)), 1e-160), [1e154, 1.4e154, 5e154]
-        on = [f for _, f in density(context, xs)]
+        on = density(context, xs)
         assert on[0] == on[2] == 0.0
         assert on[1] == pytest.approx(1.0 / (math.pi * 1e-80 * 1.4e154), rel=1e-12)
-        above = [f for _, f in density(context, xs, eps=1e70)]
+        above = density(context, xs, eps=1e70)
         want = -wishart_g(context, np.array(xs) + 1e70j).imag / math.pi
         assert above == pytest.approx(want, rel=1e-12)
 

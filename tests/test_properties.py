@@ -7,7 +7,8 @@ their real inverses,
 the scaled Marchenko-Pastur law of a two-atom nu with an atom at 0, the
 support of both families as the images of consecutive outlier-set ends with
 every gap wider than 1e-12, the Wishart density above the axis against
--Im g / pi, the spike values against plain sums, the outlier set of nu with
+-Im g / pi, the spike values against plain sums, a verdict's outlier flag
+against its rho and tau in both families, the outlier set of nu with
 up to 30 atoms against a per-gap scan and bisection, the sign, support and
 mass of the limiting density in both families, the Weyl perturbation bound
 on sampled additive models, and the Pythagoras bound on per-vector
@@ -281,7 +282,7 @@ def test_wishart_density_above_the_axis_is_minus_im_g_over_pi(nu, zero, c, xs, l
         nu = AtomicMeasure(((0.0, zero),) + tuple((t, w * (1.0 - zero)) for t, w in nu.atoms))
     ctx, eps = MultiplicativeContext(nu, c), 10.0**log_eps
     x = np.array(xs + [0.0, -1.0, ctx._shift / 16.0])
-    f = np.array([v for _, v in free_multiplicative.density(ctx, x, eps)])
+    f = free_multiplicative.density(ctx, x, eps)
     z = x + 1j * eps
     want = -wishart_g(ctx, z).imag / math.pi
     omega = z - ctx._shift if ctx._biased is None else subordination(ctx._biased, z - ctx._shift)
@@ -309,6 +310,21 @@ def test_spike_values_equal_plain_sums(data):
         tau = (1.0 - crit) / (rho / theta)
         assert abs(verdict.rho - rho) <= 1e-12 * abs(rho)
         assert abs(verdict.tau - tau) <= 1e-12 * tau
+
+
+@COMMON
+@given(data=st.data(), wishart=st.booleans())
+def test_a_verdict_is_an_outlier_exactly_where_it_has_rho_and_tau(data, wishart):
+    # A verdict holds no flag of its own: is_outlier reads rho, and tau is set with rho.
+    nu = data.draw(measures(positive=wishart))
+    scale = data.draw(st.floats(0.05, 4.0))
+    theta = data.draw(st.floats(0.01, 12.0) if wishart else st.floats(-8.0, 8.0))
+    assume(np.abs(theta - nu.locations).min() > 1e-6)
+    if wishart:
+        verdict = classify_mult(MultiplicativeContext(nu, scale), theta)
+    else:
+        verdict = classify_add(AdditiveContext(nu, scale), theta)
+    assert verdict.is_outlier == (verdict.rho is not None) == (verdict.tau is not None)
 
 
 @st.composite
@@ -398,7 +414,7 @@ def _mass(density, ctx, support):
 
     def panels(a, b, lo, hi):
         phi = (hi + lo)[:, None] / 2.0 + (hi - lo)[:, None] / 2.0 * _X
-        f = np.array([v for _, v in density(ctx, a + (b - a) * np.sin(phi.ravel()) ** 2)])
+        f = density(ctx, a + (b - a) * np.sin(phi.ravel()) ** 2)
         g = f.reshape(phi.shape) * (b - a) * np.sin(2.0 * phi)
         return (hi - lo) / 2.0 * (g @ _W)
 
@@ -453,7 +469,7 @@ def test_density_is_positive_exactly_on_the_support_with_unit_mass(ctx):
     support = mod.support(ctx)
     lo, hi = support.intervals[0][0], support.intervals[-1][1]
     xs = np.linspace(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo), 801)
-    f = np.array([v for _, v in mod.density(ctx, xs)])
+    f = mod.density(ctx, xs)
     assert np.all(f >= 0.0)
     signed = support.signed_distance(xs)
     away = np.abs(signed) > 1e-9 * (1.0 + hi - lo)
